@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Hashable, Optional, Sequence
 
 from .paths import AreaSequence, MobiusWord
@@ -38,9 +39,12 @@ VALIDATION_LIMIT = 10 ** 6
 
 
 def area_shift(a: AreaSequence) -> AreaSequence:
-    """Rotate the area values one step to the right; always valid again."""
+    """Rotate the area values one step to the right.
+
+    A rotation of a valid cyclic sequence is valid, so it is not checked again.
+    """
     v = a.values
-    return AreaSequence((v[-1],) + v[:-1], a.width)
+    return AreaSequence._trusted((v[-1],) + v[:-1], a.width)
 
 
 def word_rotate(bits: str, steps: int) -> str:
@@ -166,12 +170,16 @@ class OrbitDecomposition:
 def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitDecomposition:
     """Orbits under the action, each listed from its minimal element.
 
-    Raises ValueError (with a witness) if the generator leaves the carrier.
+    The carrier is walked in its given order, so an error witness does not
+    depend on set order; each orbit is then rotated to start at its minimum
+    and the orbits are ordered by that minimum, which needs no sort of the
+    carrier.  Raises ValueError (with a witness) if the generator leaves
+    the carrier or is not a bijection on it.
     """
     cset = set(carrier)
     seen: set = set()
     orbits = []
-    for x in sorted(cset):
+    for x in carrier:
         if x in seen:
             continue
         orbit = [x]
@@ -187,7 +195,9 @@ def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitD
             y = action.generator(y)
         if action.order % len(orbit) != 0:
             raise ValueError(f"orbit size {len(orbit)} does not divide order {action.order}")
-        orbits.append(tuple(orbit))
+        i = orbit.index(min(orbit))
+        orbits.append(tuple(orbit[i:] + orbit[:i]))
+    orbits.sort(key=itemgetter(0))
     return OrbitDecomposition(action.order, tuple(orbits))
 
 

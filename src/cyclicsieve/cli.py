@@ -43,7 +43,7 @@ from .csp import (
     zrun_rotation_action,
 )
 from .genfunc import avl_q_closed, bw_q, cdp_count, cdp_q_closed, cmp_q
-from .jsonio import ResultCache, dumps_canonical, validate_payload
+from .jsonio import ResultCache, dumps_canonical
 from .paths import enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
 from .qpoly import IntPolynomial, mod_cyclic, q_multinomial
 from .selftest import run_all
@@ -356,7 +356,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
                 "count_table",
                 lambda: payload_count_table(args.w, args.max_n),
             )
-            validate_payload("count_table", payload)
             if args.bfile or args.csv:
                 _emit(format_count_table(payload, args.bfile), args.csv)
             else:
@@ -370,7 +369,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
             "count",
             lambda: payload_count(args.n, args.w, args.q),
         )
-        validate_payload("count", payload)
         print(dumps_canonical(payload))
         return 0
 
@@ -386,7 +384,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
             "verify",
             lambda: payload_verify(args.target, n, args.w, content),
         )
-        validate_payload("verify", payload)
         if args.table or args.csv:
             _emit(format_verify_table(payload), args.csv)
         else:
@@ -411,7 +408,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
             "orbits",
             lambda: payload_orbits(args.target, n, args.w, content, args.poly),
         )
-        validate_payload("orbits", payload)
         print(dumps_canonical(payload))
         return 0
 
@@ -429,7 +425,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
                 raise UsageError("sizes must be integers")
             _require(bool(sizes), "need at least one size")
             payload = cache.fetch("lyndon_params", {"sizes": sizes}, "lyndon_params", lambda: payload_lyndon_params(sizes))
-            validate_payload("lyndon_params", payload)
             print(dumps_canonical(payload))
             if not payload["valid"]:
                 print(dumps_canonical({"error": "sizes admit no Lyndon parameters", "exit": 1}), file=sys.stderr)
@@ -443,7 +438,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
                 "lyndon_check",
                 lambda: payload_lyndon_check(args.family, args.w, args.max_n),
             )
-            validate_payload("lyndon_check", payload)
             print(dumps_canonical(payload))
             if payload["verdict"] != "pass":
                 print(dumps_canonical({"error": "family is not Lyndon-like", "exit": 1}), file=sys.stderr)
@@ -463,7 +457,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
                 "lyndon_construct",
                 lambda: payload_lyndon_construct(t_values, args.n),
             )
-            validate_payload("lyndon_construct", payload)
             print(dumps_canonical(payload))
             if payload["csp_verdict"] != "pass":
                 print(
@@ -481,7 +474,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
             "homomesy",
             lambda: payload_homomesy(args.n, args.action),
         )
-        validate_payload("homomesy", payload)
         print(dumps_canonical(payload))
         if args.action == "alpha" and not payload["homomesic"]:
             print(dumps_canonical({"error": "expected homomesic case failed", "exit": 1}), file=sys.stderr)
@@ -491,7 +483,6 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
     if args.command == "selftest":
         _require(1 <= args.max_n <= SELFTEST_GUARD, f"selftest is limited to max-n <= {SELFTEST_GUARD}")
         payload = cache.fetch("selftest", {"max_n": args.max_n}, "selftest", lambda: payload_selftest(args.max_n))
-        validate_payload("selftest", payload)
         print(dumps_canonical(payload))
         if not payload["passed"]:
             failing = [c["id"] for c in payload["criteria"] if not c["passed"]]

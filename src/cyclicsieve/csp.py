@@ -44,6 +44,7 @@ __all__ = [
     "HomomesyReport",
     "homomesy_check",
     "verify_word_csp",
+    "cdp_fixed_counts",
     "check_cdp_fixed_points",
     "cdp_family",
     "words_family",
@@ -508,15 +509,25 @@ def verify_word_csp(mu: Sequence[int]) -> CspReport:
     return verify_csp(carrier, action, q_multinomial(mu))
 
 
+def cdp_fixed_counts(n: int, w: int) -> dict[int, int]:
+    """For every k = 1..n, |{a in CDP(n,w) : shifted by k steps equals a}|.
+
+    CDP(n, w) is enumerated once for all k.
+    """
+    counts = dict.fromkeys(range(1, n + 1), 0)
+    for a in enumerate_cdp(n, w):
+        v = a.values
+        for k in counts:
+            if rotate_tuple(v, k) == v:
+                counts[k] += 1
+    return counts
+
+
 def check_cdp_fixed_points(n: int, w: int, k: int) -> bool:
     """|{a in CDP(n,w) : shifted by k steps equals a}| == |CDP(gcd(n,k), w)|."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    fixed = 0
-    for a in enumerate_cdp(n, w):
-        if rotate_tuple(a.values, k) == a.values:
-            fixed += 1
-    return fixed == sum(1 for _ in enumerate_cdp(gcd(n, k), w))
+    return cdp_fixed_counts(n, w)[k] == sum(1 for _ in enumerate_cdp(gcd(n, k), w))
 
 
 def cdp_family(w: int, max_n: int) -> list[FamilyMember]:

@@ -13,10 +13,12 @@ detected and recomputed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -78,7 +80,7 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """File-per-key result cache with hash and schema validation on read."""
+    """File-per-key result cache; every payload that fetch returns is schema-validated."""
 
     def __init__(self, directory: Optional[Path] = None, enabled: bool = True):
         self.directory = Path(directory) if directory else default_cache_dir()
@@ -88,9 +90,17 @@ class ResultCache:
         return self.directory / f"{key}.json"
 
     def fetch(self, command: str, params: dict, schema: str, compute: Callable[[], Any]) -> Any:
-        """Return the cached payload for (command, params) or compute and store it."""
+        """Return the payload for (command, params), validated against `schema`.
+
+        This is the one place a payload is validated: a hit in _read_valid,
+        a computed payload before it is stored or, with the cache disabled,
+        returned.  A cache entry that cannot be written leaves a JSON
+        warning on stderr and the computed payload is returned all the same.
+        """
         if not self.enabled:
-            return compute()
+            payload = compute()
+            validate_payload(schema, payload)
+            return payload
         probe = RunManifest(command, params, __version__, None)
         path = self._path(probe.key)
         if path.exists():
@@ -98,12 +108,28 @@ class ResultCache:
             if payload is not None:
                 return payload
         payload = compute()
-        manifest = RunManifest(command, params, __version__, payload)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(dumps_canonical(manifest.to_json()))
-        tmp.replace(path)
+        validate_payload(schema, payload)
+        try:
+            self._write(path, RunManifest(command, params, __version__, payload))
+        except OSError as exc:
+            print(
+                dumps_canonical({"warning": f"cannot write cache entry {path.name}: {exc}", "action": "running without cache"}),
+                file=sys.stderr,
+            )
         return payload
+
+    def _write(self, path: Path, manifest: RunManifest) -> None:
+        """Write through a temp file of this writer's own, then rename it into place."""
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(dumps_canonical(manifest.to_json()))
+            os.replace(tmp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     def _read_valid(self, path: Path, key: str, command: str, schema: str) -> Optional[Any]:
         try:

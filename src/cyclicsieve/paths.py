@@ -116,7 +116,13 @@ def validate_area_sequence(values, w: int) -> bool:
 
 @dataclass(frozen=True, order=True)
 class AreaSequence:
-    """A circular Dyck path of height len(values) and width `width`."""
+    """A circular Dyck path of height len(values) and width `width`.
+
+    The constructor validates its input with validate_area_sequence and
+    raises ValueError on an invalid sequence.  Only enumerate_cdp and
+    actions.area_shift skip that check, through _trusted, because their
+    output is valid by construction.
+    """
 
     values: tuple[int, ...]
     width: int
@@ -125,6 +131,14 @@ class AreaSequence:
         object.__setattr__(self, "values", tuple(self.values))
         if not validate_area_sequence(self.values, self.width):
             raise ValueError(f"not a valid area sequence of width {self.width}: {self.values}")
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...], width: int) -> AreaSequence:
+        """Build without validation; the caller guarantees a valid tuple."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "values", values)
+        object.__setattr__(a, "width", width)
+        return a
 
     @property
     def height(self) -> int:
@@ -137,26 +151,26 @@ class AreaSequence:
 def enumerate_cdp(n: int, w: int) -> Iterator[AreaSequence]:
     """All of CDP(n, w) in lexicographic order of area values.
 
-    Depth-first: fix a_1, extend with a_{i+1} <= min(w-1, a_i + 1), and
-    check the wrap-around a_1 <= a_n + 1 at the leaves.  Width 0 yields
-    nothing (a_i <= -1 is unsatisfiable).
+    The prefixes a_1 ... a_{n-1} with a_{i+1} <= min(w-1, a_i + 1) are
+    built level by level; the last level is extended lazily with every a_n
+    that also closes the cycle, max(a_1 - 1, 0) <= a_n <= min(w-1,
+    a_{n-1} + 1).  Each yielded sequence is valid by construction, so it
+    is not validated again.  Width 0 yields nothing (a_i <= -1 is
+    unsatisfiable).
     """
     if n < 1 or w < 1:
         return
-
-    prefix = [0] * n
-
-    def rec(i: int) -> Iterator[AreaSequence]:
-        if i == n:
-            if prefix[0] <= prefix[n - 1] + 1:
-                yield AreaSequence(tuple(prefix), w)
-            return
-        hi = w - 1 if i == 0 else min(w - 1, prefix[i - 1] + 1)
-        for a in range(0, hi + 1):
-            prefix[i] = a
-            yield from rec(i + 1)
-
-    yield from rec(0)
+    trusted = AreaSequence._trusted
+    if n == 1:
+        for a in range(w):
+            yield trusted((a,), w)
+        return
+    level = [(a,) for a in range(w)]
+    for _ in range(n - 2):
+        level = [p + (b,) for p in level for b in range(min(w, p[-1] + 2))]
+    for p in level:
+        for b in range(max(p[0] - 1, 0), min(w, p[-1] + 2)):
+            yield trusted(p + (b,), w)
 
 
 def valley_count(a: AreaSequence) -> int:

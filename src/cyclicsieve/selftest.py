@@ -29,7 +29,7 @@ from .actions import (
 from .csp import (
     balanced_words_ending_in_one,
     cdp_family,
-    check_cdp_fixed_points,
+    cdp_fixed_counts,
     csp_feasibility,
     homomesy_check,
     lyndon_check,
@@ -149,10 +149,15 @@ def crit_4_main_csp(max_n: int) -> tuple[bool, str]:
 def crit_5_fixed_points(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     cells = 0
+    sizes: dict[tuple[int, int], int] = {}  # |CDP(d, w)|, enumerated once per (d, w)
     for n in range(1, bound + 1):
         for w in range(1, n + 1):
+            fixed = cdp_fixed_counts(n, w)
             for k in range(1, n + 1):
-                if not check_cdp_fixed_points(n, w, k):
+                d = gcd(n, k)
+                if (d, w) not in sizes:
+                    sizes[d, w] = sum(1 for _ in enumerate_cdp(d, w))
+                if fixed[k] != sizes[d, w]:
                     return False, f"fixed-point count fails at (n,w,k)=({n},{w},{k})"
                 cells += 1
     return True, f"{cells} cells, |fixed| == |CDP(gcd(n,k),w)|"

@@ -1,5 +1,6 @@
 """Cyclic actions, orbits, fixed points, the orbit polynomial."""
 
+import random
 from math import gcd
 
 import pytest
@@ -15,7 +16,7 @@ from cyclicsieve.actions import (
     word_rotate,
     word_shift_two,
 )
-from cyclicsieve.csp import zrun_rotation_action
+from cyclicsieve.csp import rotate_tuple, words_of_content, zrun_rotation_action
 from cyclicsieve.paths import AreaSequence, MobiusWord, enumerate_cdp, enumerate_cmp
 from cyclicsieve.qpoly import IntPolynomial, eval_at_unity, q_int
 
@@ -133,6 +134,61 @@ class TestOrbits:
         action = CyclicAction(3, lambda w: word_rotate(w, 1))
         with pytest.raises(ValueError, match="order"):
             action.validate_on(bw(4))
+
+
+def sorted_reference_orbits(carrier, action):
+    """Orbits found by walking the sorted carrier: each starts at its minimum."""
+    seen = set()
+    orbits = []
+    for x in sorted(set(carrier)):
+        if x in seen:
+            continue
+        orbit = [x]
+        y = action.generator(x)
+        while y != x:
+            orbit.append(y)
+            y = action.generator(y)
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
+INSTANCES = {
+    "cdp": lambda: (list(enumerate_cdp(6, 4)), CyclicAction(6, area_shift)),
+    "cdp-square": lambda: (list(enumerate_cdp(5, 5)), CyclicAction(5, area_shift)),
+    "cmp": lambda: (list(enumerate_cmp(7)), CyclicAction(7, mobius_shift)),
+    "bw": lambda: (bw(8), CyclicAction(8, twisted_shift)),
+    "words": lambda: (words_of_content((2, 2, 2)), CyclicAction(6, lambda t: rotate_tuple(t, 1))),
+}
+
+
+class TestOrbitDecomposeReference:
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_equals_sorted_reference(self, name):
+        carrier, action = INSTANCES[name]()
+        assert orbit_decompose(carrier, action).orbits == sorted_reference_orbits(carrier, action)
+
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_carrier_order_does_not_matter(self, name):
+        carrier, action = INSTANCES[name]()
+        shuffled = carrier[::-1] + carrier[: len(carrier) // 2]
+        random.Random(7).shuffle(shuffled)
+        assert orbit_decompose(shuffled, action) == orbit_decompose(carrier, action)
+
+    def test_leaving_the_carrier_raises(self):
+        carrier = [a for a in enumerate_cdp(4, 3) if a.values != (1, 0, 0, 0)]
+        with pytest.raises(ValueError, match="leaves the carrier"):
+            orbit_decompose(carrier, CyclicAction(4, area_shift))
+
+    def test_non_bijection_raises(self):
+        collapse = {"a": "c", "b": "c", "c": "a"}
+        for carrier in (["a", "b", "c"], ["c", "b", "a"], ["b", "a", "c"]):
+            with pytest.raises(ValueError, match="not a bijection"):
+                orbit_decompose(carrier, CyclicAction(2, collapse.__getitem__))
+
+    def test_orbit_size_must_divide_order(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            orbit_decompose(["01", "10"], CyclicAction(3, lambda w: word_rotate(w, 1)))
 
 
 class TestFixedCount:

@@ -1,15 +1,18 @@
 """Command-line interface: payloads, schemas, exit codes, caching."""
 
+import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 
 import cyclicsieve
 from cyclicsieve.cli import main
-from cyclicsieve.jsonio import validate_payload
+from cyclicsieve.jsonio import ResultCache, validate_payload
 
 
 @pytest.fixture()
@@ -274,3 +277,77 @@ class TestExitCodes:
         assert code == 1
         reason = json.loads(err.strip().splitlines()[-1])
         assert reason["exit"] == 1
+
+
+class TestCacheFailures:
+    def test_uncreatable_cache_dir_runs_without_cache(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code, out, err = run_cli(capsys, str(blocker / "cache"), "count", "--n", "3", "--w", "3")
+        assert code == 0
+        assert payload_of(out)["count"] == "18"
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        warning = json.loads(lines[0])
+        assert warning["action"] == "running without cache"
+        assert "warning" in warning
+
+    def test_uncreatable_cache_dir_keeps_math_exit_code(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(capsys, str(blocker / "cache"), "lyndon", "params", "--sizes", "1,2,5")
+        assert code == 1
+        assert json.loads(err.strip().splitlines()[-1])["exit"] == 1
+
+    def test_interleaved_writers_of_one_key(self, tmp_path, monkeypatch):
+        # Writer B stores the same key between writer A's temp-file write
+        # and A's rename; each must rename its own temp file.
+        directory = tmp_path / "cache"
+        a, b = ResultCache(directory), ResultCache(directory)
+        payload = {"n": "2", "w": "2", "count": "7"}
+        real_replace = os.replace
+        nested = []
+
+        def replace(src, dst):
+            if not nested:
+                nested.append(None)
+                nested[0] = b.fetch("count", {"n": 2}, "count", lambda: dict(payload))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert a.fetch("count", {"n": 2}, "count", lambda: dict(payload)) == payload
+        assert nested == [payload]
+        entries = list(directory.glob("*.json"))
+        assert len(entries) == 1
+        assert list(directory.glob("*.tmp")) == []
+        monkeypatch.setattr(os, "replace", real_replace)
+        hit = ResultCache(directory).fetch("count", {"n": 2}, "count", lambda: pytest.fail("recomputed"))
+        assert hit == payload
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_invalid_payload_is_rejected_and_not_cached(self, tmp_path, enabled):
+        directory = tmp_path / "cache"
+        cache = ResultCache(directory, enabled=enabled)
+        with pytest.raises(jsonschema.ValidationError):
+            cache.fetch("count", {"n": 2}, "count", lambda: {"count": 7})
+        assert not directory.exists() or not list(directory.iterdir())
+
+
+# stdout sha256 and exit code of each command, recorded before the CDP
+# enumeration hot path was rewritten; the output must not change by a byte.
+GOLDEN = [
+    (["orbits", "cdp", "--n", "6", "--w", "6", "--poly"], 0, "23d90a223d2233582be1fbf05c891b9a845ed31fe8e12150d6595175195164d8"),
+    (["verify", "cdp", "--n", "7", "--w", "5"], 0, "9d0e6eabdcfcc8b861fafa9714c02bffdddd62133ee94a37da43aa134255a2bc"),
+    (["orbits", "cmp", "--n", "6"], 0, "e0f15297e972b01b13a90477e67115be498f0c288f8d62ad2cd2d60f70bef22e"),
+    (["homomesy", "--n", "5", "--action", "beta"], 0, "c7dd3c9404c52ac4d87f31f2c45445a537379404d0515905d89cc3f2c08f1e83"),
+    (["lyndon", "check", "--family", "cdp", "--w", "3", "--max-n", "6"], 0, "29bf5157e4eb05c024e9c410deb5f4140455accd2e92c16b44a2426b1457de37"),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv, exit_code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+    def test_stdout_bytes_and_exit_code(self, capsys, cache_dir, argv, exit_code, digest):
+        for _ in ("cold", "warm"):
+            code, out, _ = run_cli(capsys, cache_dir, *argv)
+            assert code == exit_code
+            assert hashlib.sha256(out.encode()).hexdigest() == digest

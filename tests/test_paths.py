@@ -1,5 +1,6 @@
 """Path objects: area sequences, lattice words, bijections, statistics."""
 
+import inspect
 from itertools import product
 
 import pytest
@@ -73,6 +74,32 @@ class TestEnumeration:
 
     def test_width_zero_is_empty(self):
         assert list(enumerate_cdp(3, 0)) == []
+
+    def test_is_a_generator(self):
+        assert inspect.isgeneratorfunction(enumerate_cdp)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_filtered_product(self, n):
+        # Reference: every tuple in range(w)^n, in lexicographic order,
+        # kept when the public validator accepts it.
+        for w in range(1, n + 3):
+            want = [v for v in product(range(w), repeat=n) if validate_area_sequence(v, w)]
+            got = list(enumerate_cdp(n, w))
+            assert [a.values for a in got] == want
+            assert all(a == AreaSequence(a.values, w) for a in got)
+
+
+class TestAreaSequenceBoundary:
+    @pytest.mark.parametrize(
+        "values, width",
+        [((0, 2), 3), ((2, 0), 3), ((1, 1), 1), ((), 3), ((0,), 0), ((-1, 0), 3), ((3,), 3)],
+    )
+    def test_rejects_invalid_input(self, values, width):
+        with pytest.raises(ValueError):
+            AreaSequence(values, width)
+
+    def test_accepts_any_sequence_type(self):
+        assert AreaSequence([1, 0], 3).values == (1, 0)
 
 
 class TestWordEncoding:
