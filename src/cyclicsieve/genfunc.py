@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, sub
 from typing import Iterator, Literal
 
 from .paths import (
@@ -208,21 +209,27 @@ def cdp_q_closed(n: int, w: int) -> IntPolynomial:
     """Closed-form q-count of CDP(n, w): the double sum over s and j.
 
     The outer sum over s is truncated to |(w+2) s| <= 2n; every other term
-    has both Gaussian binomials out of range and vanishes.
+    has both Gaussian binomials out of range and vanishes.  The shifted
+    binomials are summed into one dense coefficient list, and columns out
+    of range are skipped without a q_binomial call.
     """
     if n < 1 or w < 1:
         raise ValueError("n and w must be positive")
     delta = w + 2
     s_max = (2 * n) // delta + 1
-    total = ZERO
+    total: list[int] = []
     for s in range(-s_max, s_max + 1):
         for j in range(1, w + 1):
-            term = q_binomial(2 * n - 1, n - 1 - delta * s) - q_binomial(2 * n - 1, n + j + delta * s)
-            if term.is_zero():
-                continue
             # s^2 delta + s (j+1) >= 0 for every s since j + 1 < delta.
-            total = total + term.shift(s * s * delta + s * (j + 1))
-    return total
+            exponent = s * s * delta + s * (j + 1)
+            for col, op in ((n - 1 - delta * s, add), (n + j + delta * s, sub)):
+                if 0 <= col <= 2 * n - 1:
+                    coeffs = q_binomial(2 * n - 1, col).coeffs
+                    end = exponent + len(coeffs)
+                    if len(total) < end:
+                        total.extend([0] * (end - len(total)))
+                    total[exponent:end] = map(op, total[exponent:end], coeffs)
+    return IntPolynomial(total)
 
 
 def cdp_q_wide(n: int, w: int) -> IntPolynomial:

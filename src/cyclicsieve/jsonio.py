@@ -6,14 +6,16 @@ Output is canonical: keys sorted, fixed separators, so equal inputs give
 byte-identical bytes.
 
 Cached results are stored one file per cache key; the key is a stable
-hash of (command, parameters, tool version), and each manifest stores a
-hash of its payload plus the schema name, so corrupted entries are
-detected and recomputed.
+hash of (command, parameters, source digest), where the source digest
+hashes the package's own code and schemas, so a change to either never
+reads an entry the old code wrote.  Each manifest stores a hash of its
+payload, so corrupted or unreadable entries are detected and recomputed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -26,8 +28,6 @@ from typing import Any, Callable, Optional
 
 import jsonschema
 
-from . import __version__
-
 ENV_CACHE_DIR = "CYCLIC_SIEVE_CACHE"
 
 
@@ -39,24 +39,45 @@ def stable_hash(payload: Any) -> str:
     return hashlib.sha256(dumps_canonical(payload).encode("ascii")).hexdigest()
 
 
+def source_digest(package_dir: Path) -> str:
+    """sha256 over the *.py and schemas/*.json files of a package directory.
+
+    Files are taken in sorted order of their relative paths; each one
+    contributes its path, its length and its bytes.
+    """
+    digest = hashlib.sha256()
+    paths = [*package_dir.glob("*.py"), *package_dir.glob("schemas/*.json")]
+    for name in sorted(path.relative_to(package_dir).as_posix() for path in paths):
+        data = (package_dir / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.cache
+def package_digest() -> str:
+    """source_digest of this cyclicsieve package, computed once per process."""
+    return source_digest(Path(__file__).resolve().parent)
+
+
 @dataclass(frozen=True)
 class RunManifest:
-    """One cached run: command, parameters, version, key and payload."""
+    """One cached run: command, parameters, source digest, key and payload."""
 
     command: str
     params: dict
-    version: str
+    source: str
     payload: Any
 
     @property
     def key(self) -> str:
-        return stable_hash({"command": self.command, "params": self.params, "version": self.version})
+        return stable_hash({"command": self.command, "params": self.params, "source": self.source})
 
     def to_json(self) -> dict:
         return {
             "command": self.command,
             "params": self.params,
-            "version": self.version,
+            "source": self.source,
             "key": self.key,
             "payload": self.payload,
             "payload_sha256": stable_hash(self.payload),
@@ -94,28 +115,32 @@ class ResultCache:
 
         This is the one place a payload is validated: a hit in _read_valid,
         a computed payload before it is stored or, with the cache disabled,
-        returned.  A cache entry that cannot be written leaves a JSON
-        warning on stderr and the computed payload is returned all the same.
+        returned.  An entry that is corrupt or cannot be read, or that
+        cannot be written, leaves one JSON warning on stderr, and the
+        computed payload is returned all the same.
         """
         if not self.enabled:
             payload = compute()
             validate_payload(schema, payload)
             return payload
-        probe = RunManifest(command, params, __version__, None)
+        probe = RunManifest(command, params, package_digest(), None)
         path = self._path(probe.key)
+        warned = False
         if path.exists():
             payload = self._read_valid(path, probe.key, command, schema)
             if payload is not None:
                 return payload
+            warned = True
         payload = compute()
         validate_payload(schema, payload)
         try:
-            self._write(path, RunManifest(command, params, __version__, payload))
+            self._write(path, RunManifest(command, params, probe.source, payload))
         except OSError as exc:
-            print(
-                dumps_canonical({"warning": f"cannot write cache entry {path.name}: {exc}", "action": "running without cache"}),
-                file=sys.stderr,
-            )
+            if not warned:  # an entry already reported as corrupt gets no second warning
+                print(
+                    dumps_canonical({"warning": f"cannot write cache entry {path.name}: {exc}", "action": "running without cache"}),
+                    file=sys.stderr,
+                )
         return payload
 
     def _write(self, path: Path, manifest: RunManifest) -> None:
@@ -134,14 +159,14 @@ class ResultCache:
     def _read_valid(self, path: Path, key: str, command: str, schema: str) -> Optional[Any]:
         try:
             data = json.loads(path.read_text())
-            if data.get("key") != key or data.get("command") != command:
+            if not isinstance(data, dict) or data.get("key") != key or data.get("command") != command:
                 raise ValueError("cache key mismatch")
             payload = data["payload"]
             if stable_hash(payload) != data.get("payload_sha256"):
                 raise ValueError("payload hash mismatch")
             validate_payload(schema, payload)
             return payload
-        except (ValueError, KeyError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
+        except (OSError, ValueError, KeyError, jsonschema.ValidationError) as exc:
             print(
                 dumps_canonical({"warning": f"corrupted cache entry {path.name}: {exc}", "action": "recomputing"}),
                 file=sys.stderr,

@@ -10,6 +10,12 @@ The module provides the usual q-analogues ([n]_q, q-factorials, Gaussian
 binomials, q-multinomials), cyclotomic polynomials, reduction mod q^n - 1,
 and two independent routes for evaluating a Gaussian binomial at a root of
 unity (direct cyclotomic reduction, and the q-Lucas decomposition).
+
+Gaussian binomials are built one row at a time, [n,k] from [n,k-1], by a
+multiplication by 1 - q^(n-k+1) and an exact division by 1 - q^k; each
+step is linear in the degree, and the memo holds only the entries of the
+rows that were asked for.  A root-of-unity evaluation of order m first
+folds f mod q^m - 1, then reduces that m-term polynomial mod Phi_m.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from operator import add, sub
+from typing import Iterable, Union
 
 
 class ExactDivisionError(ArithmeticError):
@@ -286,14 +293,37 @@ def q_factorial(n: int) -> IntPolynomial:
 def q_binomial(n: int, k: int) -> IntPolynomial:
     """Gaussian binomial coefficient; zero unless 0 <= k <= n.
 
-    Computed by the division-free q-Pascal recurrence
-    [n,k] = [n-1,k-1] + q^k [n-1,k], memoized.
+    Computed along row n by the ratio [n,k] = [n,k-1] (1 - q^(n-k+1)) / (1 - q^k)
+    for 2k <= n, and by the symmetry [n,k] = [n,n-k] above that, memoized.
     """
     if not 0 <= k <= n:
         return ZERO
-    if k == 0 or k == n:
+    if 2 * k > n:
+        return q_binomial(n, n - k)
+    if k == 0:
         return ONE
-    return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)
+    prev = q_binomial(n, k - 1).coeffs
+    shift = n - k + 1
+    product = list(prev) + [0] * shift
+    product[shift:] = map(sub, product[shift:], prev)
+    return IntPolynomial(_exact_div_one_minus_q_power(product, k))
+
+
+def _exact_div_one_minus_q_power(f: list[int], k: int) -> list[int]:
+    """Coefficients of f / (1 - q^k), by g_i = f_i + g_(i-k); f is consumed.
+
+    The recurrence runs one block of k coefficients at a time.  Raises
+    ExactDivisionError unless the division leaves no remainder, which shows
+    as a nonzero coefficient among the top k of g.
+    """
+    for start in range(k, len(f), k):
+        block = f[start:start + k]
+        f[start:start + len(block)] = map(add, block, f[start - k:start])
+    top = len(f) - k
+    if any(f[max(top, 0):]):
+        raise ExactDivisionError(f"1 - q^{k} does not divide the polynomial")
+    del f[max(top, 0):]
+    return f
 
 
 def q_binomial_by_division(n: int, k: int) -> IntPolynomial:
@@ -338,16 +368,17 @@ def cyclotomic(m: int) -> IntPolynomial:
 def eval_at_unity(f: IntPolynomial, m: Union[int, RootOfUnityIndex]) -> Union[int, NonConstant]:
     """Value of f at every primitive m-th root of unity, or NonConstant.
 
-    The reduction r = f mod Phi_m is computed exactly; if r is constant,
-    that integer is the common value of f at each primitive m-th root.
-    Otherwise a NonConstant marker carrying r is returned.
+    The reduction r = f mod Phi_m is computed exactly, from f folded mod
+    q^m - 1 (a multiple of Phi_m, so the remainder is the same); if r is
+    constant, that integer is the common value of f at each primitive m-th
+    root.  Otherwise a NonConstant marker carrying r is returned.
     """
     order = m.m if isinstance(m, RootOfUnityIndex) else m
     if order < 1:
         raise ValueError("order must be positive")
     if order == 1:
         return f(1)
-    r = f.mod_monic(cyclotomic(order))
+    r = IntPolynomial(mod_cyclic(f, order)).mod_monic(cyclotomic(order))
     if r.is_constant():
         return r.constant_value()
     return NonConstant(r)
@@ -379,16 +410,5 @@ def mod_cyclic(f: IntPolynomial, n: int) -> tuple[int, ...]:
     """Coefficients of f reduced mod q^n - 1: exponent i folds onto i mod n."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = [0] * n
-    for i, c in enumerate(f.coeffs):
-        out[i % n] += c
-    return tuple(out)
-
-
-def all_polynomials_equal(polys: Iterator[IntPolynomial]) -> bool:
-    it = iter(polys)
-    try:
-        first = next(it)
-    except StopIteration:
-        return True
-    return all(p == first for p in it)
+    cs = f.coeffs
+    return tuple(sum(cs[r::n]) for r in range(n))

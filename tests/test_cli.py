@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import pytest
 
 import cyclicsieve
 from cyclicsieve.cli import main
-from cyclicsieve.jsonio import ResultCache, validate_payload
+from cyclicsieve.jsonio import ResultCache, RunManifest, package_digest, source_digest, validate_payload
 
 
 @pytest.fixture()
@@ -241,6 +242,20 @@ class TestCacheAndDeterminism:
         assert after == before
         assert "corrupted cache entry" in err
 
+    @pytest.mark.parametrize("relative", ["qpoly.py", "schemas/count.schema.json"])
+    def test_source_change_changes_key(self, tmp_path, relative):
+        package = pathlib.Path(cyclicsieve.__file__).resolve().parent
+        copy = tmp_path / "cyclicsieve"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_digest(copy) == package_digest()
+        before = RunManifest("count", {"n": 3, "w": 3}, source_digest(copy), None).key
+        target = copy / relative
+        data = bytearray(target.read_bytes())
+        data[len(data) // 2] ^= 1
+        target.write_bytes(bytes(data))
+        after = RunManifest("count", {"n": 3, "w": 3}, source_digest(copy), None).key
+        assert after != before
+
     def test_environment_variable_sets_cache_dir(self, tmp_path):
         env_dir = tmp_path / "envcache"
         # Minimal env so no cache setting leaks in from the caller; the child
@@ -298,6 +313,30 @@ class TestCacheFailures:
         code, _, err = run_cli(capsys, str(blocker / "cache"), "lyndon", "params", "--sizes", "1,2,5")
         assert code == 1
         assert json.loads(err.strip().splitlines()[-1])["exit"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, damage",
+        [
+            (["count", "--n", "3", "--w", "3"], 0, "directory"),
+            (["lyndon", "params", "--sizes", "1,2,5"], 1, "directory"),
+            (["count", "--n", "3", "--w", "3"], 0, "json list"),
+        ],
+    )
+    def test_unreadable_entry_is_recomputed(self, capsys, cache_dir, argv, exit_code, damage):
+        _, before, _ = run_cli(capsys, cache_dir, *argv)
+        entry = next(pathlib.Path(cache_dir).glob("*.json"))
+        if damage == "directory":
+            entry.unlink()
+            entry.mkdir()
+        else:
+            entry.write_text("[]")
+        code, after, err = run_cli(capsys, cache_dir, *argv)
+        assert code == exit_code
+        assert after == before
+        warnings = [json.loads(line) for line in err.strip().splitlines() if "warning" in json.loads(line)]
+        assert len(warnings) == 1
+        assert warnings[0]["action"] == "recomputing"
+        assert "corrupted cache entry" in warnings[0]["warning"]
 
     def test_interleaved_writers_of_one_key(self, tmp_path, monkeypatch):
         # Writer B stores the same key between writer A's temp-file write

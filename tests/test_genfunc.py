@@ -22,7 +22,8 @@ from cyclicsieve.genfunc import (
     h_closed,
     lr_count,
 )
-from cyclicsieve.qpoly import ONE, ZERO, IntPolynomial, mod_cyclic, q_binomial
+from cyclicsieve.paths import enumerate_cdp
+from cyclicsieve.qpoly import ONE, ZERO, IntPolynomial, divisors, eval_at_unity, mod_cyclic, q_binomial
 
 
 def poly(*coeffs):
@@ -234,6 +235,34 @@ class TestCdpPolynomials:
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError):
             cdp_q_bruteforce(9, 8)
+
+
+def transfer_trace(w: int, d: int) -> int:
+    """tr(T^d) for the w x w 0/1 matrix with T[a][b] = 1 iff b <= a + 1.
+
+    An area sequence of CDP(n, w) is a closed walk of length n in T, and one
+    fixed by the k-th shift repeats its first gcd(n, k) values, so this
+    counts the fixed points with no enumeration.
+    """
+    t = [[int(b <= a + 1) for b in range(w)] for a in range(w)]
+    power = [[int(a == b) for b in range(w)] for a in range(w)]
+    for _ in range(d):
+        power = [[sum(power[a][c] * t[c][b] for c in range(w)) for b in range(w)] for a in range(w)]
+    return sum(power[a][a] for a in range(w))
+
+
+class TestSievingPastEnumeration:
+    @pytest.mark.parametrize("n,w", [(36, 9), (60, 8)])
+    def test_closed_form_against_transfer_matrix(self, n, w):
+        f = cdp_q_closed(n, w)
+        assert f(1) == cdp_count(n, w) == transfer_trace(w, n)
+        for d in divisors(n):
+            assert eval_at_unity(f, n // d) == transfer_trace(w, d), d
+
+    def test_transfer_matrix_counts_enumerated_paths(self):
+        for n in range(1, 7):
+            for w in range(1, n + 3):
+                assert transfer_trace(w, n) == sum(1 for _ in enumerate_cdp(n, w)), (n, w)
 
 
 def restated_cdp_sum(n: int, w: int) -> IntPolynomial:

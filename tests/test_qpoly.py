@@ -1,11 +1,14 @@
 """Exact polynomial kernel: q-analogues, cyclotomics, root-of-unity evaluation."""
 
+import functools
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclicsieve.genfunc import cdp_q_closed
 from cyclicsieve.qpoly import (
     ONE,
     ZERO,
@@ -23,11 +26,22 @@ from cyclicsieve.qpoly import (
     q_int,
     q_lucas_eval,
     q_multinomial,
+    _exact_div_one_minus_q_power,
 )
 
 
 def poly(*coeffs):
     return IntPolynomial(coeffs)
+
+
+@functools.cache
+def pascal_binomial(n, k):
+    """Reference: the division-free q-Pascal recurrence [n,k] = [n-1,k-1] + q^k [n-1,k]."""
+    if not 0 <= k <= n:
+        return ZERO
+    if k == 0 or k == n:
+        return ONE
+    return pascal_binomial(n - 1, k - 1) + pascal_binomial(n - 1, k).shift(k)
 
 
 class TestIntPolynomial:
@@ -115,9 +129,32 @@ class TestQBinomial:
         assert q == poly(0, 1)
 
     def test_division_route_agrees_with_recurrence(self):
-        for n in range(11):
+        for n in range(21):
             for k in range(n + 1):
                 assert q_binomial_by_division(n, k) == q_binomial(n, k)
+
+    def test_row_ratio_equals_q_pascal(self):
+        for n in range(41):
+            for k in range(-1, n + 2):
+                assert q_binomial(n, k) == pascal_binomial(n, k), (n, k)
+
+    def test_exact_division_by_one_minus_q_power(self):
+        assert _exact_div_one_minus_q_power([1, 0, 0, -1], 3) == [1]
+        assert _exact_div_one_minus_q_power([1, 1, 0, -1, -1], 3) == [1, 1]
+        assert _exact_div_one_minus_q_power([], 2) == []
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ExactDivisionError):
+            _exact_div_one_minus_q_power([1, 1, 1], 2)
+        with pytest.raises(ExactDivisionError):
+            _exact_div_one_minus_q_power([1, 0, -2], 2)
+        with pytest.raises(ExactDivisionError):
+            _exact_div_one_minus_q_power([5], 3)
+
+    def test_memo_holds_only_requested_rows(self):
+        q_binomial.cache_clear()
+        cdp_q_closed(60, 8)
+        assert q_binomial.cache_info().currsize <= 2 * 60
 
     def test_factorial_is_maj_over_permutations(self):
         assert q_factorial(3) == poly(1, 2, 2, 1)
@@ -191,6 +228,18 @@ class TestEvalAtUnity:
         result = eval_at_unity(poly(0, 1), 4)  # q mod q^2+1 is q
         assert isinstance(result, NonConstant)
         assert result.remainder == poly(0, 1)
+
+    def test_fold_first_equals_direct_reduction(self):
+        rng = random.Random(20191)
+        nonconstant = 0
+        for _ in range(25):
+            f = IntPolynomial(rng.randint(-9, 9) for _ in range(rng.randint(0, 201)))
+            for m in range(1, 41):
+                direct = f.mod_monic(cyclotomic(m))
+                expected = direct.constant_value() if direct.is_constant() else NonConstant(direct)
+                assert eval_at_unity(f, m) == expected, (f, m)
+                nonconstant += isinstance(expected, NonConstant)
+        assert nonconstant > 0
 
 
 class TestQLucas:
