@@ -13,6 +13,7 @@ variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import gcd
 from typing import Optional
@@ -262,12 +263,28 @@ def payload_selftest(max_n: int) -> dict:
 # Output formatting
 # ---------------------------------------------------------------------------
 
+def _print(text: str, end: str = "\n") -> None:
+    """Write to stdout; a reader that has gone away ends the output, not the command.
+
+    The command then exits with the code it returns when its output is read
+    in full.  stdout is pointed at the null device, so neither a later write
+    nor the interpreter's final flush fails on the closed pipe again.
+    """
+    try:
+        sys.stdout.write(text + end)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(text: str, csv_path: Optional[str]) -> None:
     if csv_path:
         with open(csv_path, "w") as fh:
             fh.write(text)
     else:
-        print(text, end="")
+        _print(text, end="")
 
 
 def format_verify_table(payload: dict) -> str:
@@ -295,7 +312,6 @@ def build_parser() -> JsonArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--cache-dir", metavar="PATH", default=None)
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--json", action="store_true", help="force JSON output (the default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count circular Dyck paths")
@@ -310,7 +326,6 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("target", choices=["cdp", "cmp", "bw", "avl", "words"])
     p.add_argument("--n", type=int)
     p.add_argument("--w", type=int)
-    p.add_argument("--k", type=int, help="accepted for interface compatibility; unused")
     p.add_argument("--content", type=str)
     p.add_argument("--table", action="store_true", help="emit CSV rows instead of JSON")
     p.add_argument("--csv", metavar="PATH")
@@ -359,7 +374,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
             if args.bfile or args.csv:
                 _emit(format_count_table(payload, args.bfile), args.csv)
             else:
-                print(dumps_canonical(payload))
+                _print(dumps_canonical(payload))
             return 0
         _require(args.n is not None and args.n >= 1, "count needs --n (positive) or --max-n")
         _require(not args.bfile, "--bfile needs --max-n")
@@ -369,7 +384,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
             "count",
             lambda: payload_count(args.n, args.w, args.q),
         )
-        print(dumps_canonical(payload))
+        _print(dumps_canonical(payload))
         return 0
 
     if args.command == "verify":
@@ -387,7 +402,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
         if args.table or args.csv:
             _emit(format_verify_table(payload), args.csv)
         else:
-            print(dumps_canonical(payload))
+            _print(dumps_canonical(payload))
         if payload["report"]["verdict"] != "pass":
             print(
                 dumps_canonical({"error": "verification failed", "first_mismatch": payload["report"]["first_mismatch"], "exit": 1}),
@@ -408,7 +423,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
             "orbits",
             lambda: payload_orbits(args.target, n, args.w, content, args.poly),
         )
-        print(dumps_canonical(payload))
+        _print(dumps_canonical(payload))
         return 0
 
     if args.command == "lyndon":
@@ -425,7 +440,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
                 raise UsageError("sizes must be integers")
             _require(bool(sizes), "need at least one size")
             payload = cache.fetch("lyndon_params", {"sizes": sizes}, "lyndon_params", lambda: payload_lyndon_params(sizes))
-            print(dumps_canonical(payload))
+            _print(dumps_canonical(payload))
             if not payload["valid"]:
                 print(dumps_canonical({"error": "sizes admit no Lyndon parameters", "exit": 1}), file=sys.stderr)
                 return 1
@@ -438,7 +453,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
                 "lyndon_check",
                 lambda: payload_lyndon_check(args.family, args.w, args.max_n),
             )
-            print(dumps_canonical(payload))
+            _print(dumps_canonical(payload))
             if payload["verdict"] != "pass":
                 print(dumps_canonical({"error": "family is not Lyndon-like", "exit": 1}), file=sys.stderr)
                 return 1
@@ -457,7 +472,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
                 "lyndon_construct",
                 lambda: payload_lyndon_construct(t_values, args.n),
             )
-            print(dumps_canonical(payload))
+            _print(dumps_canonical(payload))
             if payload["csp_verdict"] != "pass":
                 print(
                     dumps_canonical({"error": "constructed instance failed verification", "exit": 1}),
@@ -474,7 +489,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
             "homomesy",
             lambda: payload_homomesy(args.n, args.action),
         )
-        print(dumps_canonical(payload))
+        _print(dumps_canonical(payload))
         if args.action == "alpha" and not payload["homomesic"]:
             print(dumps_canonical({"error": "expected homomesic case failed", "exit": 1}), file=sys.stderr)
             return 1
@@ -483,7 +498,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
     if args.command == "selftest":
         _require(1 <= args.max_n <= SELFTEST_GUARD, f"selftest is limited to max-n <= {SELFTEST_GUARD}")
         payload = cache.fetch("selftest", {"max_n": args.max_n}, "selftest", lambda: payload_selftest(args.max_n))
-        print(dumps_canonical(payload))
+        _print(dumps_canonical(payload))
         if not payload["passed"]:
             failing = [c["id"] for c in payload["criteria"] if not c["passed"]]
             print(dumps_canonical({"error": f"criteria failed: {failing}", "exit": 1}), file=sys.stderr)

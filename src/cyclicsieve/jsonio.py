@@ -10,6 +10,13 @@ hash of (command, parameters, source digest), where the source digest
 hashes the package's own code and schemas, so a change to either never
 reads an entry the old code wrote.  Each manifest stores a hash of its
 payload, so corrupted or unreadable entries are detected and recomputed.
+
+What is checked where: a payload is schema-validated before it is
+written (and, with the cache disabled, before it is returned).  On read,
+an entry is trusted on its key, its command and its payload hash alone:
+the key already pins the code and schemas that validated it, and the
+hash catches a torn or edited payload.  jsonschema is therefore imported
+only when a new payload is validated, never on a cache hit.
 """
 
 from __future__ import annotations
@@ -25,8 +32,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional
-
-import jsonschema
 
 ENV_CACHE_DIR = "CYCLIC_SIEVE_CACHE"
 
@@ -90,6 +95,8 @@ def load_schema(name: str) -> dict:
 
 
 def validate_payload(name: str, payload: Any) -> None:
+    import jsonschema  # imported here: a cache hit never needs it
+
     jsonschema.validate(payload, load_schema(name))
 
 
@@ -101,7 +108,11 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """File-per-key result cache; every payload that fetch returns is schema-validated."""
+    """File-per-key result cache.
+
+    A payload is schema-validated before it is written; a hit is checked
+    by key, command and payload hash, not against the schema again.
+    """
 
     def __init__(self, directory: Optional[Path] = None, enabled: bool = True):
         self.directory = Path(directory) if directory else default_cache_dir()
@@ -111,13 +122,15 @@ class ResultCache:
         return self.directory / f"{key}.json"
 
     def fetch(self, command: str, params: dict, schema: str, compute: Callable[[], Any]) -> Any:
-        """Return the payload for (command, params), validated against `schema`.
+        """Return the payload for (command, params).
 
-        This is the one place a payload is validated: a hit in _read_valid,
-        a computed payload before it is stored or, with the cache disabled,
-        returned.  An entry that is corrupt or cannot be read, or that
-        cannot be written, leaves one JSON warning on stderr, and the
-        computed payload is returned all the same.
+        This is the one place a payload is validated against `schema`: a
+        computed payload before it is stored or, with the cache disabled,
+        returned.  A hit is checked in _read_valid by key, command and
+        payload hash only; it was validated when it was written, by the
+        same code and schemas its key hashes.  An entry that is corrupt or
+        cannot be read, or that cannot be written, leaves one JSON warning
+        on stderr, and the computed payload is returned all the same.
         """
         if not self.enabled:
             payload = compute()
@@ -157,6 +170,11 @@ class ResultCache:
             raise
 
     def _read_valid(self, path: Path, key: str, command: str, schema: str) -> Optional[Any]:
+        """The payload of the entry at `path`, or None (with a warning) if it fails a check.
+
+        `schema` is not consulted: the entry was validated before it was
+        written, and its key and payload hash prove it is that entry.
+        """
         try:
             data = json.loads(path.read_text())
             if not isinstance(data, dict) or data.get("key") != key or data.get("command") != command:
@@ -164,9 +182,8 @@ class ResultCache:
             payload = data["payload"]
             if stable_hash(payload) != data.get("payload_sha256"):
                 raise ValueError("payload hash mismatch")
-            validate_payload(schema, payload)
             return payload
-        except (OSError, ValueError, KeyError, jsonschema.ValidationError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             print(
                 dumps_canonical({"warning": f"corrupted cache entry {path.name}: {exc}", "action": "recomputing"}),
                 file=sys.stderr,

@@ -275,6 +275,98 @@ class TestCacheAndDeterminism:
         assert env_dir.exists() and list(env_dir.glob("*.json"))
 
 
+def child_kwargs(*args: str) -> dict:
+    """Keyword arguments for a fresh interpreter that imports this cyclicsieve, as above."""
+    package_root = pathlib.Path(cyclicsieve.__file__).resolve().parents[1]
+    return {
+        "args": [sys.executable, *args],
+        "env": {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+    }
+
+
+# Runs cli.main on its arguments, counting validate_payload calls; the last
+# stderr line reports them and whether jsonschema was ever imported.
+CLI_PROBE = """
+import json, sys
+from cyclicsieve import jsonio
+from cyclicsieve.cli import main
+validated = []
+validate = jsonio.validate_payload
+def counted(name, payload):
+    validated.append(name)
+    validate(name, payload)
+jsonio.validate_payload = counted
+code = main(sys.argv[1:])
+print(json.dumps({"jsonschema": "jsonschema" in sys.modules, "validated": validated}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_probe(*argv: str):
+    result = subprocess.run(**child_kwargs("-c", CLI_PROBE, *argv), capture_output=True, text=True)
+    lines = result.stderr.splitlines()
+    return result, json.loads(lines[-1]), lines[:-1]
+
+
+class TestWarmPath:
+    COUNT = ["count", "--n", "5", "--w", "5", "--q"]
+
+    def test_import_leaves_jsonschema_out(self):
+        code = "import sys, cyclicsieve.cli; print('jsonschema' in sys.modules)"
+        result = subprocess.run(**child_kwargs("-c", code), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    @pytest.mark.parametrize("cache", ["miss", "disabled"])
+    def test_new_payload_imports_jsonschema_and_validates(self, tmp_path, cache):
+        flags = ["--cache-dir", str(tmp_path / "cache")] if cache == "miss" else ["--no-cache"]
+        result, probe, warnings = run_probe(*flags, *self.COUNT)
+        assert result.returncode == 0, result.stderr
+        assert probe == {"jsonschema": True, "validated": ["count"]}
+        assert warnings == []
+        assert len(list(tmp_path.glob("cache/*.json"))) == (1 if cache == "miss" else 0)
+
+    def test_hit_never_imports_jsonschema(self, tmp_path):
+        argv = ["--cache-dir", str(tmp_path / "cache"), *self.COUNT]
+        cold, _, _ = run_probe(*argv)
+        warm, probe, warnings = run_probe(*argv)
+        assert warm.returncode == 0, warm.stderr
+        assert warm.stdout == cold.stdout
+        assert "q_poly" in json.loads(warm.stdout)
+        assert probe == {"jsonschema": False, "validated": []}
+        assert warnings == []
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["orbits", "cdp", "--n", "8", "--w", "8"], 0),
+            (["lyndon", "params", "--sizes-file", "{sizes}"], 1),
+        ],
+        ids=["orbits", "failing lyndon params"],
+    )
+    def test_reader_closes_after_ten_bytes(self, tmp_path, argv, exit_code):
+        # Both payloads exceed a pipe buffer, so the child's write meets the closed pipe.
+        sizes = tmp_path / "sizes"
+        sizes.write_text(",".join(["1", "2", "5"] + ["7"] * 20000))
+        argv = [arg.format(sizes=sizes) for arg in argv]
+        proc = subprocess.Popen(
+            **child_kwargs("-m", "cyclicsieve.cli", "--no-cache", *argv),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == exit_code
+        assert "Traceback" not in err and "Exception ignored" not in err
+        reasons = [json.loads(line) for line in err.splitlines()]
+        assert reasons == ([] if exit_code == 0 else [{"error": "sizes admit no Lyndon parameters", "exit": 1}])
+
+
 class TestExitCodes:
     def test_usage_error_emits_json_reason(self, capsys, cache_dir):
         code, _, err = run_cli(capsys, cache_dir, "verify", "cdp", "--n", "3")
