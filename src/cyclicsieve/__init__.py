@@ -76,6 +76,7 @@ from .csp import (  # noqa: F401
     HomomesyReport,
     LyndonParameters,
     LyndonReport,
+    TARGETS,
     check_cdp_fixed_points,
     csp_feasibility,
     homomesy_check,
@@ -84,5 +85,5 @@ from .csp import (  # noqa: F401
     lyndon_params,
     verify_csp,
     verify_subset_csp,
-    verify_word_csp,
+    verify_target,
 )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .paths import AreaSequence, MobiusWord
 from .qpoly import IntPolynomial
@@ -47,8 +47,8 @@ def area_shift(a: AreaSequence) -> AreaSequence:
     return AreaSequence._trusted((v[-1],) + v[:-1], a.width)
 
 
-def word_rotate(bits: str, steps: int) -> str:
-    """Rotate a word `steps` positions to the right."""
+def word_rotate(bits: Sequence, steps: int) -> Sequence:
+    """Rotate a word (a string or a tuple) `steps` positions to the right."""
     if not bits:
         return bits
     steps %= len(bits)
@@ -93,21 +93,16 @@ def mobius_shift(m: MobiusWord) -> MobiusWord:
 class CyclicAction:
     """A generator of a cyclic group of stated order acting on a finite carrier.
 
-    Passing `carrier` at construction runs the exhaustive bijectivity and
-    order checks immediately (cheap insurance, skipped above 10^6 elements);
-    orbit_decompose re-checks closure in any case.
+    validate_on runs the exhaustive bijectivity and order checks on a
+    carrier; orbit_decompose checks closure and bijectivity in any case.
     """
 
     order: int
     generator: Callable[[Hashable], Hashable]
-    name: str = ""
-    carrier: Optional[Sequence[Hashable]] = None
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be positive")
-        if self.carrier is not None:
-            self.validate_on(self.carrier)
 
     def apply_power(self, x: Hashable, k: int) -> Hashable:
         k %= self.order

@@ -4,7 +4,13 @@ Every command prints one canonical JSON payload to stdout (keys sorted,
 fixed separators, integer values as decimal strings) so runs with equal
 arguments are byte-identical.  Exit codes: 0 success / verification pass,
 1 mathematical verification failure, 2 usage error.  Non-zero exits also
-write a machine-readable JSON reason to stderr.
+write a machine-readable JSON reason to stderr.  A --sizes-file that
+cannot be read and a --csv path that cannot be written are usage errors.
+
+Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
+`count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
+n <= 9, cmp n <= 12, bw n <= 16, words n <= 10 with at most 9! words),
+`lyndon check` max-n <= 10, `homomesy` n <= 7, `selftest` max-n <= 12.
 
 Results are cached under --cache-dir, the CYCLIC_SIEVE_CACHE environment
 variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.
@@ -15,42 +21,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from math import gcd
-from typing import Optional
+from dataclasses import dataclass
+from math import factorial, prod
+from typing import Callable, Optional
 
 from . import __version__
-from .actions import (
-    CyclicAction,
-    area_shift,
-    mobius_shift,
-    orbit_decompose,
-    orbit_poly,
-    twisted_shift,
-    word_shift_two,
-)
+from .actions import CyclicAction, orbit_decompose, orbit_poly, word_shift_two
 from .csp import (
     FAMILIES,
-    CspReport,
+    TARGETS,
     balanced_words_ending_in_one,
     homomesy_check,
     lyndon_check,
     lyndon_construct,
     lyndon_params,
-    rotate_tuple,
     verify_csp,
-    verify_subset_csp,
-    verify_word_csp,
-    words_of_content,
+    verify_target,
     zrun_rotation_action,
 )
-from .genfunc import avl_q_closed, bw_q, cdp_count, cdp_q_closed, cmp_q
+from .genfunc import cdp_count, cdp_q_closed
 from .jsonio import ResultCache, dumps_canonical
-from .paths import enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
-from .qpoly import IntPolynomial, mod_cyclic, q_multinomial
+from .paths import enumerate_balanced, inv_zero_one
+from .qpoly import IntPolynomial, mod_cyclic
 from .selftest import run_all
-
-VERIFY_MAX_N = {"cdp": 9, "cmp": 12, "bw": 16, "avl": 9, "words": 10}
-SELFTEST_GUARD = 12
 
 
 class UsageError(Exception):
@@ -63,10 +56,6 @@ class JsonArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         print(dumps_canonical({"error": message, "exit": 2}), file=sys.stderr)
         raise SystemExit(2)
-
-
-def _half_bw_poly(n: int) -> IntPolynomial:
-    return IntPolynomial([c // 2 for c in bw_q(n).coeffs])
 
 
 def _parse_content(text: str) -> tuple[int, ...]:
@@ -100,118 +89,43 @@ def payload_count_table(w: int, max_n: int) -> dict:
     return {"w": str(w), "max_n": str(max_n), "rows": rows}
 
 
-def _verify_report(target: str, n: int, w: Optional[int], content: Optional[tuple]) -> tuple[dict, CspReport]:
-    if target == "cdp":
-        _require(w is not None, "verify cdp needs --w")
-        carrier = list(enumerate_cdp(n, w))
-        report = verify_csp(carrier, CyclicAction(n, area_shift), cdp_q_closed(n, w))
-        params = {"n": str(n), "w": str(w)}
-    elif target == "cmp":
-        carrier = list(enumerate_cmp(n))
-        report = verify_csp(carrier, CyclicAction(n, mobius_shift), cmp_q(n))
-        params = {"n": str(n)}
-    elif target == "bw":
-        _require(n >= 2, "verify bw needs --n at least 2")
-        carrier = [format(v, f"0{n}b") for v in range(2 ** n)]
-        report = verify_csp(carrier, CyclicAction(n, twisted_shift), bw_q(n))
-        params = {"n": str(n)}
-    elif target == "avl":
-        _require(w is not None, "verify avl needs --w")
-        warnings = []
-        if gcd(n, w) != 1:
-            warnings.append(f"coprimality hypothesis not met: gcd({n},{w}) != 1")
-        subset = list(enumerate_avl(n, w))
-        superset = list(enumerate_balanced(n))
-        report = verify_subset_csp(
-            subset, superset, CyclicAction(n, word_shift_two), avl_q_closed(n, w), warnings
-        )
-        params = {"n": str(n), "w": str(w)}
-    elif target == "words":
-        _require(content is not None, "verify words needs --content")
-        report = verify_word_csp(content)
-        params = {"content": ",".join(str(m) for m in content)}
-    else:
-        raise UsageError(f"unknown verify target {target!r}")
-    return params, report
+def _target_params(target: str, n: int, w: Optional[int], content: Optional[tuple]) -> dict:
+    values = {"n": n, "w": w, "content": ",".join(str(m) for m in content) if content else None}
+    return {p: str(values[p]) for p in TARGETS[target].params}
 
 
 def payload_verify(target: str, n: int, w: Optional[int], content: Optional[tuple]) -> dict:
-    params, report = _verify_report(target, n, w, content)
-    return {"target": target, "params": params, "report": report.to_json()}
-
-
-def _orbit_instance(target: str, n: int, w: Optional[int], content: Optional[tuple]):
-    if target == "cdp":
-        _require(w is not None, "orbits cdp needs --w")
-        carrier = list(enumerate_cdp(n, w))
-        action = CyclicAction(n, area_shift)
-        closed = cdp_q_closed(n, w)
-        serialize = lambda a: a.to_json()
-        params = {"n": str(n), "w": str(w)}
-    elif target == "cmp":
-        carrier = list(enumerate_cmp(n))
-        action = CyclicAction(n, mobius_shift)
-        closed = _half_bw_poly(n)
-        serialize = lambda m: m.half
-        params = {"n": str(n)}
-    elif target == "bw":
-        _require(n >= 2, "orbits bw needs --n at least 2")
-        carrier = [format(v, f"0{n}b") for v in range(2 ** n)]
-        action = CyclicAction(n, twisted_shift)
-        closed = bw_q(n)
-        serialize = lambda b: b
-        params = {"n": str(n)}
-    elif target == "words":
-        _require(content is not None, "orbits words needs --content")
-        carrier = words_of_content(content)
-        length = sum(content)
-        action = CyclicAction(length, lambda t: rotate_tuple(t, 1))
-        closed = q_multinomial(content)
-        serialize = list
-        params = {"content": ",".join(str(m) for m in content)}
-    else:
-        raise UsageError(f"unknown orbits target {target!r}")
-    return carrier, action, closed, serialize, params
+    report = verify_target(target, n, w, content)
+    return {"target": target, "params": _target_params(target, n, w, content), "report": report.to_json()}
 
 
 def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tuple], with_poly: bool) -> dict:
-    carrier, action, closed, serialize, params = _orbit_instance(target, n, w, content)
+    carrier, action, closed = TARGETS[target].instance(n, w, content)
     dec = orbit_decompose(carrier, action)
-    poly = orbit_poly(dec, action.order)
+    poly = orbit_poly(dec, n)
     out = {
         "target": target,
-        "params": params,
-        "order": str(action.order),
-        "orbits": dec.to_json(serialize),
+        "params": _target_params(target, n, w, content),
+        "order": str(n),
+        "orbits": dec.to_json(TARGETS[target].serialize),
         "orbit_poly": poly.to_json(),
     }
     if with_poly:
-        folded = mod_cyclic(closed, action.order)
+        folded = mod_cyclic(closed, n)
         out["closed_poly_folded"] = [str(c) for c in folded]
         out["poly_match"] = IntPolynomial(folded) == poly
     return out
 
 
 def payload_lyndon_params(sizes: list[int]) -> dict:
-    result = lyndon_params(sizes)
-    out = {"sizes": [str(s) for s in sizes]}
-    out.update(result.to_json())
-    return out
+    return {"sizes": [str(s) for s in sizes], **lyndon_params(sizes).to_json()}
 
 
 def payload_lyndon_check(family: str, w: Optional[int], max_n: int) -> dict:
     _require(family in FAMILIES, f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    if family == "cdp":
-        _require(w is not None, "lyndon check --family cdp needs --w")
-        members = FAMILIES[family](w, max_n)
-        params = {"w": str(w)}
-    else:
-        members = FAMILIES[family](max_n)
-        params = {}
-    report = lyndon_check(members)
-    out = {"family": family, "params": params}
-    out.update(report.to_json())
-    return out
+    _require(family != "cdp" or w is not None, "lyndon check --family cdp needs --w")
+    report = lyndon_check(FAMILIES[family](w, max_n))
+    return {"family": family, "params": {"w": str(w)} if family == "cdp" else {}, **report.to_json()}
 
 
 def payload_lyndon_construct(t_values: list[int], n: int) -> dict:
@@ -231,23 +145,11 @@ def payload_homomesy(n: int, action_name: str) -> dict:
     if action_name == "alpha":
         carrier = balanced_words_ending_in_one(n)
         action = zrun_rotation_action(n)
-    elif action_name == "beta":
-        _require(n >= 1, "homomesy needs --n at least 1")
+    else:
         carrier = list(enumerate_balanced(n))
         action = CyclicAction(n, word_shift_two)
-    else:
-        raise UsageError(f"unknown action {action_name!r}")
     report = homomesy_check(carrier, action, inv_zero_one, "inv")
-    body = report.to_json()
-    return {
-        "n": str(n),
-        "action": action_name,
-        "statistic": "inv",
-        "global_average": body["global_average"],
-        "orbit_averages": body["orbit_averages"],
-        "homomesic": body["homomesic"],
-        "witness_orbit": body["witness_orbit"],
-    }
+    return {"n": str(n), "action": action_name, **report.to_json()}
 
 
 def payload_selftest(max_n: int) -> dict:
@@ -280,11 +182,14 @@ def _print(text: str, end: str = "\n") -> None:
 
 
 def _emit(text: str, csv_path: Optional[str]) -> None:
-    if csv_path:
+    if not csv_path:
+        _print(text, end="")
+        return
+    try:
         with open(csv_path, "w") as fh:
             fh.write(text)
-    else:
-        _print(text, end="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --csv: {exc}")
 
 
 def format_verify_table(payload: dict) -> str:
@@ -360,152 +265,169 @@ def build_parser() -> JsonArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
-    if args.command == "count":
-        _require(args.w >= 1, "--w must be positive")
-        if args.max_n is not None:
-            _require(args.max_n >= 1, "--max-n must be positive")
-            payload = cache.fetch(
-                "count_table",
-                {"w": args.w, "max_n": args.max_n},
-                "count_table",
-                lambda: payload_count_table(args.w, args.max_n),
-            )
-            if args.bfile or args.csv:
-                _emit(format_count_table(payload, args.bfile), args.csv)
-            else:
-                _print(dumps_canonical(payload))
-            return 0
-        _require(args.n is not None and args.n >= 1, "count needs --n (positive) or --max-n")
-        _require(not args.bfile, "--bfile needs --max-n")
-        payload = cache.fetch(
-            "count",
-            {"n": args.n, "w": args.w, "q": args.q},
-            "count",
-            lambda: payload_count(args.n, args.w, args.q),
-        )
-        _print(dumps_canonical(payload))
-        return 0
+# Each request checks its arguments and returns the cache parameters and
+# the computation of the payload.
 
+def _count_request(args: argparse.Namespace):
+    _require(args.w >= 1, "--w must be positive")
+    if args.max_n is not None:
+        _require(args.max_n >= 1, "--max-n must be positive")
+        return {"w": args.w, "max_n": args.max_n}, lambda: payload_count_table(args.w, args.max_n)
+    _require(args.n is not None and args.n >= 1, "count needs --n (positive) or --max-n")
+    _require(not args.bfile, "--bfile needs --max-n")
+    return {"n": args.n, "w": args.w, "q": args.q}, lambda: payload_count(args.n, args.w, args.q)
+
+
+def _target_request(args: argparse.Namespace):
+    """Check a verify or orbits target's arguments against its registry entry."""
+    target = TARGETS[args.target]
+    what = f"{args.command} {args.target}"
+    content = _parse_content(args.content) if args.content else None
+    n = sum(content) if (args.target == "words" and content) else args.n
+    _require(n is not None and n >= 1, f"{args.command} needs --n (positive)")
+    _require(n <= target.max_n, f"{what} is limited to n <= {target.max_n}")
+    _require(n >= target.min_n, f"{what} needs --n at least {target.min_n}")
+    values = {"n": n, "w": args.w, "content": content}
+    for name in target.params:
+        _require(values[name] is not None, f"{what} needs --{name}")
+    if target.max_carrier is not None:
+        size = factorial(n) // prod(factorial(m) for m in content)
+        _require(size <= target.max_carrier, f"{what} is limited to {target.max_carrier} words")
+    params = {"n": n, "w": args.w, "content": list(content) if content else None}
     if args.command == "verify":
-        content = _parse_content(args.content) if args.content else None
-        n = sum(content) if (args.target == "words" and content) else args.n
-        _require(n is not None and n >= 1, "verify needs --n (positive)")
-        _require(n <= VERIFY_MAX_N[args.target], f"verify {args.target} is limited to n <= {VERIFY_MAX_N[args.target]}")
-        params = {"n": n, "w": args.w, "content": list(content) if content else None}
-        payload = cache.fetch(
-            f"verify_{args.target}",
-            params,
-            "verify",
-            lambda: payload_verify(args.target, n, args.w, content),
-        )
-        if args.table or args.csv:
-            _emit(format_verify_table(payload), args.csv)
-        else:
-            _print(dumps_canonical(payload))
-        if payload["report"]["verdict"] != "pass":
-            print(
-                dumps_canonical({"error": "verification failed", "first_mismatch": payload["report"]["first_mismatch"], "exit": 1}),
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+        return params, lambda: payload_verify(args.target, n, args.w, content)
+    return {**params, "poly": args.poly}, lambda: payload_orbits(args.target, n, args.w, content, args.poly)
 
-    if args.command == "orbits":
-        content = _parse_content(args.content) if args.content else None
-        n = sum(content) if (args.target == "words" and content) else args.n
-        _require(n is not None and n >= 1, "orbits needs --n (positive)")
-        _require(n <= VERIFY_MAX_N[args.target], f"orbits {args.target} is limited to n <= {VERIFY_MAX_N[args.target]}")
-        params = {"n": n, "w": args.w, "content": list(content) if content else None, "poly": args.poly}
-        payload = cache.fetch(
-            f"orbits_{args.target}",
-            params,
-            "orbits",
-            lambda: payload_orbits(args.target, n, args.w, content, args.poly),
-        )
-        _print(dumps_canonical(payload))
-        return 0
 
+def _lyndon_params_request(args: argparse.Namespace):
+    if args.sizes_file:
+        try:
+            with open(args.sizes_file) as fh:
+                text = fh.read().replace("\n", ",")
+        except OSError as exc:
+            raise UsageError(f"cannot read --sizes-file: {exc}")
+    else:
+        _require(args.sizes is not None, "lyndon params needs --sizes or --sizes-file")
+        text = args.sizes
+    try:
+        sizes = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise UsageError("sizes must be integers")
+    _require(bool(sizes), "need at least one size")
+    return {"sizes": sizes}, lambda: payload_lyndon_params(sizes)
+
+
+def _lyndon_construct_request(args: argparse.Namespace):
+    try:
+        t_values = [int(p) for p in args.t.split(",")]
+    except ValueError:
+        raise UsageError("--t must be comma-separated integers")
+    _require(args.n >= 1, "--n must be positive")
+    _require(all(v >= 0 for v in t_values), "Lyndon parameters must be non-negative")
+    _require(len(t_values) >= args.n, "--t must define t_d for every divisor d of n")
+    return {"t": t_values, "n": args.n}, lambda: payload_lyndon_construct(t_values, args.n)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command: payload schema (also the cache entry name; verify and
+    orbits add the target), argument check returning the cache parameters
+    and the computation, size guard (argument, limit) bounding the argument
+    to 1..limit, text rendering when asked for (else None), and the stderr
+    reason of a mathematical failure (exit 1; else None).
+    """
+
+    schema: str
+    request: Callable[[argparse.Namespace], tuple[dict, Callable[[], dict]]]
+    guard: Optional[tuple[str, int]] = None
+    text: Callable[[dict, argparse.Namespace], Optional[str]] = lambda payload, args: None
+    failure: Callable[[dict], Optional[dict]] = lambda payload: None
+
+
+# Each new guard admits about 2 s of cold work on a 2-core host: count at
+# n = 4000 (w = 3); count --q at n = 150 (2.0 s, 188 MB; 4.5 s at 200);
+# count --max-n 500 (1.3 s; 12.6 s at 1000).
+COMMANDS = {
+    "count": Command("count", _count_request, guard=("n", 4000)),
+    "count --q": Command("count", _count_request, guard=("n", 150)),
+    "count --max-n": Command(
+        "count_table",
+        _count_request,
+        guard=("max-n", 500),
+        text=lambda p, args: format_count_table(p, args.bfile) if args.bfile or args.csv else None,
+    ),
+    "verify": Command(
+        "verify",
+        _target_request,
+        text=lambda p, args: format_verify_table(p) if args.table or args.csv else None,
+        failure=lambda p: None
+        if p["report"]["verdict"] == "pass"
+        else {"error": "verification failed", "first_mismatch": p["report"]["first_mismatch"]},
+    ),
+    "orbits": Command("orbits", _target_request),
+    "lyndon params": Command(
+        "lyndon_params",
+        _lyndon_params_request,
+        failure=lambda p: None if p["valid"] else {"error": "sizes admit no Lyndon parameters"},
+    ),
+    "lyndon check": Command(
+        "lyndon_check",
+        lambda args: (
+            {"family": args.family, "w": args.w, "max_n": args.max_n},
+            lambda: payload_lyndon_check(args.family, args.w, args.max_n),
+        ),
+        guard=("max-n", 10),
+        failure=lambda p: None if p["verdict"] == "pass" else {"error": "family is not Lyndon-like"},
+    ),
+    "lyndon construct": Command(
+        "lyndon_construct",
+        _lyndon_construct_request,
+        failure=lambda p: None if p["csp_verdict"] == "pass" else {"error": "constructed instance failed verification"},
+    ),
+    "homomesy": Command(
+        "homomesy",
+        lambda args: ({"n": args.n, "action": args.action}, lambda: payload_homomesy(args.n, args.action)),
+        guard=("n", 7),
+        failure=lambda p: None if p["homomesic"] or p["action"] == "beta" else {"error": "expected homomesic case failed"},
+    ),
+    "selftest": Command(
+        "selftest",
+        lambda args: ({"max_n": args.max_n}, lambda: payload_selftest(args.max_n)),
+        guard=("max-n", 12),
+        failure=lambda p: None
+        if p["passed"]
+        else {"error": f"criteria failed: {[c['id'] for c in p['criteria'] if not c['passed']]}"},
+    ),
+}
+
+
+def _command_name(args: argparse.Namespace) -> str:
     if args.command == "lyndon":
-        if args.subcommand == "params":
-            if args.sizes_file:
-                with open(args.sizes_file) as fh:
-                    text = fh.read().replace("\n", ",")
-            else:
-                _require(args.sizes is not None, "lyndon params needs --sizes or --sizes-file")
-                text = args.sizes
-            try:
-                sizes = [int(p) for p in text.split(",") if p.strip()]
-            except ValueError:
-                raise UsageError("sizes must be integers")
-            _require(bool(sizes), "need at least one size")
-            payload = cache.fetch("lyndon_params", {"sizes": sizes}, "lyndon_params", lambda: payload_lyndon_params(sizes))
-            _print(dumps_canonical(payload))
-            if not payload["valid"]:
-                print(dumps_canonical({"error": "sizes admit no Lyndon parameters", "exit": 1}), file=sys.stderr)
-                return 1
-            return 0
-        if args.subcommand == "check":
-            _require(1 <= args.max_n <= 10, "lyndon check is limited to 1 <= max-n <= 10")
-            payload = cache.fetch(
-                "lyndon_check",
-                {"family": args.family, "w": args.w, "max_n": args.max_n},
-                "lyndon_check",
-                lambda: payload_lyndon_check(args.family, args.w, args.max_n),
-            )
-            _print(dumps_canonical(payload))
-            if payload["verdict"] != "pass":
-                print(dumps_canonical({"error": "family is not Lyndon-like", "exit": 1}), file=sys.stderr)
-                return 1
-            return 0
-        if args.subcommand == "construct":
-            try:
-                t_values = [int(p) for p in args.t.split(",")]
-            except ValueError:
-                raise UsageError("--t must be comma-separated integers")
-            _require(args.n >= 1, "--n must be positive")
-            _require(all(v >= 0 for v in t_values), "Lyndon parameters must be non-negative")
-            _require(len(t_values) >= args.n, "--t must define t_d for every divisor d of n")
-            payload = cache.fetch(
-                "lyndon_construct",
-                {"t": t_values, "n": args.n},
-                "lyndon_construct",
-                lambda: payload_lyndon_construct(t_values, args.n),
-            )
-            _print(dumps_canonical(payload))
-            if payload["csp_verdict"] != "pass":
-                print(
-                    dumps_canonical({"error": "constructed instance failed verification", "exit": 1}),
-                    file=sys.stderr,
-                )
-                return 1
-            return 0
+        return f"lyndon {args.subcommand}"
+    if args.command == "count":
+        return "count --max-n" if args.max_n is not None else "count --q" if args.q else "count"
+    return args.command
 
-    if args.command == "homomesy":
-        _require(1 <= args.n <= 7, "homomesy is limited to 1 <= n <= 7")
-        payload = cache.fetch(
-            "homomesy",
-            {"n": args.n, "action": args.action},
-            "homomesy",
-            lambda: payload_homomesy(args.n, args.action),
-        )
+
+def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
+    name = _command_name(args)
+    command = COMMANDS[name]
+    params, compute = command.request(args)
+    if command.guard is not None:
+        arg, limit = command.guard
+        _require(1 <= getattr(args, arg.replace("-", "_")) <= limit, f"{name} is limited to 1 <= {arg} <= {limit}")
+    entry = f"{command.schema}_{args.target}" if hasattr(args, "target") else command.schema
+    payload = cache.fetch(entry, params, command.schema, compute)
+    text = command.text(payload, args)
+    if text is None:
         _print(dumps_canonical(payload))
-        if args.action == "alpha" and not payload["homomesic"]:
-            print(dumps_canonical({"error": "expected homomesic case failed", "exit": 1}), file=sys.stderr)
-            return 1
+    else:
+        _emit(text, args.csv)
+    reason = command.failure(payload)
+    if reason is None:
         return 0
-
-    if args.command == "selftest":
-        _require(1 <= args.max_n <= SELFTEST_GUARD, f"selftest is limited to max-n <= {SELFTEST_GUARD}")
-        payload = cache.fetch("selftest", {"max_n": args.max_n}, "selftest", lambda: payload_selftest(args.max_n))
-        _print(dumps_canonical(payload))
-        if not payload["passed"]:
-            failing = [c["id"] for c in payload["criteria"] if not c["passed"]]
-            print(dumps_canonical({"error": f"criteria failed: {failing}", "exit": 1}), file=sys.stderr)
-            return 1
-        return 0
-
-    raise UsageError(f"unknown command {args.command!r}")
+    print(dumps_canonical({**reason, "exit": 1}), file=sys.stderr)
+    return 1
 
 
 def main(argv: Optional[list[str]] = None) -> int:

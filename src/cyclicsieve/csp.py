@@ -14,18 +14,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from typing import Callable, Hashable, Sequence, Union
+from typing import Callable, Hashable, Iterable, Sequence, Union
 
 from .actions import (
     CyclicAction,
     area_shift,
+    fixed_count,
     mobius_shift,
     orbit_decompose,
     orbit_poly,
+    twisted_shift,
+    word_rotate,
+    word_shift_two,
 )
-from .genfunc import cdp_q_closed, cmp_q
-from .paths import enumerate_cdp, enumerate_cmp, word_from_zeros_runs, zeros_run_vector
+from .genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
+from .paths import (
+    enumerate_avl,
+    enumerate_balanced,
+    enumerate_cdp,
+    enumerate_cmp,
+    enumerate_words,
+    word_from_zeros_runs,
+    zeros_run_vector,
+)
 from .qpoly import IntPolynomial, NonConstant, divisors, eval_at_unity, mod_cyclic, q_multinomial
 
 __all__ = [
@@ -43,15 +56,13 @@ __all__ = [
     "lyndon_check",
     "HomomesyReport",
     "homomesy_check",
-    "verify_word_csp",
+    "Target",
+    "TARGETS",
+    "verify_target",
     "cdp_fixed_counts",
     "check_cdp_fixed_points",
-    "cdp_family",
     "words_family",
-    "cmp_family",
     "FAMILIES",
-    "words_of_content",
-    "rotate_tuple",
     "balanced_words_ending_in_one",
     "zrun_rotation_action",
     "moebius",
@@ -207,13 +218,7 @@ def verify_subset_csp(
         raise ValueError("subset is not contained in the superset")
     action.validate_on(sorted(sup))
     n = action.order
-    subset_sorted = sorted(sub)
-
-    def fixed_of_k(k: int) -> int:
-        d = gcd(k, n)
-        return sum(1 for y in subset_sorted if action.apply_power(y, d) == y)
-
-    rows, passed, first_mismatch = _evaluation_rows(f, n, fixed_of_k)
+    rows, passed, first_mismatch = _evaluation_rows(f, n, lambda k: fixed_count(sub, action, k))
     return CspReport(n, rows, passed, first_mismatch, tuple(warnings))
 
 
@@ -347,7 +352,7 @@ def lyndon_construct(
         d, i, j = x
         return (d, i, j % d + 1)
 
-    action = CyclicAction(n, generator, name=f"lyndon-construct-{n}")
+    action = CyclicAction(n, generator)
     if carrier:
         action.validate_on(carrier)
     f = orbit_poly(orbit_decompose(carrier, action), n)
@@ -447,8 +452,6 @@ def homomesy_check(
 
 def balanced_words_ending_in_one(n: int) -> list[str]:
     """Balanced words of length 2n that end with a north step."""
-    from .paths import enumerate_balanced
-
     return [b for b in enumerate_balanced(n) if b.endswith("1")]
 
 
@@ -463,50 +466,97 @@ def zrun_rotation_action(n: int) -> CyclicAction:
         z = zeros_run_vector(bits)
         return word_from_zeros_runs((z[-1],) + z[:-1])
 
-    return CyclicAction(n, generator, name="zrun-rotation")
+    return CyclicAction(n, generator)
 
 
 # ---------------------------------------------------------------------------
-# Ready-made instances
+# The target registry and ready-made families
 # ---------------------------------------------------------------------------
 
-def rotate_tuple(x: tuple, steps: int = 1) -> tuple:
-    steps %= len(x)
-    return x[-steps:] + x[:-steps] if steps else x
+@dataclass(frozen=True)
+class Target:
+    """How to build one sieving triple: carrier, C_n action, closed q-polynomial.
+
+    Each callable takes (n, w, content), of which the target reads the
+    ones named in `params`; n is the order of the action, and for `words`
+    it is the word length sum(content).  The callables reach the layer
+    functions through this module's globals, so a wrapper installed on a
+    module attribute sees every call.  `max_n` bounds n, and `max_carrier`
+    the multinomial of the content (the carrier size of `words`), for the
+    commands that enumerate the carrier.
+    """
+
+    params: tuple[str, ...]
+    max_n: int
+    carrier: Callable[..., Iterable[Hashable]]
+    generator: Callable[[Hashable], Hashable]
+    closed: Callable[..., IntPolynomial]
+    serialize: Callable[[Hashable], object] = lambda x: x
+    superset: Union[Callable[..., Iterable[Hashable]], None] = None
+    min_n: int = 1
+    max_carrier: Union[int, None] = None
+
+    def instance(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> FamilyMember:
+        return list(self.carrier(n, w, content)), CyclicAction(n, self.generator), self.closed(n, w, content)
 
 
-def words_of_content(mu: Sequence[int]) -> list[tuple[int, ...]]:
-    """All words with mu_i letters equal to i, i = 1..len(mu), as tuples."""
-    remaining = list(mu)
-    n = sum(remaining)
-    words: list[tuple[int, ...]] = []
-    word: list[int] = []
+TARGETS = {
+    "cdp": Target(
+        params=("n", "w"),
+        max_n=9,
+        carrier=lambda n, w, _: enumerate_cdp(n, w),
+        generator=area_shift,
+        closed=lambda n, w, _: cdp_q_closed(n, w),
+        serialize=lambda a: a.to_json(),
+    ),
+    "cmp": Target(
+        params=("n",),
+        max_n=12,
+        carrier=lambda n, w, _: enumerate_cmp(n),
+        generator=mobius_shift,
+        closed=lambda n, w, _: cmp_q(n),
+        serialize=lambda m: m.half,
+    ),
+    "bw": Target(
+        params=("n",),
+        max_n=16,
+        min_n=2,
+        carrier=lambda n, w, _: (format(v, f"0{n}b") for v in range(2 ** n)),
+        generator=twisted_shift,
+        closed=lambda n, w, _: bw_q(n),
+    ),
+    "avl": Target(
+        params=("n", "w"),
+        max_n=9,
+        carrier=lambda n, w, _: enumerate_avl(n, w),
+        superset=lambda n, w, _: enumerate_balanced(n),
+        generator=word_shift_two,
+        closed=lambda n, w, _: avl_q_closed(n, w),
+    ),
+    "words": Target(
+        params=("content",),
+        max_n=10,
+        max_carrier=362_880,  # 9!: content 1^10 is ten times that and takes 26 s
+        carrier=lambda n, w, mu: enumerate_words(mu, range(1, len(mu) + 1)),
+        generator=lambda t: word_rotate(t, 1),
+        closed=lambda n, w, mu: q_multinomial(mu),
+        serialize=list,
+    ),
+}
 
-    def rec():
-        if len(word) == n:
-            words.append(tuple(word))
-            return
-        for letter in range(1, len(remaining) + 1):
-            if remaining[letter - 1] > 0:
-                remaining[letter - 1] -= 1
-                word.append(letter)
-                rec()
-                word.pop()
-                remaining[letter - 1] += 1
 
-    rec()
-    return words
+def verify_target(name: str, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> CspReport:
+    """Sieving report of one registry instance; a target with a superset is subset sieving.
 
-
-def verify_word_csp(mu: Sequence[int]) -> CspReport:
-    """Words of given content under one-step rotation with the q-multinomial."""
-    mu = tuple(mu)
-    n = sum(mu)
-    if n < 1:
-        raise ValueError("content must sum to a positive length")
-    carrier = words_of_content(mu)
-    action = CyclicAction(n, lambda w: rotate_tuple(w, 1), name="rotation")
-    return verify_csp(carrier, action, q_multinomial(mu))
+    Subset sieving on avoiding paths assumes gcd(n, w) = 1; a run without
+    it is flagged in the report's warnings.
+    """
+    target = TARGETS[name]
+    carrier, action, f = target.instance(n, w, content)
+    if target.superset is None:
+        return verify_csp(carrier, action, f)
+    warnings = [] if gcd(n, w) == 1 else [f"coprimality hypothesis not met: gcd({n},{w}) != 1"]
+    return verify_subset_csp(carrier, target.superset(n, w, content), action, f, warnings)
 
 
 def cdp_fixed_counts(n: int, w: int) -> dict[int, int]:
@@ -518,7 +568,7 @@ def cdp_fixed_counts(n: int, w: int) -> dict[int, int]:
     for a in enumerate_cdp(n, w):
         v = a.values
         for k in counts:
-            if rotate_tuple(v, k) == v:
+            if word_rotate(v, k) == v:
                 counts[k] += 1
     return counts
 
@@ -530,73 +580,29 @@ def check_cdp_fixed_points(n: int, w: int, k: int) -> bool:
     return cdp_fixed_counts(n, w)[k] == sum(1 for _ in enumerate_cdp(gcd(n, k), w))
 
 
-def cdp_family(w: int, max_n: int) -> list[FamilyMember]:
-    """The circular Dyck path family at fixed width w, n = 1..max_n."""
-    out = []
-    for n in range(1, max_n + 1):
-        carrier = list(enumerate_cdp(n, w))
-        action = CyclicAction(n, area_shift, name=f"area-shift-{n}")
-        out.append((carrier, action, cdp_q_closed(n, w)))
-    return out
-
-
 def words_family(alphabet: int, max_n: int) -> list[FamilyMember]:
     """Words over a k-letter alphabet under one-step rotation, n = 1..max_n."""
-    out = []
-    for n in range(1, max_n + 1):
-        carrier = [tuple(w) for w in _all_words(alphabet, n)]
-        action = CyclicAction(n, lambda x: rotate_tuple(x, 1), name="rotation")
-        f = _words_maj_poly(alphabet, n)
-        out.append((carrier, action, f))
-    return out
-
-
-def _all_words(alphabet: int, n: int):
-    word = []
-
-    def rec():
-        if len(word) == n:
-            yield tuple(word)
-            return
-        for letter in range(1, alphabet + 1):
-            word.append(letter)
-            yield from rec()
-            word.pop()
-
-    yield from rec()
+    return [
+        (
+            list(product(range(1, alphabet + 1), repeat=n)),
+            CyclicAction(n, lambda x: word_rotate(x, 1)),
+            _words_maj_poly(alphabet, n),
+        )
+        for n in range(1, max_n + 1)
+    ]
 
 
 def _words_maj_poly(alphabet: int, n: int) -> IntPolynomial:
     """Sum of q-multinomials over all contents: maj over all k-ary words."""
-    total = IntPolynomial()
-    for mu in _compositions(n, alphabet):
-        total = total + q_multinomial(mu)
-    return total
+    contents = (mu for mu in product(range(n + 1), repeat=alphabet) if sum(mu) == n)
+    return sum((q_multinomial(mu) for mu in contents), IntPolynomial())
 
 
-def _compositions(n: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
-
-
-def cmp_family(max_n: int) -> list[FamilyMember]:
-    """Circular Mobius paths under the induced twisted shift, n = 1..max_n."""
-    out = []
-    for n in range(1, max_n + 1):
-        carrier = list(enumerate_cmp(n))
-        action = CyclicAction(n, mobius_shift, name=f"mobius-shift-{n}")
-        out.append((carrier, action, cmp_q(n)))
-    return out
-
-
+# Lyndon-like families by name; each takes (w, max_n) and returns the
+# members n = 1..max_n.  Only `cdp` reads w.
 FAMILIES = {
-    "cdp": cdp_family,
-    "binary-words": lambda max_n: words_family(2, max_n),
-    "ternary-words": lambda max_n: words_family(3, max_n),
-    "cmp": cmp_family,
+    "cdp": lambda w, max_n: [TARGETS["cdp"].instance(n, w) for n in range(1, max_n + 1)],
+    "binary-words": lambda w, max_n: words_family(2, max_n),
+    "ternary-words": lambda w, max_n: words_family(3, max_n),
+    "cmp": lambda w, max_n: [TARGETS["cmp"].instance(n) for n in range(1, max_n + 1)],
 }

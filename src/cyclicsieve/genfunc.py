@@ -15,7 +15,6 @@ is worse than none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import add, sub
 from typing import Iterator, Literal
 
@@ -25,6 +24,7 @@ from .paths import (
     enumerate_cdp,
     enumerate_cmp,
     enumerate_dyck,
+    enumerate_words,
     maj,
     transpose_word,
 )
@@ -114,16 +114,6 @@ def _visits_in_order(bits: str, diagonals: tuple[int, ...]) -> bool:
     return False
 
 
-def _words_to(target: tuple[int, int]) -> Iterator[str]:
-    easts, norths = target
-    total = easts + norths
-    for north_pos in combinations(range(total), norths):
-        word = ["0"] * total
-        for p in north_pos:
-            word[p] = "1"
-        yield "".join(word)
-
-
 def h_bruteforce(spec: DiagonalSpec) -> IntPolynomial:
     """Sum of q^maj over NE-walks from (0,0) to the target visiting the diagonals.
 
@@ -133,7 +123,7 @@ def h_bruteforce(spec: DiagonalSpec) -> IntPolynomial:
     if x > BRUTE_FORCE_TARGET_LIMIT or y > BRUTE_FORCE_TARGET_LIMIT:
         raise ValueError(f"brute-force guard: target coordinates must be <= {BRUTE_FORCE_TARGET_LIMIT}")
     coeffs = [0] * (x * y + max(x, y) + 1)
-    for word in _words_to(spec.target):
+    for word in enumerate_words(spec.target, "01"):
         if _visits_in_order(word, spec.diagonals):
             coeffs[maj(word)] += 1
     return IntPolynomial(coeffs)

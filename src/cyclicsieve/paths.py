@@ -21,7 +21,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate, combinations
+from typing import Iterator, Sequence
 
 __all__ = [
     "AreaSequence",
@@ -46,6 +47,7 @@ __all__ = [
     "enumerate_cmp",
     "enumerate_avl",
     "enumerate_balanced",
+    "enumerate_words",
     "valley_count",
     "transpose_word",
 ]
@@ -289,21 +291,13 @@ def last_peak_height(p: DyckPath) -> int:
 
 
 def enumerate_dyck(n: int) -> Iterator[DyckPath]:
-    """All Dyck paths of size n, lexicographically by word."""
-    def rec(word: list[str], easts: int, norths: int) -> Iterator[DyckPath]:
-        if easts == n and norths == n:
-            yield DyckPath("".join(word))
-            return
-        if easts < n:
-            word.append("0")
-            yield from rec(word, easts + 1, norths)
-            word.pop()
-        if norths < easts:
-            word.append("1")
-            yield from rec(word, easts, norths + 1)
-            word.pop()
+    """All Dyck paths of size n, lexicographically by word.
 
-    yield from rec([], 0, 0)
+    They are the balanced words whose walk never goes below its start.
+    """
+    for bits in enumerate_balanced(n):
+        if min(accumulate(1 if b == "0" else -1 for b in bits), default=0) >= 0:
+            yield DyckPath(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -491,22 +485,34 @@ def enumerate_cmp(n: int) -> Iterator[MobiusWord]:
 # Diagonal-avoiding lattice paths
 # ---------------------------------------------------------------------------
 
-def enumerate_balanced(n: int) -> Iterator[str]:
-    """All balanced words of length 2n (n east, n north steps)."""
-    def rec(word: list[str], easts: int, norths: int) -> Iterator[str]:
-        if easts == n and norths == n:
-            yield "".join(word)
-            return
-        if easts < n:
-            word.append("0")
-            yield from rec(word, easts + 1, norths)
-            word.pop()
-        if norths < n:
-            word.append("1")
-            yield from rec(word, easts, norths + 1)
-            word.pop()
+def enumerate_words(content: Sequence[int], letters: Sequence) -> Iterator:
+    """Every word with content[i] copies of letters[i], each exactly once.
 
-    yield from rec([], 0, 0)
+    Words over a str alphabet are strings, words over any other alphabet
+    are tuples.  The positions of letters[0] are chosen first, in
+    lexicographic order, then those of letters[1] among the rest, and so
+    on; over two letters that is the lexicographic order of the words.
+    """
+    build = "".join if isinstance(letters, str) else tuple
+    last = len(content) - 1
+
+    def place(i: int, word: list, free: Sequence[int]) -> Iterator:
+        for chosen in combinations(free, content[i]):
+            filled = word.copy()
+            for p in chosen:
+                filled[p] = letters[i]
+            if i + 1 == last:
+                yield build(filled)
+            else:
+                yield from place(i + 1, filled, [p for p in free if p not in chosen])
+
+    word = [letters[last]] * sum(content)
+    return place(0, word, range(len(word))) if last else iter([build(word)])
+
+
+def enumerate_balanced(n: int) -> Iterator[str]:
+    """All balanced words of length 2n (n east, n north steps), in lexicographic order."""
+    return enumerate_words((n, n), "01")
 
 
 def avoids_diagonals(bits: str, w: int) -> bool:

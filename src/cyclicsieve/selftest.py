@@ -18,17 +18,11 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Callable, Iterator
 
-from .actions import (
-    CyclicAction,
-    area_shift,
-    mobius_shift,
-    orbit_decompose,
-    twisted_shift,
-    word_shift_two,
-)
+from .actions import CyclicAction, orbit_decompose, word_shift_two
 from .csp import (
+    FAMILIES,
+    TARGETS,
     balanced_words_ending_in_one,
-    cdp_family,
     cdp_fixed_counts,
     csp_feasibility,
     homomesy_check,
@@ -36,7 +30,7 @@ from .csp import (
     lyndon_construct,
     lyndon_params,
     verify_csp,
-    verify_subset_csp,
+    verify_target,
     words_family,
     zrun_rotation_action,
 )
@@ -51,12 +45,11 @@ from .genfunc import (
     cdp_q_bruteforce,
     cdp_q_closed,
     cdp_q_wide,
-    cmp_q,
     dyck_q_bruteforce,
     h_bruteforce,
     h_closed,
 )
-from .paths import enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
+from .paths import enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
 from .qpoly import IntPolynomial, NonConstant, eval_at_unity, mod_cyclic, q_binomial, q_lucas_eval
 
 
@@ -87,10 +80,6 @@ def _criterion(cid: int, name: str, fn: Callable[[], tuple[bool, str]]) -> Crite
     start = time.monotonic()
     passed, detail = fn()
     return CriterionResult(cid, name, passed, detail, time.monotonic() - start)
-
-
-def _bw_carrier(n: int) -> list[str]:
-    return [format(v, f"0{n}b") for v in range(2 ** n)]
 
 
 def _half_bw_poly(n: int) -> IntPolynomial:
@@ -138,8 +127,7 @@ def crit_4_main_csp(max_n: int) -> tuple[bool, str]:
     cells = 0
     for n in range(1, bound + 1):
         for w in range(1, n + 1):
-            carrier = list(enumerate_cdp(n, w))
-            report = verify_csp(carrier, CyclicAction(n, area_shift), cdp_q_closed(n, w))
+            report = verify_target("cdp", n, w)
             if not report.passed:
                 return False, f"CSP fails at (n,w)=({n},{w}), k={report.first_mismatch}"
             cells += 1
@@ -188,9 +176,7 @@ def crit_6_h_machinery(max_n: int) -> tuple[bool, str]:
 def crit_7_binary_word_csp(max_n: int) -> tuple[bool, str]:
     bound = min(12, max_n)
     for n in range(2, bound + 1):
-        carrier = _bw_carrier(n)
-        action = CyclicAction(n, twisted_shift)
-        report = verify_csp(carrier, action, bw_q(n))
+        report = verify_target("bw", n)
         if not report.passed:
             return False, f"CSP fails at n={n}"
         for row in report.rows:
@@ -215,9 +201,7 @@ def crit_9_mobius(max_n: int) -> tuple[bool, str]:
         if sum(1 for _ in enumerate_cmp(n)) != 2 ** (n - 1):
             return False, f"|CMP({n})| != 2^{n - 1}"
     for n in range(1, min(10, max_n) + 1):
-        carrier = list(enumerate_cmp(n))
-        action = CyclicAction(n, mobius_shift)
-        poly = cmp_q(n)
+        carrier, action, poly = TARGETS["cmp"].instance(n)
         if not verify_csp(carrier, action, poly).passed:
             return False, f"CMP CSP fails at n={n} with the maj polynomial"
         if not verify_csp(carrier, action, _half_bw_poly(n)).passed:
@@ -237,10 +221,7 @@ def coprime_avl_pairs(max_n: int) -> Iterator[tuple[int, int]]:
 def crit_10_subset_csp(max_n: int) -> tuple[bool, str]:
     pairs = 0
     for n, w in coprime_avl_pairs(max_n):
-        superset = list(enumerate_balanced(n))
-        subset = list(enumerate_avl(n, w))
-        report = verify_subset_csp(subset, superset, CyclicAction(n, word_shift_two), avl_q_closed(n, w))
-        if not report.passed:
+        if not verify_target("avl", n, w).passed:
             return False, f"subset CSP fails at (n,w)=({n},{w})"
         pairs += 1
     for n in range(1, min(6, max_n) + 1):
@@ -253,16 +234,9 @@ def crit_10_subset_csp(max_n: int) -> tuple[bool, str]:
 def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
     checked = 0
     # Genuine actions: orbit census must equal S_k / k.
-    instances = []
-    for n in range(1, min(8, max_n) + 1):
-        for w in range(1, n + 1):
-            instances.append(
-                (list(enumerate_cdp(n, w)), CyclicAction(n, area_shift), cdp_q_closed(n, w))
-            )
-    for n in range(2, min(12, max_n) + 1):
-        instances.append((_bw_carrier(n), CyclicAction(n, twisted_shift), bw_q(n)))
-    for n in range(1, min(10, max_n) + 1):
-        instances.append((list(enumerate_cmp(n)), CyclicAction(n, mobius_shift), cmp_q(n)))
+    instances = [TARGETS["cdp"].instance(n, w) for n in range(1, min(8, max_n) + 1) for w in range(1, n + 1)]
+    instances += [TARGETS["bw"].instance(n) for n in range(2, min(12, max_n) + 1)]
+    instances += [TARGETS["cmp"].instance(n) for n in range(1, min(10, max_n) + 1)]
     for carrier, action, f in instances:
         rep = csp_feasibility(f, action.order)
         if not rep.feasible:
@@ -294,7 +268,7 @@ def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
 def crit_12_lyndon_families(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     for w in (1, 2, 3):
-        if not lyndon_check(cdp_family(w, bound)).passed:
+        if not lyndon_check(FAMILIES["cdp"](w, bound)).passed:
             return False, f"circular Dyck family at width {w} is not Lyndon-like"
     for alphabet in (2, 3):
         if not lyndon_check(words_family(alphabet, bound)).passed:

@@ -16,8 +16,8 @@ from cyclicsieve.actions import (
     word_rotate,
     word_shift_two,
 )
-from cyclicsieve.csp import rotate_tuple, words_of_content, zrun_rotation_action
-from cyclicsieve.paths import AreaSequence, MobiusWord, enumerate_cdp, enumerate_cmp
+from cyclicsieve.csp import zrun_rotation_action
+from cyclicsieve.paths import AreaSequence, MobiusWord, enumerate_cdp, enumerate_cmp, enumerate_words
 from cyclicsieve.qpoly import IntPolynomial, eval_at_unity, q_int
 
 
@@ -158,7 +158,7 @@ INSTANCES = {
     "cdp-square": lambda: (list(enumerate_cdp(5, 5)), CyclicAction(5, area_shift)),
     "cmp": lambda: (list(enumerate_cmp(7)), CyclicAction(7, mobius_shift)),
     "bw": lambda: (bw(8), CyclicAction(8, twisted_shift)),
-    "words": lambda: (words_of_content((2, 2, 2)), CyclicAction(6, lambda t: rotate_tuple(t, 1))),
+    "words": lambda: (list(enumerate_words((2, 2, 2), (1, 2, 3))), CyclicAction(6, lambda t: word_rotate(t, 1))),
 }
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -386,6 +387,46 @@ class TestExitCodes:
         assert reason["exit"] == 1
 
 
+class TestFileErrors:
+    def test_missing_sizes_file_is_usage_error(self, capsys, cache_dir, tmp_path):
+        code, out, err = run_cli(capsys, cache_dir, "lyndon", "params", "--sizes-file", str(tmp_path / "missing"))
+        assert (code, out) == (2, "")
+        [reason] = [json.loads(line) for line in err.splitlines()]
+        assert reason["exit"] == 2
+        assert reason["error"].startswith("cannot read --sizes-file: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "cmp", "--n", "4"], ["count", "--w", "3", "--max-n", "4"]], ids=["verify", "count"]
+    )
+    def test_unwritable_csv_is_usage_error(self, capsys, cache_dir, tmp_path, argv):
+        code, out, err = run_cli(capsys, cache_dir, *argv, "--csv", str(tmp_path / "missing" / "x.csv"))
+        assert (code, out) == (2, "")
+        [reason] = [json.loads(line) for line in err.splitlines()]
+        assert reason["exit"] == 2
+        assert reason["error"].startswith("cannot write --csv: ")
+
+
+# The first value past each size guard.
+PAST_GUARDS = [
+    (["count", "--n", "4001", "--w", "3"], "count is limited to 1 <= n <= 4000"),
+    (["count", "--n", "151", "--w", "3", "--q"], "count --q is limited to 1 <= n <= 150"),
+    (["count", "--w", "3", "--max-n", "501"], "count --max-n is limited to 1 <= max-n <= 500"),
+    # 10!/2^3 = 453600 words, the smallest carrier above 9! = 362880 with n <= 10
+    (["verify", "words", "--content", "2,2,2,1,1,1,1"], "verify words is limited to 362880 words"),
+    (["orbits", "words", "--content", "2,2,2,1,1,1,1"], "orbits words is limited to 362880 words"),
+    (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
+    (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
+]
+
+
+class TestGuards:
+    @pytest.mark.parametrize("argv, error", PAST_GUARDS, ids=[" ".join(g[0]) for g in PAST_GUARDS])
+    def test_first_value_past_the_guard_is_usage_error(self, capsys, cache_dir, argv, error):
+        code, out, err = run_cli(capsys, cache_dir, *argv)
+        assert (code, out) == (2, "")
+        assert err == reason(error)
+
+
 class TestCacheFailures:
     def test_uncreatable_cache_dir_runs_without_cache(self, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -464,21 +505,100 @@ class TestCacheFailures:
         assert not directory.exists() or not list(directory.iterdir())
 
 
-# stdout sha256 and exit code of each command, recorded before the CDP
-# enumeration hot path was rewritten; the output must not change by a byte.
+# Exit code, stdout sha256 and stderr of each command.  Stdout must not
+# change by a byte, cold or warm.  Criterion timings in the selftest log
+# are masked; a warm selftest reads its payload from the cache and logs
+# nothing.
+SELFTEST_4_LOG = (
+    "PASS criterion  1 [time] counting formula: |CDP(n,n)| matches formula for n<=4\n"
+    "PASS criterion  2 [time] q-identity closed vs brute force: 18 cells, closed form == brute force\n"
+    "PASS criterion  3 [time] wide-width three-term formula: three-term formula == double sum for n<=4\n"
+    "PASS criterion  4 [time] main sieving theorem: 10 sieving triples pass with dual-route agreement\n"
+    "PASS criterion  5 [time] fixed-point identity: 30 cells, |fixed| == |CDP(gcd(n,k),w)|\n"
+    "PASS criterion  6 [time] diagonal-visit machinery: 744 alternating configurations, closed == brute force\n"
+    "PASS criterion  7 [time] binary-word sieving: twisted-shift CSP and 2^d fixed-point rule hold for n<=4\n"
+    "PASS criterion  8 [time] binary-word triple identity: forms A, B, C identical for n<=4\n"
+    "PASS criterion  9 [time] Mobius paths: counts 2^(n-1), both sieving polynomials, and the folding congruence hold\n"
+    "PASS criterion 10 [time] subset sieving on avoiding paths: 5 coprime pairs pass; closed AVL formula matches brute force\n"
+    "PASS criterion 11 [time] orbit-count feasibility: 22 polynomials feasible with matching orbit counts\n"
+    "PASS criterion 12 [time] Lyndon-like families: width 1..3 and binary/ternary families Lyndon-like to n=4; parameter extraction exact\n"
+    "PASS criterion 13 [time] canonical construction: 20 random parameter vectors, all constructions pass to n=4\n"
+    "PASS criterion 14 [time] homomesy: averages equal C(n+1,2) under zero-run rotation; two-step shift witness found at n=2\n"
+    "PASS criterion 15 [time] kernel cross-checks: q-Lucas == cyclotomic reduction to n=8; Carlitz polynomial matches Dyck brute force\n"
+)
+
+
+def reason(error: str, code: int = 2, **extra) -> str:
+    """One canonical JSON reason line, as the CLI writes it to stderr."""
+    return json.dumps({"error": error, "exit": code, **extra}, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 GOLDEN = [
-    (["orbits", "cdp", "--n", "6", "--w", "6", "--poly"], 0, "23d90a223d2233582be1fbf05c891b9a845ed31fe8e12150d6595175195164d8"),
-    (["verify", "cdp", "--n", "7", "--w", "5"], 0, "9d0e6eabdcfcc8b861fafa9714c02bffdddd62133ee94a37da43aa134255a2bc"),
-    (["orbits", "cmp", "--n", "6"], 0, "e0f15297e972b01b13a90477e67115be498f0c288f8d62ad2cd2d60f70bef22e"),
-    (["homomesy", "--n", "5", "--action", "beta"], 0, "c7dd3c9404c52ac4d87f31f2c45445a537379404d0515905d89cc3f2c08f1e83"),
-    (["lyndon", "check", "--family", "cdp", "--w", "3", "--max-n", "6"], 0, "29bf5157e4eb05c024e9c410deb5f4140455accd2e92c16b44a2426b1457de37"),
+    (["orbits", "cdp", "--n", "6", "--w", "6", "--poly"], 0, "23d90a223d2233582be1fbf05c891b9a845ed31fe8e12150d6595175195164d8", ""),
+    (["verify", "cdp", "--n", "7", "--w", "5"], 0, "9d0e6eabdcfcc8b861fafa9714c02bffdddd62133ee94a37da43aa134255a2bc", ""),
+    (["orbits", "cmp", "--n", "6"], 0, "e0f15297e972b01b13a90477e67115be498f0c288f8d62ad2cd2d60f70bef22e", ""),
+    (["homomesy", "--n", "5", "--action", "beta"], 0, "c7dd3c9404c52ac4d87f31f2c45445a537379404d0515905d89cc3f2c08f1e83", ""),
+    (["lyndon", "check", "--family", "cdp", "--w", "3", "--max-n", "6"], 0, "29bf5157e4eb05c024e9c410deb5f4140455accd2e92c16b44a2426b1457de37", ""),
+    (["count", "--n", "5", "--w", "3"], 0, "44dd2217661a2dcf227ee9b851e0f44b0fcf73d6c67429724152ce8a71955155", ""),
+    (["count", "--n", "6", "--w", "4", "--q"], 0, "df17e33366985918ca335171d6e158e68ef0f2a023aa37ec9c548f88ed214cfb", ""),
+    (["count", "--w", "3", "--max-n", "12"], 0, "e4e8bda88200c4cb68aa2c7583b607846e290a16348b5d5cad2a32b694eb8bea", ""),
+    (["count", "--w", "3", "--max-n", "12", "--bfile"], 0, "d520501f8c2aa93f42f8e15334a1d4f8b1e96f92e275d453f14dd00daf815e37", ""),
+    (["count", "--n", "0", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("count needs --n (positive) or --max-n")),
+    (["count", "--n", "3", "--w", "3", "--bfile"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--bfile needs --max-n")),
+    (["verify", "cdp", "--n", "6", "--w", "4"], 0, "34da8cdb009b23d6ec9404d63bbea941a1a56aa200ad44fd4136219f77501122", ""),
+    (["verify", "cmp", "--n", "6"], 0, "c91bc62c5711d47e3b9a2ffef859b2dab34ac09bb63e558c2f2cabf6a0834f27", ""),
+    (["verify", "bw", "--n", "6"], 0, "be78729cc1999ef40b882cefacf4111426b47092cd75ecd1368605dfd40235e8", ""),
+    (["verify", "avl", "--n", "5", "--w", "2"], 0, "9bd833dfcf6e1842fcebd4c49bf95fb0855a34b125bed342b9bf1279a4cd200d", ""),
+    (["verify", "words", "--content", "2,1,2"], 0, "b79ec365b56ec6334bd3c70ef51721785a58d6f12080adc34d7acdd32c59746a", ""),
+    (["verify", "cmp", "--n", "5", "--table"], 0, "4844a3c9b3d8b3cb7da71b1e807038abcd4b979bb5856445f80255007838ebb3", ""),
+    (["verify", "avl", "--n", "4", "--w", "2"], 1, "bfb85d7fdda159608744e2262626c323aa278e879c7c5326d50a8e968def1a50", reason("verification failed", 1, first_mismatch="1")),
+    (["verify", "cdp", "--n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify cdp needs --w")),
+    (["verify", "bw", "--n", "1"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify bw needs --n at least 2")),
+    (["verify", "words", "--n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify words needs --content")),
+    (["verify", "words", "--content", "", "--n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify words needs --content")),
+    (["verify", "cdp", "--n", "10", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify cdp is limited to n <= 9")),
+    (["verify", "avl", "--n", "3", "--w", "0"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("n and w must be positive")),
+    (["orbits", "cdp", "--n", "4", "--w", "3"], 0, "b65a001c38d9bf6399c23a4739ee9640f5f89fd1390742b74b020819f1bae582", ""),
+    (["orbits", "cdp", "--n", "4", "--w", "3", "--poly"], 0, "575d73474bb371732253ed7d48ef2ecc37c7a106a3889664d036e4adf3fd88ba", ""),
+    (["orbits", "cmp", "--n", "5"], 0, "6ad6ed38864fde4684f85666a521ae97147904b99b47dc962e0bc7d27a45e175", ""),
+    (["orbits", "cmp", "--n", "5", "--poly"], 0, "cb0c31d75428ea506b32fda8c66dfa24c6acdbc63dcb3456c8cf454895f56471", ""),
+    (["orbits", "bw", "--n", "4"], 0, "42146d6380c30d45b872a43e9df60da29f2152b7dc74aae840c093f17b7e10aa", ""),
+    (["orbits", "bw", "--n", "4", "--poly"], 0, "8b762c67559e2b8d77dcd5339541f751350fa3475aa8084e770496cb59173042", ""),
+    (["orbits", "words", "--content", "2,2,1"], 0, "61a8d0dc7f77c96ed360495de06b6e6b0459d1aca503bf966afe7278ab4c1903", ""),
+    (["orbits", "words", "--content", "2,2,1", "--poly"], 0, "801974f5c065242087c785fa5d52f96762df1af721db5a873f678ae2a0f184bb", ""),
+    (["orbits", "bw", "--n", "1"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("orbits bw needs --n at least 2")),
+    (["orbits", "cdp", "--n", "3", "--w", "0"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("n and w must be positive")),
+    (["lyndon", "params", "--sizes", "2,4,8,16"], 0, "6f4c4124d1c2f1b1150d077b40bc0f370cc43dedbe5fb7ce609a3bb8dba436e7", ""),
+    (["lyndon", "params", "--sizes", "1,2,5"], 1, "5733c757fa41db014616ecae976f702e222957f9c3e25dc517f4894e16f26bd4", reason("sizes admit no Lyndon parameters", 1)),
+    (["lyndon", "params", "--sizes", "x"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("sizes must be integers")),
+    (["lyndon", "check", "--family", "cdp", "--w", "2", "--max-n", "5"], 0, "e89c0a7b0751a46b24ff4a4c4f90c4d8f06e7bb3af49e87c4ef1a2bf7d2cda6b", ""),
+    (["lyndon", "check", "--family", "binary-words", "--max-n", "5"], 0, "20195cfcfdbaf87e627e184fa01efd116dac75e12b9ff456478796174f303ed8", ""),
+    (["lyndon", "check", "--family", "ternary-words", "--max-n", "4"], 0, "414d952bfdf78120d52e566e3bbfa07f0b1a6a318303a4638195e4345c24b8ef", ""),
+    (["lyndon", "check", "--family", "cmp", "--max-n", "6"], 1, "e3cea980b14de70b284c061198f5b55dc10b640f3f0d2582e26006aaccdec993", reason("family is not Lyndon-like", 1)),
+    (["lyndon", "check", "--family", "cdp", "--max-n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("lyndon check --family cdp needs --w")),
+    (["lyndon", "check", "--family", "nope", "--max-n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("unknown family 'nope'; choose from ['binary-words', 'cdp', 'cmp', 'ternary-words']")),
+    (["lyndon", "construct", "--t", "2,1,2,3", "--n", "4"], 0, "5623652a21d0e1d89a8e252ecb44e04032ac94983ca678239b5e9bc32afe3f55", ""),
+    (["lyndon", "construct", "--t", "1", "--n", "2"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--t must define t_d for every divisor d of n")),
+    (["homomesy", "--n", "4", "--action", "alpha"], 0, "c741d602b8634fef9d55976c94a7c1ef202353ed1a8a3fac06d115ad77121f1f", ""),
+    (["homomesy", "--n", "4", "--action", "beta"], 0, "9cdab6ba7ebcea1ba698eed3df26b32f46226e85da31064b021f9ace2310c1da", ""),
+    (["homomesy", "--n", "8"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("homomesy is limited to 1 <= n <= 7")),
+    (["selftest", "--max-n", "4"], 0, "2c47425dd68db12210e86e3abc65af826b9615cac01be6004b426167a779954c", SELFTEST_4_LOG),
+    (["selftest", "--max-n", "0"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("selftest is limited to 1 <= max-n <= 12")),
+    (["selftest", "--max-n", "13"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("selftest is limited to 1 <= max-n <= 12")),
 ]
 
 
+def masked(err: str) -> str:
+    return re.sub(r"\[\s*\d+\.\d+s\]", "[time]", err)
+
+
 class TestGoldenOutput:
-    @pytest.mark.parametrize("argv, exit_code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
-    def test_stdout_bytes_and_exit_code(self, capsys, cache_dir, argv, exit_code, digest):
-        for _ in ("cold", "warm"):
-            code, out, _ = run_cli(capsys, cache_dir, *argv)
+    @pytest.mark.parametrize("argv, exit_code, digest, stderr", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+    def test_stdout_bytes_and_exit_code(self, capsys, cache_dir, argv, exit_code, digest, stderr):
+        for run in ("cold", "warm"):
+            code, out, err = run_cli(capsys, cache_dir, *argv)
             assert code == exit_code
             assert hashlib.sha256(out.encode()).hexdigest() == digest
+            if run == "warm" and stderr is SELFTEST_4_LOG:
+                stderr = ""
+            assert masked(err) == stderr

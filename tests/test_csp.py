@@ -7,10 +7,9 @@ import pytest
 
 from cyclicsieve.actions import CyclicAction, area_shift, orbit_decompose, twisted_shift, word_shift_two
 from cyclicsieve.csp import (
+    FAMILIES,
     balanced_words_ending_in_one,
-    cdp_family,
     check_cdp_fixed_points,
-    cmp_family,
     csp_feasibility,
     homomesy_check,
     lyndon_check,
@@ -18,13 +17,12 @@ from cyclicsieve.csp import (
     lyndon_params,
     verify_csp,
     verify_subset_csp,
-    verify_word_csp,
+    verify_target,
     words_family,
-    words_of_content,
     zrun_rotation_action,
 )
 from cyclicsieve.genfunc import avl_q_closed, bw_q, cdp_q_closed
-from cyclicsieve.paths import enumerate_avl, enumerate_balanced, enumerate_cdp, inv_zero_one
+from cyclicsieve.paths import enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_words, inv_zero_one
 from cyclicsieve.qpoly import IntPolynomial, q_factorial, q_multinomial
 
 
@@ -209,7 +207,7 @@ class TestLyndonConstruct:
 
 class TestLyndonCheck:
     def test_cdp_fixed_width_family(self):
-        assert lyndon_check(cdp_family(2, 8)).passed
+        assert lyndon_check(FAMILIES["cdp"](2, 8)).passed
 
     def test_word_families(self):
         assert lyndon_check(words_family(2, 8)).passed
@@ -225,7 +223,7 @@ class TestLyndonCheck:
         assert lyndon_check(family).passed
 
     def test_mobius_family_is_not_lyndon_like(self):
-        report = lyndon_check(cmp_family(4))
+        report = lyndon_check(FAMILIES["cmp"](None, 4))
         assert not report.passed
         assert (2, 2) in report.relation_failures
 
@@ -259,19 +257,19 @@ class TestHomomesy:
 
 class TestWordCsp:
     def test_single_content(self):
-        report = verify_word_csp((4,))
+        report = verify_target("words", 4, content=(4,))
         assert report.passed
 
     def test_balanced_binary_content(self):
-        assert verify_word_csp((2, 2)).passed
+        assert verify_target("words", 4, content=(2, 2)).passed
 
     def test_permutations(self):
-        report = verify_word_csp((1, 1, 1))
+        report = verify_target("words", 3, content=(1, 1, 1))
         assert report.passed
         assert q_multinomial((1, 1, 1)) == q_factorial(3)
 
     def test_carrier_size(self):
-        assert len(words_of_content((2, 2))) == 6
+        assert len(list(enumerate_words((2, 2), (1, 2)))) == 6
 
 
 class TestDualRoute:

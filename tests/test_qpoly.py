@@ -178,10 +178,9 @@ class TestQMultinomial:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(lambda mu: sum(mu) <= 7))
     @settings(max_examples=50, deadline=None)
     def test_matches_exhaustive_major_index(self, mu):
-        from cyclicsieve.csp import words_of_content
-        from cyclicsieve.paths import maj
+        from cyclicsieve.paths import enumerate_words, maj
 
-        words = words_of_content(mu)
+        words = list(enumerate_words(mu, range(1, len(mu) + 1)))
         counts = {}
         for word in words:
             text = "".join(str(c) for c in word)
