@@ -33,6 +33,7 @@ from .paths import (  # noqa: F401
     dyck_pair_inverse,
     dyck_tuple,
     dyck_tuple_inverse,
+    cdp_values,
     enumerate_avl,
     enumerate_cdp,
     enumerate_cmp,

@@ -9,8 +9,10 @@ cannot be read and a --csv path that cannot be written are usage errors.
 
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
-n <= 9, cmp n <= 12, bw n <= 16, words n <= 10 with at most 9! words),
-`lyndon check` max-n <= 10, `homomesy` n <= 7, `selftest` max-n <= 12.
+n <= 9, cmp n <= 12, bw n <= 16, words n <= 10), with at most 9! = 362880
+elements in a cdp or words carrier (|CDP(n, w)| is known before it is
+enumerated), `lyndon check` max-n <= 10 (for cdp also |CDP(max-n, w)| <= 9!),
+`homomesy` n <= 7, `selftest` max-n <= 12.
 
 Results are cached under --cache-dir, the CYCLIC_SIEVE_CACHE environment
 variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.
@@ -22,14 +24,15 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from math import factorial, prod
 from typing import Callable, Optional
 
 from . import __version__
 from .actions import CyclicAction, orbit_decompose, orbit_poly, word_shift_two
 from .csp import (
     FAMILIES,
+    MAX_CARRIER,
     TARGETS,
+    Target,
     balanced_words_ending_in_one,
     homomesy_check,
     lyndon_check,
@@ -124,6 +127,9 @@ def payload_lyndon_params(sizes: list[int]) -> dict:
 def payload_lyndon_check(family: str, w: Optional[int], max_n: int) -> dict:
     _require(family in FAMILIES, f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     _require(family != "cdp" or w is not None, "lyndon check --family cdp needs --w")
+    if family in TARGETS:
+        # The largest member, n = max_n, bounds the work of the family.
+        _require_carrier(TARGETS[family], f"lyndon check --family {family}", max_n, w, None)
     report = lyndon_check(FAMILIES[family](w, max_n))
     return {"family": family, "params": {"w": str(w)} if family == "cdp" else {}, **report.to_json()}
 
@@ -278,6 +284,12 @@ def _count_request(args: argparse.Namespace):
     return {"n": args.n, "w": args.w, "q": args.q}, lambda: payload_count(args.n, args.w, args.q)
 
 
+def _require_carrier(target: Target, what: str, n: int, w: Optional[int], content: Optional[tuple]) -> None:
+    if target.carrier_size is not None:
+        size = target.carrier_size(n, w, content)
+        _require(size <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {target.unit}")
+
+
 def _target_request(args: argparse.Namespace):
     """Check a verify or orbits target's arguments against its registry entry."""
     target = TARGETS[args.target]
@@ -290,9 +302,7 @@ def _target_request(args: argparse.Namespace):
     values = {"n": n, "w": args.w, "content": content}
     for name in target.params:
         _require(values[name] is not None, f"{what} needs --{name}")
-    if target.max_carrier is not None:
-        size = factorial(n) // prod(factorial(m) for m in content)
-        _require(size <= target.max_carrier, f"{what} is limited to {target.max_carrier} words")
+    _require_carrier(target, what, n, args.w, content)
     params = {"n": n, "w": args.w, "content": list(content) if content else None}
     if args.command == "verify":
         return params, lambda: payload_verify(args.target, n, args.w, content)

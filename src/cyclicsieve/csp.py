@@ -8,6 +8,15 @@ evaluations here are exact (cyclotomic reduction); every verdict is also
 recomputed through a second, independent route (folding f mod q^n - 1 and
 comparing with the orbit census), and disagreement between the two routes
 is raised as an internal error rather than reported as a result.
+
+Each check walks the orbits of its carrier once (actions.orbit_decompose),
+which also proves that the generator is a bijection of the carrier whose
+order divides n.  Fixed-point counts are then read off the orbit sizes: the
+k-th generator power fixes exactly the elements whose orbit size divides
+gcd(k, n).  Subset sieving counts, per superset orbit, the subset elements
+it holds.  The CDP carrier is the plain area tuples of paths.cdp_values
+under one-step rotation, which order, hash and serialize as AreaSequence
+objects of one width do.
 """
 
 from __future__ import annotations
@@ -15,13 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import factorial, gcd, prod
 from typing import Callable, Hashable, Iterable, Sequence, Union
 
 from .actions import (
     CyclicAction,
-    area_shift,
-    fixed_count,
     mobius_shift,
     orbit_decompose,
     orbit_poly,
@@ -29,11 +36,11 @@ from .actions import (
     word_rotate,
     word_shift_two,
 )
-from .genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
+from .genfunc import avl_q_closed, bw_q, cdp_count, cdp_q_closed, cmp_q
 from .paths import (
+    cdp_values,
     enumerate_avl,
     enumerate_balanced,
-    enumerate_cdp,
     enumerate_cmp,
     enumerate_words,
     word_from_zeros_runs,
@@ -58,6 +65,7 @@ __all__ = [
     "homomesy_check",
     "Target",
     "TARGETS",
+    "MAX_CARRIER",
     "verify_target",
     "cdp_fixed_counts",
     "check_cdp_fixed_points",
@@ -142,14 +150,20 @@ class CspReport:
 def _evaluation_rows(
     f: IntPolynomial,
     n: int,
-    fixed_of_k: Callable[[int], int],
+    counted_by_orbit_size: dict[int, int],
 ) -> tuple[tuple[CspRow, ...], bool, Union[int, None]]:
+    """Compare f at each root of unity with a fixed-point count.
+
+    `counted_by_orbit_size` maps an orbit size s to the number of counted
+    elements lying in orbits of size s.  The k-th generator power fixes an
+    element exactly when its orbit size divides gcd(k, n).
+    """
     rows = []
     first_mismatch = None
     for k in range(1, n + 1):
         d = gcd(k, n)
         ev = eval_at_unity(f, n // d)
-        fc = fixed_of_k(k)
+        fc = sum(c for s, c in counted_by_orbit_size.items() if d % s == 0)
         ok = not isinstance(ev, NonConstant) and ev == fc
         if not ok and first_mismatch is None:
             first_mismatch = k
@@ -176,15 +190,11 @@ def verify_csp(
     dec = orbit_decompose(carrier, action)
 
     sizes = dec.sizes
-    orbit_size_count: dict[int, int] = {}
+    members: dict[int, int] = {}
     for s in sizes:
-        orbit_size_count[s] = orbit_size_count.get(s, 0) + 1
+        members[s] = members.get(s, 0) + s
 
-    def fixed_of_k(k: int) -> int:
-        d = gcd(k, n)
-        return sum(s * c for s, c in orbit_size_count.items() if d % s == 0)
-
-    rows, passed, first_mismatch = _evaluation_rows(f, n, fixed_of_k)
+    rows, passed, first_mismatch = _evaluation_rows(f, n, members)
 
     census = [0] * n
     for s in sizes:
@@ -208,17 +218,24 @@ def verify_subset_csp(
 ) -> CspReport:
     """Subset sieving: fixed points are counted inside a subset of the carrier.
 
-    The action must be closed on the superset; the subset need not be
-    closed.  Matches f at each root of unity against the number of subset
-    elements fixed by the corresponding generator power.
+    Matches f at each root of unity against the number of subset elements
+    fixed by the corresponding generator power.  One orbit walk over the
+    sorted superset checks that the generator is a bijection of it whose
+    order divides n, and raises ValueError with a witness otherwise; the
+    subset need not be closed.  An element is fixed by g^k exactly when its
+    orbit size divides gcd(k, n), so the subset's fixed count for g^k is the
+    sum of |orbit & subset| over the superset orbits of such sizes, and no
+    power of the generator is applied again.
     """
     sub = set(subset)
     sup = set(superset)
     if not sub <= sup:
         raise ValueError("subset is not contained in the superset")
-    action.validate_on(sorted(sup))
     n = action.order
-    rows, passed, first_mismatch = _evaluation_rows(f, n, lambda k: fixed_count(sub, action, k))
+    inside: dict[int, int] = {}
+    for orbit in orbit_decompose(sorted(sup), action).orbits:
+        inside[len(orbit)] = inside.get(len(orbit), 0) + sum(1 for x in orbit if x in sub)
+    rows, passed, first_mismatch = _evaluation_rows(f, n, inside)
     return CspReport(n, rows, passed, first_mismatch, tuple(warnings))
 
 
@@ -353,8 +370,6 @@ def lyndon_construct(
         return (d, i, j % d + 1)
 
     action = CyclicAction(n, generator)
-    if carrier:
-        action.validate_on(carrier)
     f = orbit_poly(orbit_decompose(carrier, action), n)
     return carrier, action, f
 
@@ -481,9 +496,11 @@ class Target:
     ones named in `params`; n is the order of the action, and for `words`
     it is the word length sum(content).  The callables reach the layer
     functions through this module's globals, so a wrapper installed on a
-    module attribute sees every call.  `max_n` bounds n, and `max_carrier`
-    the multinomial of the content (the carrier size of `words`), for the
-    commands that enumerate the carrier.
+    module attribute sees every call.  `max_n` bounds n for the commands
+    that enumerate the carrier.  A target whose carrier can exceed
+    MAX_CARRIER at an admitted n also has `carrier_size`, the size of its
+    carrier known before it is enumerated, which those commands bound by
+    MAX_CARRIER; its elements are called `unit` in the error past that bound.
     """
 
     params: tuple[str, ...]
@@ -494,20 +511,34 @@ class Target:
     serialize: Callable[[Hashable], object] = lambda x: x
     superset: Union[Callable[..., Iterable[Hashable]], None] = None
     min_n: int = 1
-    max_carrier: Union[int, None] = None
+    carrier_size: Union[Callable[..., int], None] = None
+    unit: str = ""
 
     def instance(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> FamilyMember:
         return list(self.carrier(n, w, content)), CyclicAction(n, self.generator), self.closed(n, w, content)
 
 
+def _rotate(word: Sequence) -> Sequence:
+    """One-step right rotation, the generator on area tuples and on words."""
+    return word_rotate(word, 1)
+
+
+# The carrier bound of `cdp` and `words`, 9! elements, admits about 2 s of
+# cold `verify` on a 2-core host at every n (1.7-2.1 s for CDP(n, w) with n =
+# 2..9 at the bound, 2.4 s for the content 1^9; `orbits`, which prints every
+# element, takes about 6 s).  The content 1^10 is ten times that and takes 26 s.
+MAX_CARRIER = 362_880
+
 TARGETS = {
     "cdp": Target(
         params=("n", "w"),
         max_n=9,
-        carrier=lambda n, w, _: enumerate_cdp(n, w),
-        generator=area_shift,
+        carrier=lambda n, w, _: cdp_values(n, w),
+        generator=_rotate,
         closed=lambda n, w, _: cdp_q_closed(n, w),
-        serialize=lambda a: a.to_json(),
+        serialize=list,
+        carrier_size=lambda n, w, _: cdp_count(n, w),
+        unit="area sequences",
     ),
     "cmp": Target(
         params=("n",),
@@ -536,11 +567,12 @@ TARGETS = {
     "words": Target(
         params=("content",),
         max_n=10,
-        max_carrier=362_880,  # 9!: content 1^10 is ten times that and takes 26 s
         carrier=lambda n, w, mu: enumerate_words(mu, range(1, len(mu) + 1)),
-        generator=lambda t: word_rotate(t, 1),
+        generator=_rotate,
         closed=lambda n, w, mu: q_multinomial(mu),
         serialize=list,
+        carrier_size=lambda n, w, mu: factorial(n) // prod(factorial(m) for m in mu),
+        unit="words",
     ),
 }
 
@@ -565,8 +597,7 @@ def cdp_fixed_counts(n: int, w: int) -> dict[int, int]:
     CDP(n, w) is enumerated once for all k.
     """
     counts = dict.fromkeys(range(1, n + 1), 0)
-    for a in enumerate_cdp(n, w):
-        v = a.values
+    for v in cdp_values(n, w):
         for k in counts:
             if word_rotate(v, k) == v:
                 counts[k] += 1
@@ -577,7 +608,7 @@ def check_cdp_fixed_points(n: int, w: int, k: int) -> bool:
     """|{a in CDP(n,w) : shifted by k steps equals a}| == |CDP(gcd(n,k), w)|."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return cdp_fixed_counts(n, w)[k] == sum(1 for _ in enumerate_cdp(gcd(n, k), w))
+    return cdp_fixed_counts(n, w)[k] == sum(1 for _ in cdp_values(gcd(n, k), w))
 
 
 def words_family(alphabet: int, max_n: int) -> list[FamilyMember]:
@@ -585,7 +616,7 @@ def words_family(alphabet: int, max_n: int) -> list[FamilyMember]:
     return [
         (
             list(product(range(1, alphabet + 1), repeat=n)),
-            CyclicAction(n, lambda x: word_rotate(x, 1)),
+            CyclicAction(n, _rotate),
             _words_maj_poly(alphabet, n),
         )
         for n in range(1, max_n + 1)

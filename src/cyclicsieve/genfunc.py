@@ -198,27 +198,42 @@ def gen_q_ballot(x: int, i: int, j: int) -> IntPolynomial:
 def cdp_q_closed(n: int, w: int) -> IntPolynomial:
     """Closed-form q-count of CDP(n, w): the double sum over s and j.
 
-    The outer sum over s is truncated to |(w+2) s| <= 2n; every other term
-    has both Gaussian binomials out of range and vanishes.  The shifted
-    binomials are summed into one dense coefficient list, and columns out
-    of range are skipped without a q_binomial call.
+    The term (s, j) is q^(s^2 (w+2) + s (j+1)) times [2n-1, n-1-(w+2)s]_q
+    minus [2n-1, n+j+(w+2)s]_q.  The outer sum over s is truncated to
+    |(w+2) s| <= 2n; every other term has both Gaussian binomials out of
+    range and vanishes.  The first column does not depend on j, and at
+    s = 0 neither does the exponent, so that term is added once, times w.
+    The second column is in range for an interval of j read off its
+    bounds, so no j outside it is visited.  The shifted binomials are
+    summed into one dense coefficient list.
     """
     if n < 1 or w < 1:
         raise ValueError("n and w must be positive")
     delta = w + 2
+    top = 2 * n - 1
     s_max = (2 * n) // delta + 1
     total: list[int] = []
+
+    def accumulate(exponent: int, coeffs, op) -> None:
+        end = exponent + len(coeffs)
+        if len(total) < end:
+            total.extend([0] * (end - len(total)))
+        total[exponent:end] = map(op, total[exponent:end], coeffs)
+
     for s in range(-s_max, s_max + 1):
-        for j in range(1, w + 1):
-            # s^2 delta + s (j+1) >= 0 for every s since j + 1 < delta.
-            exponent = s * s * delta + s * (j + 1)
-            for col, op in ((n - 1 - delta * s, add), (n + j + delta * s, sub)):
-                if 0 <= col <= 2 * n - 1:
-                    coeffs = q_binomial(2 * n - 1, col).coeffs
-                    end = exponent + len(coeffs)
-                    if len(total) < end:
-                        total.extend([0] * (end - len(total)))
-                    total[exponent:end] = map(op, total[exponent:end], coeffs)
+        # s^2 delta + s (j+1) >= 0 for every s since j + 1 < delta.
+        col = n - 1 - delta * s
+        if 0 <= col <= top:
+            coeffs = q_binomial(top, col).coeffs
+            if s == 0:
+                accumulate(0, [w * c for c in coeffs], add)
+            else:
+                for j in range(1, w + 1):
+                    accumulate(s * s * delta + s * (j + 1), coeffs, add)
+        # 0 <= n + j + delta s <= 2n - 1 for -n - delta s <= j <= n - 1 - delta s.
+        for j in range(max(1, -n - delta * s), min(w, n - 1 - delta * s) + 1):
+            coeffs = q_binomial(top, n + j + delta * s).coeffs
+            accumulate(s * s * delta + s * (j + 1), coeffs, sub)
     return IntPolynomial(total)
 
 

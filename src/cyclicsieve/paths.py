@@ -30,6 +30,7 @@ __all__ = [
     "DyckPath",
     "MobiusWord",
     "validate_area_sequence",
+    "cdp_values",
     "enumerate_cdp",
     "area_to_path",
     "path_to_area",
@@ -150,29 +151,39 @@ class AreaSequence:
         return list(self.values)
 
 
-def enumerate_cdp(n: int, w: int) -> Iterator[AreaSequence]:
-    """All of CDP(n, w) in lexicographic order of area values.
+def cdp_values(n: int, w: int) -> Iterator[tuple[int, ...]]:
+    """The area tuples of CDP(n, w), in lexicographic order.
 
-    The prefixes a_1 ... a_{n-1} with a_{i+1} <= min(w-1, a_i + 1) are
-    built level by level; the last level is extended lazily with every a_n
-    that also closes the cycle, max(a_1 - 1, 0) <= a_n <= min(w-1,
-    a_{n-1} + 1).  Each yielded sequence is valid by construction, so it
-    is not validated again.  Width 0 yields nothing (a_i <= -1 is
-    unsatisfiable).
+    The prefixes a_1 ... a_i are built level by level with a_{i+1} <=
+    min(w-1, a_i + 1).  The cycle closes with max(a_1 - 1, 0) <= a_n, and
+    a_n <= a_i + (n - i), so a prefix extends to a path exactly when a_i >=
+    a_1 - 1 - (n - i); only those prefixes are kept.  The last level, whose
+    bound is a_n >= a_1 - 1, is yielded lazily.  Width 0 yields nothing
+    (a_i <= -1 is unsatisfiable).
     """
     if n < 1 or w < 1:
         return
-    trusted = AreaSequence._trusted
     if n == 1:
         for a in range(w):
-            yield trusted((a,), w)
+            yield (a,)
         return
     level = [(a,) for a in range(w)]
-    for _ in range(n - 2):
-        level = [p + (b,) for p in level for b in range(min(w, p[-1] + 2))]
+    for i in range(2, n):
+        level = [p + (b,) for p in level for b in range(max(p[0] - 1 - (n - i), 0), min(w, p[-1] + 2))]
     for p in level:
         for b in range(max(p[0] - 1, 0), min(w, p[-1] + 2)):
-            yield trusted(p + (b,), w)
+            yield p + (b,)
+
+
+def enumerate_cdp(n: int, w: int) -> Iterator[AreaSequence]:
+    """All of CDP(n, w) as AreaSequence objects, in the order of cdp_values.
+
+    Each tuple of cdp_values is valid by construction, so it is not
+    validated again.
+    """
+    trusted = AreaSequence._trusted
+    for values in cdp_values(n, w):
+        yield trusted(values, w)
 
 
 def valley_count(a: AreaSequence) -> int:

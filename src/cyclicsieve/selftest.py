@@ -49,7 +49,7 @@ from .genfunc import (
     h_bruteforce,
     h_closed,
 )
-from .paths import enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
+from .paths import cdp_values, enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
 from .qpoly import IntPolynomial, NonConstant, eval_at_unity, mod_cyclic, q_binomial, q_lucas_eval
 
 
@@ -144,7 +144,7 @@ def crit_5_fixed_points(max_n: int) -> tuple[bool, str]:
             for k in range(1, n + 1):
                 d = gcd(n, k)
                 if (d, w) not in sizes:
-                    sizes[d, w] = sum(1 for _ in enumerate_cdp(d, w))
+                    sizes[d, w] = sum(1 for _ in cdp_values(d, w))
                 if fixed[k] != sizes[d, w]:
                     return False, f"fixed-point count fails at (n,w,k)=({n},{w},{k})"
                 cells += 1

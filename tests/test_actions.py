@@ -130,10 +130,10 @@ class TestOrbits:
         with pytest.raises(ValueError, match="leaves the carrier"):
             orbit_decompose(["0001"], action)
 
-    def test_validate_on_rejects_wrong_order(self):
+    def test_rejects_wrong_order(self):
         action = CyclicAction(3, lambda w: word_rotate(w, 1))
         with pytest.raises(ValueError, match="order"):
-            action.validate_on(bw(4))
+            orbit_decompose(bw(4), action)
 
 
 def sorted_reference_orbits(carrier, action):

@@ -1,6 +1,8 @@
 """Command-line interface: payloads, schemas, exit codes, caching."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -8,9 +10,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclicsieve
 from cyclicsieve.cli import main
@@ -414,6 +419,10 @@ PAST_GUARDS = [
     # 10!/2^3 = 453600 words, the smallest carrier above 9! = 362880 with n <= 10
     (["verify", "words", "--content", "2,2,2,1,1,1,1"], "verify words is limited to 362880 words"),
     (["orbits", "words", "--content", "2,2,2,1,1,1,1"], "orbits words is limited to 362880 words"),
+    # |CDP(9, 19)| = 379438, the smallest CDP(9, w) above 9! (|CDP(9, 18)| = 355128)
+    (["verify", "cdp", "--n", "9", "--w", "19"], "verify cdp is limited to 362880 area sequences"),
+    (["orbits", "cdp", "--n", "9", "--w", "19"], "orbits cdp is limited to 362880 area sequences"),
+    (["lyndon", "check", "--family", "cdp", "--w", "19", "--max-n", "9"], "lyndon check --family cdp is limited to 362880 area sequences"),
     (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
     (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
 ]
@@ -602,3 +611,69 @@ class TestGoldenOutput:
             if run == "warm" and stderr is SELFTEST_4_LOG:
                 stderr = ""
             assert masked(err) == stderr
+
+
+def opt(flag, values):
+    """`flag value`, or one time in four nothing, so a command may lack an argument."""
+    return st.tuples(st.integers(0, 3), values).map(lambda t: [flag, str(t[1])] if t[0] else [])
+
+
+def joined(values, max_size):
+    return st.lists(values, min_size=1, max_size=max_size).map(lambda vs: ",".join(map(str, vs)))
+
+
+SMALL = st.integers(-1, 7)
+TARGET_ARGS = st.one_of(
+    st.tuples(st.sampled_from([["cdp"], ["avl"]]), opt("--n", SMALL), opt("--w", SMALL)),
+    st.tuples(st.sampled_from([["cmp"], ["bw"]]), opt("--n", SMALL)),
+    st.tuples(st.just(["words"]), opt("--content", joined(st.integers(0, 3), max_size=4))),
+).map(lambda parts: [word for part in parts for word in part])
+
+# Small commands of each kind, in and out of range, that each finish in well under a second.
+FUZZ = {
+    "count": st.one_of(
+        st.tuples(st.just(["count"]), opt("--n", st.integers(-1, 40)), opt("--w", st.integers(-1, 12)), st.sampled_from([[], ["--q"], ["--bfile"]])),
+        st.tuples(st.just(["count"]), opt("--w", st.integers(-1, 12)), opt("--max-n", st.integers(-1, 30)), st.sampled_from([[], ["--bfile"]])),
+    ),
+    "verify": st.tuples(st.just(["verify"]), TARGET_ARGS, st.sampled_from([[], ["--table"]])),
+    "orbits": st.tuples(st.just(["orbits"]), TARGET_ARGS, st.sampled_from([[], ["--poly"]])),
+    "lyndon": st.one_of(
+        st.tuples(st.just(["lyndon", "params"]), opt("--sizes", joined(st.integers(-1, 20), max_size=6))),
+        st.tuples(
+            st.just(["lyndon", "check"]),
+            st.sampled_from([["--family", f] for f in ("cdp", "cmp", "binary-words", "ternary-words", "nope")]),
+            opt("--w", st.integers(-1, 4)),
+            opt("--max-n", st.integers(-1, 6)),
+        ),
+        st.tuples(st.just(["lyndon", "construct"]), opt("--t", joined(st.integers(-1, 3), max_size=6)), opt("--n", SMALL)),
+    ),
+    "homomesy": st.tuples(st.just(["homomesy"]), opt("--n", st.integers(-1, 6)), opt("--action", st.sampled_from(["alpha", "beta", "gamma"]))),
+}
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZ))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    def test_exit_code_reason_and_determinism(self, command, data):
+        argv = [word for part in data.draw(FUZZ[command]) for word in part]
+        with tempfile.TemporaryDirectory() as cache:
+            cold = run_in_process(["--cache-dir", cache, *argv])
+            warm = run_in_process(["--cache-dir", cache, *argv])
+        code, out, err = cold
+        assert code in (0, 1, 2), (argv, err)
+        if code != 0:
+            lines = err.splitlines()
+            assert len(lines) == 1, (argv, err)
+            assert json.loads(lines[0])["exit"] == code
+        assert warm[:2] == (code, out), argv

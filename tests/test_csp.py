@@ -1,11 +1,20 @@
 """Verification engines: sieving reports, feasibility, Lyndon families, homomesy."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from cyclicsieve.actions import CyclicAction, area_shift, orbit_decompose, twisted_shift, word_shift_two
+from cyclicsieve import csp
+from cyclicsieve.actions import (
+    CyclicAction,
+    area_shift,
+    fixed_count,
+    orbit_decompose,
+    twisted_shift,
+    word_rotate,
+    word_shift_two,
+)
 from cyclicsieve.csp import (
     FAMILIES,
     balanced_words_ending_in_one,
@@ -21,9 +30,9 @@ from cyclicsieve.csp import (
     words_family,
     zrun_rotation_action,
 )
-from cyclicsieve.genfunc import avl_q_closed, bw_q, cdp_q_closed
-from cyclicsieve.paths import enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_words, inv_zero_one
-from cyclicsieve.qpoly import IntPolynomial, q_factorial, q_multinomial
+from cyclicsieve.genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
+from cyclicsieve.paths import enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, enumerate_words, inv_zero_one
+from cyclicsieve.qpoly import IntPolynomial, divisors, q_factorial, q_multinomial
 
 
 def bw(n):
@@ -124,6 +133,62 @@ class TestVerifySubsetCsp:
                 subset, superset, CyclicAction(n, word_shift_two), cmp_q(n)
             )
             assert report.passed, n
+
+
+def direct_fixed_counts(subset, action):
+    """Rows of fixed counts from g^d applied to each subset element, d = gcd(k, n)."""
+    n = action.order
+    by_divisor = {d: fixed_count(subset, action, d) for d in divisors(n)}
+    return [by_divisor[gcd(k, n)] for k in range(1, n + 1)]
+
+
+class TestSubsetFixedCountsFromOrbits:
+    def test_avoiding_paths(self):
+        for n in range(1, 9):
+            superset = list(enumerate_balanced(n))
+            action = CyclicAction(n, word_shift_two)
+            for w in range(1, n + 2):
+                subset = list(enumerate_avl(n, w))
+                report = verify_subset_csp(subset, superset, action, avl_q_closed(n, w))
+                assert [row.fixed for row in report.rows] == direct_fixed_counts(subset, action), (n, w)
+
+    def test_mobius_paths_inside_balanced_words(self):
+        for n in range(1, 9):
+            action = CyclicAction(n, word_shift_two)
+            subset = [m.full_bits() for m in enumerate_cmp(n)]
+            report = verify_subset_csp(subset, list(enumerate_balanced(n)), action, cmp_q(n))
+            assert [row.fixed for row in report.rows] == direct_fixed_counts(subset, action), n
+
+
+# (carrier, order, generator, message): a generator that leaves the carrier,
+# one that is not a bijection of it, and one whose order does not divide n.
+DEFECTS = {
+    "leaves": (["0001"], 4, lambda x: word_rotate(x, 1), "leaves the carrier"),
+    "collapses": (["a", "b", "c"], 2, {"a": "c", "b": "c", "c": "a"}.__getitem__, "not a bijection"),
+    "order": (["01", "10"], 3, lambda x: word_rotate(x, 1), "does not divide"),
+}
+
+# The same three defects planted in the block rotation (d, i, j) -> (d, i, j % d + 1).
+CONSTRUCT_DEFECTS = {
+    "leaves": (lambda order, g: CyclicAction(order, lambda x: (x[0], x[1], x[2] + 1)), "leaves the carrier"),
+    "collapses": (lambda order, g: CyclicAction(order, lambda x: (x[0], x[1], 1)), "not a bijection"),
+    "order": (lambda order, g: CyclicAction(order + 1, g), "does not divide"),
+}
+
+
+class TestDefectiveActionsAreRejected:
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_subset_sieving(self, defect):
+        superset, order, generator, message = DEFECTS[defect]
+        with pytest.raises(ValueError, match=message):
+            verify_subset_csp(superset[:1], superset, CyclicAction(order, generator), IntPolynomial([1]))
+
+    @pytest.mark.parametrize("defect", sorted(CONSTRUCT_DEFECTS))
+    def test_lyndon_construct(self, defect, monkeypatch):
+        build, message = CONSTRUCT_DEFECTS[defect]
+        monkeypatch.setattr(csp, "CyclicAction", build)
+        with pytest.raises(ValueError, match=message):
+            lyndon_construct({1: 1, 2: 0, 3: 1}, 3)
 
 
 class TestFeasibility:

@@ -265,6 +265,34 @@ class TestSievingPastEnumeration:
                 assert transfer_trace(w, n) == sum(1 for _ in enumerate_cdp(n, w)), (n, w)
 
 
+def cdp_double_sum(n: int, w: int) -> IntPolynomial:
+    """The double sum over s and j, one shifted binomial pair per (s, j)."""
+    delta = w + 2
+    s_max = (2 * n) // delta + 1
+    total: list[int] = []
+    for s in range(-s_max, s_max + 1):
+        for j in range(1, w + 1):
+            exponent = s * s * delta + s * (j + 1)
+            for col, sign in ((n - 1 - delta * s, 1), (n + j + delta * s, -1)):
+                if 0 <= col <= 2 * n - 1:
+                    coeffs = q_binomial(2 * n - 1, col).coeffs
+                    end = exponent + len(coeffs)
+                    total.extend([0] * (end - len(total)))
+                    for i, c in enumerate(coeffs):
+                        total[exponent + i] += sign * c
+    return IntPolynomial(total)
+
+
+class TestClosedFormVisitsOnlyInRangeColumns:
+    def test_equals_double_sum(self):
+        for n in range(1, 13):
+            for w in range(1, 3 * n + 1):
+                assert cdp_q_closed(n, w) == cdp_double_sum(n, w), (n, w)
+
+    def test_equals_double_sum_at_wide_width(self):
+        assert cdp_q_closed(40, 500) == cdp_double_sum(40, 500)
+
+
 def restated_cdp_sum(n: int, w: int) -> IntPolynomial:
     """The re-indexed double sum with first column n + delta*s."""
     delta = w + 2

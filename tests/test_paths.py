@@ -13,6 +13,7 @@ from cyclicsieve.paths import (
     LatticeWord,
     MobiusWord,
     area_to_path,
+    cdp_values,
     dyck_pair,
     dyck_pair_inverse,
     dyck_tuple,
@@ -84,6 +85,7 @@ class TestEnumeration:
         # kept when the public validator accepts it.
         for w in range(1, n + 3):
             want = [v for v in product(range(w), repeat=n) if validate_area_sequence(v, w)]
+            assert list(cdp_values(n, w)) == want
             got = list(enumerate_cdp(n, w))
             assert [a.values for a in got] == want
             assert all(a == AreaSequence(a.values, w) for a in got)
