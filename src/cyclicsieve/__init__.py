@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .qpoly import (  # noqa: F401
     IntPolynomial,
     NonConstant,
-    RootOfUnityIndex,
     ExactDivisionError,
     cyclotomic,
     divisors,

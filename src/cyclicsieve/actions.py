@@ -120,9 +120,6 @@ class OrbitDecomposition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(o) for o in self.orbits)
 
-    def stabilizer_order(self, i: int) -> int:
-        return self.order // len(self.orbits[i])
-
     def carrier_size(self) -> int:
         return sum(self.sizes)
 
@@ -198,8 +195,6 @@ def orbit_poly(dec: OrbitDecomposition, n: int) -> IntPolynomial:
     for size in dec.sizes:
         if n % size != 0:
             raise ValueError(f"orbit size {size} does not divide {n}")
-        stab = n // size
-        for ell in range(n):
-            if ell % stab == 0:
-                coeffs[ell] += 1
+        for ell in range(0, n, n // size):
+            coeffs[ell] += 1
     return IntPolynomial(coeffs)

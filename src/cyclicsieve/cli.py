@@ -12,7 +12,9 @@ Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 n <= 9, cmp n <= 12, bw n <= 16, words n <= 10), with at most 9! = 362880
 elements in a cdp or words carrier (|CDP(n, w)| is known before it is
 enumerated), `lyndon check` max-n <= 10 (for cdp also |CDP(max-n, w)| <= 9!),
-`homomesy` n <= 7, `selftest` max-n <= 12.
+`lyndon construct` n <= 2520 with at most 30000 carrier elements (the sum
+of d * t_d over d | n, known from the arguments), `homomesy` n <= 7,
+`selftest` max-n <= 12.
 
 Results are cached under --cache-dir, the CYCLIC_SIEVE_CACHE environment
 variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.
@@ -45,7 +47,7 @@ from .csp import (
 from .genfunc import cdp_count, cdp_q_closed
 from .jsonio import ResultCache, dumps_canonical
 from .paths import enumerate_balanced, inv_zero_one
-from .qpoly import IntPolynomial, mod_cyclic
+from .qpoly import IntPolynomial, divisors, mod_cyclic
 from .selftest import run_all
 
 
@@ -335,6 +337,8 @@ def _lyndon_construct_request(args: argparse.Namespace):
     _require(args.n >= 1, "--n must be positive")
     _require(all(v >= 0 for v in t_values), "Lyndon parameters must be non-negative")
     _require(len(t_values) >= args.n, "--t must define t_d for every divisor d of n")
+    size = sum(d * t_values[d - 1] for d in divisors(args.n))
+    _require(size <= MAX_CONSTRUCT, f"lyndon construct is limited to {MAX_CONSTRUCT} elements")
     return {"t": t_values, "n": args.n}, lambda: payload_lyndon_construct(t_values, args.n)
 
 
@@ -356,7 +360,12 @@ class Command:
 
 # Each new guard admits about 2 s of cold work on a 2-core host: count at
 # n = 4000 (w = 3); count --q at n = 150 (2.0 s, 188 MB; 4.5 s at 200);
-# count --max-n 500 (1.3 s; 12.6 s at 1000).
+# count --max-n 500 (1.3 s; 12.6 s at 1000); lyndon construct at a carrier
+# of 30000 elements (1.6 s at n = 1, 2.2 s at n = 2520) and at n = 2520
+# (0.85 s for one element; 2.4 s at 5040 and 59 s at 27720, which build one
+# cyclotomic polynomial per divisor order).
+MAX_CONSTRUCT = 30_000
+
 COMMANDS = {
     "count": Command("count", _count_request, guard=("n", 4000)),
     "count --q": Command("count", _count_request, guard=("n", 150)),
@@ -392,6 +401,7 @@ COMMANDS = {
     "lyndon construct": Command(
         "lyndon_construct",
         _lyndon_construct_request,
+        guard=("n", 2520),
         failure=lambda p: None if p["csp_verdict"] == "pass" else {"error": "constructed instance failed verification"},
     ),
     "homomesy": Command(

@@ -5,9 +5,15 @@ A triple (carrier, action, f) exhibits cyclic sieving when f evaluated at
 the k-th power of a primitive n-th root of unity equals the number of
 fixed points of the k-th power of the generator, for every k.  All
 evaluations here are exact (cyclotomic reduction); every verdict is also
-recomputed through a second, independent route (folding f mod q^n - 1 and
-comparing with the orbit census), and disagreement between the two routes
-is raised as an internal error rather than reported as a result.
+recomputed through a second route (folding f mod q^n - 1 and comparing
+with actions.orbit_poly), and disagreement between the two routes is
+raised as an internal error rather than reported as a result.
+
+Every verdict reads one table per divisor d of n, f at a primitive
+(n/d)-th root of unity (_values_at_unity): sieving row k and the
+Lyndon-like relation read it at d = gcd(k, n) and d = n/m, and feasibility
+and Lyndon parameters invert the divisor sum F(d) = sum over j | d of S(j)
+(_parts).
 
 Each check walks the orbits of its carrier once (actions.orbit_decompose),
 which also proves that the generator is a bijection of the carrier whose
@@ -73,7 +79,6 @@ __all__ = [
     "FAMILIES",
     "balanced_words_ending_in_one",
     "zrun_rotation_action",
-    "moebius",
 ]
 
 
@@ -81,22 +86,21 @@ class DualRouteError(AssertionError):
     """The root-of-unity route and the coefficient route disagreed: kernel bug."""
 
 
-def moebius(n: int) -> int:
-    """Number-theoretic Moebius function."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
+def _values_at_unity(f: IntPolynomial, n: int) -> dict[int, Union[int, NonConstant]]:
+    """f at a primitive (n/d)-th root of unity, for each d | n in increasing order."""
+    return {d: eval_at_unity(f, n // d) for d in divisors(n)}
+
+
+def _parts(totals: dict[int, int]) -> dict[int, int]:
+    """Invert F(d) = sum over j | d of S(j): S(d) = F(d) - sum of S(j), j | d, j < d.
+
+    `totals` holds F(d) for d in increasing order, and with each d every
+    divisor of d.
+    """
+    parts: dict[int, int] = {}
+    for d, total in totals.items():
+        parts[d] = total - sum(parts[j] for j in divisors(d)[:-1])
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +160,16 @@ def _evaluation_rows(
 
     `counted_by_orbit_size` maps an orbit size s to the number of counted
     elements lying in orbits of size s.  The k-th generator power fixes an
-    element exactly when its orbit size divides gcd(k, n).
+    element exactly when its orbit size divides d = gcd(k, n), so both sides
+    are built once per divisor d and read by every k with that gcd.
     """
+    values = _values_at_unity(f, n)
+    fixed = {d: sum(c for s, c in counted_by_orbit_size.items() if d % s == 0) for d in values}
     rows = []
     first_mismatch = None
     for k in range(1, n + 1):
         d = gcd(k, n)
-        ev = eval_at_unity(f, n // d)
-        fc = sum(c for s, c in counted_by_orbit_size.items() if d % s == 0)
+        ev, fc = values[d], fixed[d]
         ok = not isinstance(ev, NonConstant) and ev == fc
         if not ok and first_mismatch is None:
             first_mismatch = k
@@ -179,29 +185,24 @@ def verify_csp(
 ) -> CspReport:
     """Exact sieving check of (carrier, action, f), with the dual-route guard.
 
-    Route one compares f at each root of unity with the fixed-point count.
-    Route two folds f mod q^n - 1 and compares with the orbit census of
-    the action (coefficient l counts orbits whose stabilizer order divides
-    l).  The two verdicts agree for every polynomial; if they ever do not,
-    a DualRouteError is raised instead of a report.
+    Route one compares f at each root of unity with the fixed-point count,
+    one row per k built from the evaluation and the count at d = gcd(k, n).
+    Route two folds f mod q^n - 1 and compares it with actions.orbit_poly
+    of the orbits (coefficient l counts orbits whose stabilizer order
+    divides l).  The two verdicts agree for every polynomial; if they ever
+    do not, a DualRouteError is raised instead of a report.
     """
     carrier = list(carrier)
     n = action.order
     dec = orbit_decompose(carrier, action)
 
-    sizes = dec.sizes
     members: dict[int, int] = {}
-    for s in sizes:
+    for s in dec.sizes:
         members[s] = members.get(s, 0) + s
 
     rows, passed, first_mismatch = _evaluation_rows(f, n, members)
 
-    census = [0] * n
-    for s in sizes:
-        stab = n // s
-        for ell in range(0, n, stab):
-            census[ell] += 1
-    coefficient_route = mod_cyclic(f, n) == tuple(census)
+    coefficient_route = IntPolynomial(mod_cyclic(f, n)) == orbit_poly(dec, n)
     if coefficient_route != passed:
         raise DualRouteError(
             f"root-of-unity route says {passed}, coefficient route says {coefficient_route}"
@@ -266,25 +267,22 @@ class FeasibilityReport:
 
 
 def csp_feasibility(f: IntPolynomial, n: int) -> FeasibilityReport:
-    """Moebius-inverted fixed-point counts S_k, and whether they admit an action.
+    """Inverted fixed-point counts S_k, and whether they admit an action.
 
-    S_k = sum over j | k of mu(k/j) f(at a primitive (n/j)-th root) is the
-    number of elements lying in orbits of size exactly k.  Feasible means
+    f at a primitive (n/k)-th root counts the elements fixed by g^k, that is
+    the sum of S_j over j | k, where S_j is the number of elements lying in
+    orbits of size exactly j; _parts inverts that sum.  Feasible means
     every S_k is non-negative and divisible by k (orbit counts must be
     whole numbers).  A NonConstant evaluation at any divisor order is
     immediately infeasible.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    evals: dict[int, int] = {}
-    for j in divisors(n):
-        e = eval_at_unity(f, n // j)
+    values = _values_at_unity(f, n)
+    for d, e in values.items():
         if isinstance(e, NonConstant):
-            return FeasibilityReport(n, {}, False, f"non-constant evaluation at order {n // j}")
-        evals[j] = e
-    s_values = {}
-    for k in divisors(n):
-        s_values[k] = sum(moebius(k // j) * evals[j] for j in divisors(k))
+            return FeasibilityReport(n, {}, False, f"non-constant evaluation at order {n // d}")
+    s_values = _parts(values)
     for k, s in s_values.items():
         if s < 0:
             return FeasibilityReport(n, s_values, False, f"S_{k} = {s} is negative")
@@ -325,16 +323,14 @@ class LyndonParameters:
 
 
 def lyndon_params(sizes: Sequence[int]) -> LyndonParameters:
-    """Recover t_1, ..., t_N from |X_1|, ..., |X_N| by divisor recursion."""
+    """Recover t_1, ..., t_N from |X_1|, ..., |X_N|: d * t_d is _parts of the sizes."""
     if not sizes:
         raise ValueError("need at least one size")
     t: dict[int, int] = {}
-    for n, size in enumerate(sizes, start=1):
-        acc = sum(d * t[d] for d in divisors(n) if d < n)
-        num = size - acc
-        if num % n != 0 or num < 0:
-            return LyndonParameters(dict(t), False, n, Fraction(num, n))
-        t[n] = num // n
+    for n, part in _parts(dict(enumerate(sizes, start=1))).items():
+        if part % n != 0 or part < 0:
+            return LyndonParameters(t, False, n, Fraction(part, n))
+        t[n] = part // n
     return LyndonParameters(t, True)
 
 
@@ -406,9 +402,9 @@ def lyndon_check(family: Sequence[FamilyMember]) -> LyndonReport:
         member_verdicts.append(verify_csp(carrier, action, f).passed)
     failures = []
     for n in range(1, n_max + 1):
-        f_n = family[n - 1][2]
+        values = _values_at_unity(family[n - 1][2], n)
         for m in divisors(n):
-            e = eval_at_unity(f_n, m)
+            e = values[n // m]
             want = family[n // m - 1][2](1)
             if isinstance(e, NonConstant) or e != want:
                 failures.append((n, m))
@@ -428,7 +424,7 @@ class HomomesyReport:
     homomesic: bool
     witness_orbit: Union[tuple[Hashable, ...], None]
 
-    def to_json(self, serialize=lambda x: x) -> dict:
+    def to_json(self) -> dict:
         def frac(x: Fraction) -> dict:
             return {"num": str(x.numerator), "den": str(x.denominator)}
 
@@ -439,7 +435,7 @@ class HomomesyReport:
             "homomesic": self.homomesic,
             "witness_orbit": None
             if self.witness_orbit is None
-            else [serialize(x) for x in self.witness_orbit],
+            else list(self.witness_orbit),
         }
 
 

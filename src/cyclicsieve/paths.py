@@ -88,8 +88,8 @@ def zeros_run_vector(bits: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def word_from_zeros_runs(z: tuple[int, ...], trailing_zeros: int = 0) -> str:
-    return "".join("0" * zi + "1" for zi in z) + "0" * trailing_zeros
+def word_from_zeros_runs(z: tuple[int, ...]) -> str:
+    return "".join("0" * zi + "1" for zi in z)
 
 
 def transpose_word(bits: str) -> str:

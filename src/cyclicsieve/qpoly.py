@@ -73,11 +73,6 @@ class IntPolynomial:
             raise ValueError(f"{self!r} is not constant")
         return self._coeffs[0] if self._coeffs else 0
 
-    def coeff(self, i: int) -> int:
-        if i < 0:
-            raise ValueError("negative exponent")
-        return self._coeffs[i] if i < len(self._coeffs) else 0
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -126,18 +121,6 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "IntPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __call__(self, x: int) -> int:
         out = 0
@@ -231,7 +214,6 @@ def _as_poly(x: Union[IntPolynomial, int]) -> IntPolynomial:
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
-Q = IntPolynomial([0, 1])
 
 
 @dataclass(frozen=True)
@@ -245,17 +227,6 @@ class NonConstant:
     """
 
     remainder: IntPolynomial
-
-
-@dataclass(frozen=True)
-class RootOfUnityIndex:
-    """Evaluation point: a primitive m-th root of unity, given by its order m."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("order must be a positive integer")
 
 
 def divisors(m: int) -> list[int]:
@@ -365,7 +336,7 @@ def cyclotomic(m: int) -> IntPolynomial:
     return num
 
 
-def eval_at_unity(f: IntPolynomial, m: Union[int, RootOfUnityIndex]) -> Union[int, NonConstant]:
+def eval_at_unity(f: IntPolynomial, m: int) -> Union[int, NonConstant]:
     """Value of f at every primitive m-th root of unity, or NonConstant.
 
     The reduction r = f mod Phi_m is computed exactly, from f folded mod
@@ -373,12 +344,11 @@ def eval_at_unity(f: IntPolynomial, m: Union[int, RootOfUnityIndex]) -> Union[in
     constant, that integer is the common value of f at each primitive m-th
     root.  Otherwise a NonConstant marker carrying r is returned.
     """
-    order = m.m if isinstance(m, RootOfUnityIndex) else m
-    if order < 1:
+    if m < 1:
         raise ValueError("order must be positive")
-    if order == 1:
+    if m == 1:
         return f(1)
-    r = IntPolynomial(mod_cyclic(f, order)).mod_monic(cyclotomic(order))
+    r = IntPolynomial(mod_cyclic(f, m)).mod_monic(cyclotomic(m))
     if r.is_constant():
         return r.constant_value()
     return NonConstant(r)

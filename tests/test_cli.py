@@ -423,13 +423,17 @@ PAST_GUARDS = [
     (["verify", "cdp", "--n", "9", "--w", "19"], "verify cdp is limited to 362880 area sequences"),
     (["orbits", "cdp", "--n", "9", "--w", "19"], "orbits cdp is limited to 362880 area sequences"),
     (["lyndon", "check", "--family", "cdp", "--w", "19", "--max-n", "9"], "lyndon check --family cdp is limited to 362880 area sequences"),
+    # The carrier of lyndon construct has sum over d | n of d * t_d elements.
+    (["lyndon", "construct", "--t", "30001", "--n", "1"], "lyndon construct is limited to 30000 elements"),
+    (["lyndon", "construct", "--t", "0,15001", "--n", "2"], "lyndon construct is limited to 30000 elements"),
+    (["lyndon", "construct", "--t", ",".join(["1"] * 2521), "--n", "2521"], "lyndon construct is limited to 1 <= n <= 2520"),
     (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
     (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
 ]
 
 
 class TestGuards:
-    @pytest.mark.parametrize("argv, error", PAST_GUARDS, ids=[" ".join(g[0]) for g in PAST_GUARDS])
+    @pytest.mark.parametrize("argv, error", PAST_GUARDS, ids=[" ".join(g[0])[:80] for g in PAST_GUARDS])
     def test_first_value_past_the_guard_is_usage_error(self, capsys, cache_dir, argv, error):
         code, out, err = run_cli(capsys, cache_dir, *argv)
         assert (code, out) == (2, "")

@@ -1,5 +1,6 @@
 """Verification engines: sieving reports, feasibility, Lyndon families, homomesy."""
 
+import random
 from fractions import Fraction
 from math import comb, gcd
 
@@ -32,7 +33,7 @@ from cyclicsieve.csp import (
 )
 from cyclicsieve.genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
 from cyclicsieve.paths import enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, enumerate_words, inv_zero_one
-from cyclicsieve.qpoly import IntPolynomial, divisors, q_factorial, q_multinomial
+from cyclicsieve.qpoly import IntPolynomial, NonConstant, divisors, eval_at_unity, q_factorial, q_multinomial
 
 
 def bw(n):
@@ -231,6 +232,92 @@ class TestFeasibility:
             assert count == dec.orbit_count_of_size(k)
 
 
+def moebius(n):
+    """Number-theoretic Moebius function, the reference inversion below."""
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    if n > 1:
+        out = -out
+    return out
+
+
+def moebius_s_values(f, n):
+    """S_k = sum over j | k of mu(k/j) f(at a primitive (n/j)-th root), or None if one is not constant."""
+    evals = {j: eval_at_unity(f, n // j) for j in divisors(n)}
+    if any(isinstance(e, NonConstant) for e in evals.values()):
+        return None
+    return {k: sum(moebius(k // j) * evals[j] for j in divisors(k)) for k in divisors(n)}
+
+
+def integer_valued(rng, n):
+    """A random polynomial whose values at the n-th roots of unity are integers.
+
+    A signed sum of the orbit polynomials sum over l = 0 (mod n/d) of q^l,
+    one per d | n, plus a random multiple of q^n - 1.
+    """
+    coeffs = [0] * n
+    for d in divisors(n):
+        c = rng.randint(-3, 3)
+        for ell in range(0, n, n // d):
+            coeffs[ell] += c
+    f = IntPolynomial(coeffs)
+    h = IntPolynomial([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+    return f + h * (IntPolynomial.monomial(1, n) - 1)
+
+
+class TestFeasibilityAgainstMoebius:
+    def test_random_polynomials(self):
+        rng = random.Random(7)
+        for n in range(1, 61):
+            for f in (integer_valued(rng, n), IntPolynomial([rng.randint(-3, 3) for _ in range(rng.randint(0, 2 * n))])):
+                report = csp_feasibility(f, n)
+                want = moebius_s_values(f, n)
+                if want is None:
+                    assert (report.feasible, report.s_values) == (False, {})
+                    assert "non-constant" in report.diagnosis
+                else:
+                    assert report.s_values == want
+
+    def test_cdp_closed_form(self):
+        for n in range(1, 61):
+            f = cdp_q_closed(n, 1 + n % 6)
+            report = csp_feasibility(f, n)
+            assert report.feasible
+            assert report.s_values == moebius_s_values(f, n)
+
+
+def lyndon_params_by_recursion(sizes):
+    """t_n = (|X_n| - sum over d | n, d < n of d t_d) / n, stopping at the first failure."""
+    t = {}
+    for n, size in enumerate(sizes, start=1):
+        num = size - sum(d * t[d] for d in divisors(n) if d < n)
+        if num % n != 0 or num < 0:
+            return t, False, n, Fraction(num, n)
+        t[n] = num // n
+    return t, True, None, None
+
+
+class TestLyndonParamsAgainstRecursion:
+    def test_random_size_lists(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            length = rng.randint(1, 30)
+            t = [rng.randint(0, 5) for _ in range(length)]
+            sizes = [sum(d * t[d - 1] for d in divisors(n)) for n in range(1, length + 1)]
+            if rng.random() < 0.5:
+                sizes[rng.randrange(length)] += rng.choice([-7, -1, 1, 2, 5])
+            result = lyndon_params(sizes)
+            got = (result.t, result.valid, result.failure_index, result.failure_value)
+            assert got == lyndon_params_by_recursion(sizes)
+
+
 class TestLyndonParams:
     def test_binary_lyndon_numbers(self):
         result = lyndon_params([2 ** n for n in range(1, 7)])
@@ -356,6 +443,29 @@ class TestDualRoute:
             f = good + P([rng.randint(0, 2) for _ in range(rng.randint(0, n + 2))])
             report = verify_csp(carrier, action, f)  # must not raise DualRouteError
             assert report.passed == (mod_cyclic(f, n) == mod_cyclic(good, n))
+
+
+    @pytest.mark.parametrize("route", ["mod_cyclic", "eval_at_unity"])
+    def test_perturbed_route_raises(self, route, monkeypatch):
+        # One route changed by one coefficient or one value disagrees with
+        # the other on an instance that passes, so the guard must fire.
+        carrier, action, f = bw(6), CyclicAction(6, twisted_shift), bw_q(6)
+        assert verify_csp(carrier, action, f).passed
+        real = getattr(csp, route)
+        if route == "mod_cyclic":
+            monkeypatch.setattr(csp, route, lambda g, n: (real(g, n)[0] + 1,) + real(g, n)[1:])
+        else:
+            monkeypatch.setattr(csp, route, lambda g, m: real(g, m) + (m == 1))
+        with pytest.raises(csp.DualRouteError):
+            verify_csp(carrier, action, f)
+
+    def test_rows_read_the_direct_evaluation(self):
+        rng = random.Random(5)
+        for name, n, w, content in [("cdp", 6, 3, None), ("cmp", 8, None, None), ("bw", 6, None, None), ("words", 6, None, (2, 2, 2))]:
+            carrier, action, f = csp.TARGETS[name].instance(n, w, content)
+            for g in (f, f + IntPolynomial([rng.randint(-2, 2) for _ in range(n + 2)])):
+                for row in verify_csp(carrier, action, g).rows:
+                    assert row.evaluation == eval_at_unity(g, n // gcd(row.k, n))
 
 
 class TestEvaluationIdentity:
