@@ -3,9 +3,11 @@
 Every command prints one canonical JSON payload to stdout (keys sorted,
 fixed separators, integer values as decimal strings) so runs with equal
 arguments are byte-identical.  Exit codes: 0 success / verification pass,
-1 mathematical verification failure, 2 usage error.  Non-zero exits also
-write a machine-readable JSON reason to stderr.  A --sizes-file that
-cannot be read and a --csv path that cannot be written are usage errors.
+1 mathematical verification failure, 2 usage error, 3 internal fault (a
+bug in the program, such as the two sieving routes disagreeing; it is
+never cached).  Non-zero exits also write a machine-readable JSON reason
+to stderr.  A --sizes-file that cannot be read, a --csv path that cannot
+be written and a count flag that would be ignored are usage errors.
 
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
@@ -17,12 +19,14 @@ of d * t_d over d | n, known from the arguments), `homomesy` n <= 7,
 `selftest` max-n <= 12.
 
 Results are cached under --cache-dir, the CYCLIC_SIEVE_CACHE environment
-variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.
+variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.  The
+JSON printed is the payload text the cache stores, byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass
@@ -279,10 +283,13 @@ def build_parser() -> JsonArgumentParser:
 def _count_request(args: argparse.Namespace):
     _require(args.w >= 1, "--w must be positive")
     if args.max_n is not None:
+        _require(args.n is None, "--n cannot be used with --max-n")
+        _require(not args.q, "--q cannot be used with --max-n")
         _require(args.max_n >= 1, "--max-n must be positive")
         return {"w": args.w, "max_n": args.max_n}, lambda: payload_count_table(args.w, args.max_n)
     _require(args.n is not None and args.n >= 1, "count needs --n (positive) or --max-n")
     _require(not args.bfile, "--bfile needs --max-n")
+    _require(not args.csv, "--csv needs --max-n")
     return {"n": args.n, "w": args.w, "q": args.q}, lambda: payload_count(args.n, args.w, args.q)
 
 
@@ -305,7 +312,7 @@ def _target_request(args: argparse.Namespace):
     for name in target.params:
         _require(values[name] is not None, f"{what} needs --{name}")
     _require_carrier(target, what, n, args.w, content)
-    params = {"n": n, "w": args.w, "content": list(content) if content else None}
+    params = _target_params(args.target, n, args.w, content)  # the cache key holds only these
     if args.command == "verify":
         return params, lambda: payload_verify(args.target, n, args.w, content)
     return {**params, "poly": args.poly}, lambda: payload_orbits(args.target, n, args.w, content, args.poly)
@@ -348,22 +355,24 @@ class Command:
     orbits add the target), argument check returning the cache parameters
     and the computation, size guard (argument, limit) bounding the argument
     to 1..limit, text rendering when asked for (else None), and the stderr
-    reason of a mathematical failure (exit 1; else None).
+    reason of a mathematical failure (exit 1; else None).  A command with
+    neither a rendering nor a failure reason never decodes its payload.
     """
 
     schema: str
     request: Callable[[argparse.Namespace], tuple[dict, Callable[[], dict]]]
     guard: Optional[tuple[str, int]] = None
-    text: Callable[[dict, argparse.Namespace], Optional[str]] = lambda payload, args: None
-    failure: Callable[[dict], Optional[dict]] = lambda payload: None
+    text: Optional[Callable[[dict, argparse.Namespace], Optional[str]]] = None
+    failure: Optional[Callable[[dict], Optional[dict]]] = None
 
 
 # Each new guard admits about 2 s of cold work on a 2-core host: count at
 # n = 4000 (w = 3); count --q at n = 150 (2.0 s, 188 MB; 4.5 s at 200);
 # count --max-n 500 (1.3 s; 12.6 s at 1000); lyndon construct at a carrier
-# of 30000 elements (1.6 s at n = 1, 2.2 s at n = 2520) and at n = 2520
-# (0.85 s for one element; 2.4 s at 5040 and 59 s at 27720, which build one
-# cyclotomic polynomial per divisor order).
+# of 30000 elements (1.3 s at n = 1, 1.4 s at n = 2520) and at n = 2520
+# (0.23 s for one element, whole process; building and checking one element
+# takes 0.02 s at n = 5040 and 0.26 s at 27720, one cyclotomic polynomial
+# per divisor order, so the n bound is now looser than the carrier bound).
 MAX_CONSTRUCT = 30_000
 
 COMMANDS = {
@@ -437,13 +446,14 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
         arg, limit = command.guard
         _require(1 <= getattr(args, arg.replace("-", "_")) <= limit, f"{name} is limited to 1 <= {arg} <= {limit}")
     entry = f"{command.schema}_{args.target}" if hasattr(args, "target") else command.schema
-    payload = cache.fetch(entry, params, command.schema, compute)
-    text = command.text(payload, args)
-    if text is None:
-        _print(dumps_canonical(payload))
+    payload_text = cache.fetch(entry, params, command.schema, compute)
+    payload = json.loads(payload_text) if command.text or command.failure else None
+    rendered = command.text(payload, args) if command.text else None
+    if rendered is None:
+        _print(payload_text)
     else:
-        _emit(text, args.csv)
-    reason = command.failure(payload)
+        _emit(rendered, args.csv)
+    reason = command.failure(payload) if command.failure else None
     if reason is None:
         return 0
     print(dumps_canonical({**reason, "exit": 1}), file=sys.stderr)
@@ -456,12 +466,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     cache = ResultCache(directory=args.cache_dir, enabled=not args.no_cache)
     try:
         return _dispatch(args, cache)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(dumps_canonical({"error": str(exc), "exit": 2}), file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(dumps_canonical({"error": str(exc), "exit": 2}), file=sys.stderr)
-        return 2
+    except Exception as exc:  # a kernel bug, e.g. DualRouteError: not a verdict
+        print(dumps_canonical({"error": f"internal error: {type(exc).__name__}: {exc}", "exit": 3}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

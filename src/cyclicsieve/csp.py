@@ -394,22 +394,22 @@ def lyndon_check(family: Sequence[FamilyMember]) -> LyndonReport:
 
     Every member must individually pass the sieving check, and for every
     n <= N and m | n the evaluation of f_n at a primitive m-th root of
-    unity must equal f_{n/m}(1) exactly.
+    unity must equal f_{n/m}(1) exactly.  Both sides are read off the
+    members' sieving rows: row k = n/m of f_n has gcd n/m, so it holds f_n
+    at a primitive m-th root, and the last row (k = n) of any member holds
+    its value at 1.
     """
     n_max = len(family)
-    member_verdicts = []
-    for carrier, action, f in family:
-        member_verdicts.append(verify_csp(carrier, action, f).passed)
+    reports = [verify_csp(carrier, action, f) for carrier, action, f in family]
     failures = []
     for n in range(1, n_max + 1):
-        values = _values_at_unity(family[n - 1][2], n)
         for m in divisors(n):
-            e = values[n // m]
-            want = family[n // m - 1][2](1)
-            if isinstance(e, NonConstant) or e != want:
+            e = reports[n - 1].rows[n // m - 1].evaluation
+            if isinstance(e, NonConstant) or e != reports[n // m - 1].rows[-1].evaluation:
                 failures.append((n, m))
+    member_verdicts = tuple(r.passed for r in reports)
     passed = all(member_verdicts) and not failures
-    return LyndonReport(n_max, tuple(member_verdicts), tuple(failures), passed)
+    return LyndonReport(n_max, member_verdicts, tuple(failures), passed)
 
 
 # ---------------------------------------------------------------------------

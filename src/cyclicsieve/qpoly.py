@@ -21,6 +21,7 @@ folds f mod q^m - 1, then reduces that m-term polynomial mod Phi_m.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import add, sub
@@ -326,14 +327,22 @@ def q_multinomial(content: Iterable[int]) -> IntPolynomial:
 
 @functools.cache
 def cyclotomic(m: int) -> IntPolynomial:
-    """The m-th cyclotomic polynomial, by exact division of q^m - 1."""
+    """The m-th cyclotomic polynomial: q - 1 for m = 1, else the product over
+    e | rad(m) of (1 - q^(m/e))^mu(e).  The factors with mu(e) = 1 are
+    multiplied in first, then the others divided out exactly.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    num = IntPolynomial.monomial(1, m) - 1
-    for d in divisors(m):
-        if d < m:
-            num = num.exact_div(cyclotomic(d))
-    return num
+    if m == 1:
+        return IntPolynomial([-1, 1])
+    primes = [p for p in divisors(m) if len(divisors(p)) == 2]
+    squarefree = [e for r in range(len(primes) + 1) for e in itertools.combinations(primes, r)]
+    coeffs = [1]
+    for k in (m // math.prod(e) for e in squarefree if len(e) % 2 == 0):
+        coeffs = list(map(sub, coeffs + [0] * k, [0] * k + coeffs))
+    for k in (m // math.prod(e) for e in squarefree if len(e) % 2):
+        coeffs = _exact_div_one_minus_q_power(coeffs, k)
+    return IntPolynomial(coeffs)
 
 
 def eval_at_unity(f: IntPolynomial, m: int) -> Union[int, NonConstant]:

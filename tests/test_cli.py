@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclicsieve
+from cyclicsieve import cli, csp, jsonio
 from cyclicsieve.cli import main
-from cyclicsieve.jsonio import ResultCache, RunManifest, package_digest, source_digest, validate_payload
+from cyclicsieve.jsonio import ResultCache, cache_key, package_digest, source_digest, validate_payload
 
 
 @pytest.fixture()
@@ -231,18 +232,18 @@ class TestCacheAndDeterminism:
 
         entries = list(pathlib.Path(cache_dir).glob("*.json"))
         assert len(entries) == 1
-        manifest = json.loads(entries[0].read_text())
-        assert manifest["payload"]["count"] == "8"
-        assert manifest["key"] == entries[0].stem
+        header_line, payload_text = entries[0].read_text().split("\n")
+        header = json.loads(header_line)
+        assert json.loads(payload_text)["count"] == "8"
+        assert header["key"] == entries[0].stem
+        assert header["payload_sha256"] == hashlib.sha256(payload_text.encode()).hexdigest()
 
     def test_corrupted_entry_is_recomputed_with_warning(self, capsys, cache_dir):
         import pathlib
 
         _, before, _ = run_cli(capsys, cache_dir, "count", "--n", "3", "--w", "2")
         entry = next(pathlib.Path(cache_dir).glob("*.json"))
-        data = json.loads(entry.read_text())
-        data["payload"]["count"] = "999"
-        entry.write_text(json.dumps(data))
+        entry.write_text(entry.read_text().replace('"count":"8"', '"count":"999"'))
         code, after, err = run_cli(capsys, cache_dir, "count", "--n", "3", "--w", "2")
         assert code == 0
         assert after == before
@@ -254,13 +255,40 @@ class TestCacheAndDeterminism:
         copy = tmp_path / "cyclicsieve"
         shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
         assert source_digest(copy) == package_digest()
-        before = RunManifest("count", {"n": 3, "w": 3}, source_digest(copy), None).key
+        before = cache_key("count", {"n": 3, "w": 3}, source_digest(copy))
         target = copy / relative
         data = bytearray(target.read_bytes())
         data[len(data) // 2] ^= 1
         target.write_bytes(bytes(data))
-        after = RunManifest("count", {"n": 3, "w": 3}, source_digest(copy), None).key
+        after = cache_key("count", {"n": 3, "w": 3}, source_digest(copy))
         assert after != before
+
+    def test_key_holds_only_the_parameters_the_target_reads(self, capsys, cache_dir):
+        _, out7, _ = run_cli(capsys, cache_dir, "verify", "cmp", "--n", "4", "--w", "7")
+        _, out8, _ = run_cli(capsys, cache_dir, "verify", "cmp", "--n", "4", "--w", "8")
+        assert out7 == out8
+        assert len(list(pathlib.Path(cache_dir).glob("*.json"))) == 1
+
+    def test_hit_encodes_no_payload_and_miss_encodes_it_once(self, capsys, cache_dir, monkeypatch):
+        encoded = []
+        real = jsonio.dumps_canonical
+
+        def counted(obj):
+            encoded.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(jsonio, "dumps_canonical", counted)
+        monkeypatch.setattr(cli, "dumps_canonical", counted)
+        argv = ["orbits", "cdp", "--n", "4", "--w", "3", "--poly"]
+        key = {"command": "orbits_cdp", "params": {"n": "4", "w": "3", "poly": True}, "source": package_digest()}
+        _, cold, _ = run_cli(capsys, cache_dir, *argv)
+        payloads = [obj for obj in encoded if "orbits" in obj]
+        assert len(payloads) == 1 and real(payloads[0]) == cold.rstrip("\n")
+        assert [obj for obj in encoded if "orbits" not in obj and "payload_sha256" not in obj] == [key]
+        encoded.clear()
+        _, warm, _ = run_cli(capsys, cache_dir, *argv)
+        assert warm == cold
+        assert encoded == [key]
 
     def test_environment_variable_sets_cache_dir(self, tmp_path):
         env_dir = tmp_path / "envcache"
@@ -391,6 +419,18 @@ class TestExitCodes:
         reason = json.loads(err.strip().splitlines()[-1])
         assert reason["exit"] == 1
 
+    def test_internal_fault_exits_three_and_is_not_cached(self, capsys, cache_dir, monkeypatch):
+        # A folding kernel off by one makes the two sieving routes disagree.
+        real = csp.mod_cyclic
+        monkeypatch.setattr(csp, "mod_cyclic", lambda f, n: tuple(c + 1 for c in real(f, n)))
+        code, out, err = run_cli(capsys, cache_dir, "verify", "bw", "--n", "6")
+        assert (code, out) == (3, "")
+        [line] = err.splitlines()
+        reason = json.loads(line)
+        assert reason["exit"] == 3
+        assert reason["error"].startswith("internal error: DualRouteError: ")
+        assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
+
 
 class TestFileErrors:
     def test_missing_sizes_file_is_usage_error(self, capsys, cache_dir, tmp_path):
@@ -500,14 +540,15 @@ class TestCacheFailures:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
-        assert a.fetch("count", {"n": 2}, "count", lambda: dict(payload)) == payload
-        assert nested == [payload]
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert a.fetch("count", {"n": 2}, "count", lambda: dict(payload)) == text
+        assert nested == [text]
         entries = list(directory.glob("*.json"))
         assert len(entries) == 1
         assert list(directory.glob("*.tmp")) == []
         monkeypatch.setattr(os, "replace", real_replace)
         hit = ResultCache(directory).fetch("count", {"n": 2}, "count", lambda: pytest.fail("recomputed"))
-        assert hit == payload
+        assert hit == text
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_invalid_payload_is_rejected_and_not_cached(self, tmp_path, enabled):
@@ -558,6 +599,9 @@ GOLDEN = [
     (["count", "--w", "3", "--max-n", "12", "--bfile"], 0, "d520501f8c2aa93f42f8e15334a1d4f8b1e96f92e275d453f14dd00daf815e37", ""),
     (["count", "--n", "0", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("count needs --n (positive) or --max-n")),
     (["count", "--n", "3", "--w", "3", "--bfile"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--bfile needs --max-n")),
+    (["count", "--n", "3", "--w", "3", "--csv", "out.csv"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--csv needs --max-n")),
+    (["count", "--w", "3", "--max-n", "4", "--q"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--q cannot be used with --max-n")),
+    (["count", "--n", "3", "--w", "3", "--max-n", "4"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--n cannot be used with --max-n")),
     (["verify", "cdp", "--n", "6", "--w", "4"], 0, "34da8cdb009b23d6ec9404d63bbea941a1a56aa200ad44fd4136219f77501122", ""),
     (["verify", "cmp", "--n", "6"], 0, "c91bc62c5711d47e3b9a2ffef859b2dab34ac09bb63e558c2f2cabf6a0834f27", ""),
     (["verify", "bw", "--n", "6"], 0, "be78729cc1999ef40b882cefacf4111426b47092cd75ecd1368605dfd40235e8", ""),

@@ -357,6 +357,26 @@ class TestLyndonConstruct:
             lyndon_construct({1: 1, 2: 1}, 4)
 
 
+def direct_relation_failures(family):
+    """The Lyndon-like relation evaluated afresh per (n, m), apart from the sieving rows."""
+    failures = []
+    for n in range(1, len(family) + 1):
+        values = {d: eval_at_unity(family[n - 1][2], n // d) for d in divisors(n)}
+        for m in divisors(n):
+            e = values[n // m]
+            if isinstance(e, NonConstant) or e != family[n // m - 1][2](1):
+                failures.append((n, m))
+    return tuple(failures)
+
+
+def perturbed_cdp_family():
+    """The width-2 CDP family to n = 6 with 1 + q added to f_4."""
+    family = list(FAMILIES["cdp"](2, 6))
+    carrier, action, f = family[3]
+    family[3] = (carrier, action, f + IntPolynomial([1, 1]))
+    return family
+
+
 class TestLyndonCheck:
     def test_cdp_fixed_width_family(self):
         assert lyndon_check(FAMILIES["cdp"](2, 8)).passed
@@ -378,6 +398,21 @@ class TestLyndonCheck:
         report = lyndon_check(FAMILIES["cmp"](None, 4))
         assert not report.passed
         assert (2, 2) in report.relation_failures
+
+    def test_one_evaluation_per_divisor_pair(self, monkeypatch):
+        calls = []
+        real = csp.eval_at_unity
+        monkeypatch.setattr(csp, "eval_at_unity", lambda f, m: calls.append(m) or real(f, m))
+        assert lyndon_check(FAMILIES["cdp"](3, 10)).passed
+        assert len(calls) == sum(len(divisors(n)) for n in range(1, 11)) == 27
+
+    @pytest.mark.parametrize(
+        "family", [FAMILIES["cmp"](None, 6), perturbed_cdp_family()], ids=["cmp", "cdp-perturbed"]
+    )
+    def test_relation_failures_match_direct_evaluation(self, family):
+        report = lyndon_check(family)
+        assert report.relation_failures
+        assert report.relation_failures == direct_relation_failures(family)
 
 
 class TestHomomesy:

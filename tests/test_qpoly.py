@@ -189,6 +189,15 @@ class TestQMultinomial:
         assert q_multinomial(mu) == expected
 
 
+@functools.cache
+def cyclotomic_by_division(m):
+    """Reference: q^m - 1 divided exactly by Phi_d for every proper divisor d of m."""
+    num = IntPolynomial.monomial(1, m) - 1
+    for d in divisors(m)[:-1]:
+        num = num.exact_div(cyclotomic_by_division(d))
+    return num
+
+
 class TestCyclotomic:
     def test_first(self):
         assert cyclotomic(1) == poly(-1, 1)
@@ -205,6 +214,10 @@ class TestCyclotomic:
             for d in divisors(m):
                 product = product * cyclotomic(d)
             assert product == IntPolynomial.monomial(1, m) - 1
+
+    def test_moebius_product_matches_recursive_division(self):
+        for m in [*range(1, 401), *divisors(5040)]:
+            assert cyclotomic(m) == cyclotomic_by_division(m), m
 
 
 class TestEvalAtUnity:
