@@ -7,7 +7,9 @@ arguments are byte-identical.  Exit codes: 0 success / verification pass,
 bug in the program, such as the two sieving routes disagreeing; it is
 never cached).  Non-zero exits also write a machine-readable JSON reason
 to stderr.  A --sizes-file that cannot be read, a --csv path that cannot
-be written and a count flag that would be ignored are usage errors.
+be written, a count flag that would be ignored and a --n, --w or --content
+that the verify or orbits target or the lyndon check family does not read
+are usage errors.
 
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
@@ -131,13 +133,12 @@ def payload_lyndon_params(sizes: list[int]) -> dict:
 
 
 def payload_lyndon_check(family: str, w: Optional[int], max_n: int) -> dict:
-    _require(family in FAMILIES, f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    _require(family != "cdp" or w is not None, "lyndon check --family cdp needs --w")
     if family in TARGETS:
         # The largest member, n = max_n, bounds the work of the family.
         _require_carrier(TARGETS[family], f"lyndon check --family {family}", max_n, w, None)
-    report = lyndon_check(FAMILIES[family](w, max_n))
-    return {"family": family, "params": {"w": str(w)} if family == "cdp" else {}, **report.to_json()}
+    report = lyndon_check(FAMILIES[family].members(w, max_n))
+    params = {name: str(w) for name in FAMILIES[family].params}
+    return {"family": family, "params": params, **report.to_json()}
 
 
 def payload_lyndon_construct(t_values: list[int], n: int) -> dict:
@@ -299,18 +300,25 @@ def _require_carrier(target: Target, what: str, n: int, w: Optional[int], conten
         _require(size <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {target.unit}")
 
 
+def _require_read(what: str, params: tuple[str, ...], args: argparse.Namespace, flags: tuple[str, ...]) -> None:
+    """A usage error for each of `flags` given on the command line that `params` does not name."""
+    for flag in flags:
+        _require(flag in params or getattr(args, flag) is None, f"{what} does not read --{flag}")
+
+
 def _target_request(args: argparse.Namespace):
     """Check a verify or orbits target's arguments against its registry entry."""
     target = TARGETS[args.target]
     what = f"{args.command} {args.target}"
     content = _parse_content(args.content) if args.content else None
     n = sum(content) if (args.target == "words" and content) else args.n
-    _require(n is not None and n >= 1, f"{args.command} needs --n (positive)")
-    _require(n <= target.max_n, f"{what} is limited to n <= {target.max_n}")
-    _require(n >= target.min_n, f"{what} needs --n at least {target.min_n}")
     values = {"n": n, "w": args.w, "content": content}
     for name in target.params:
         _require(values[name] is not None, f"{what} needs --{name}")
+    _require_read(what, target.params, args, ("n", "w", "content"))
+    _require(n >= 1, f"{args.command} needs --n (positive)")
+    _require(n <= target.max_n, f"{what} is limited to n <= {target.max_n}")
+    _require(n >= target.min_n, f"{what} needs --n at least {target.min_n}")
     _require_carrier(target, what, n, args.w, content)
     params = _target_params(args.target, n, args.w, content)  # the cache key holds only these
     if args.command == "verify":
@@ -334,6 +342,18 @@ def _lyndon_params_request(args: argparse.Namespace):
         raise UsageError("sizes must be integers")
     _require(bool(sizes), "need at least one size")
     return {"sizes": sizes}, lambda: payload_lyndon_params(sizes)
+
+
+def _lyndon_check_request(args: argparse.Namespace):
+    """Check the family's arguments against its registry entry; the cache key holds only what it reads."""
+    _require(args.family in FAMILIES, f"unknown family {args.family!r}; choose from {sorted(FAMILIES)}")
+    what = f"lyndon check --family {args.family}"
+    params = FAMILIES[args.family].params
+    for name in params:
+        _require(getattr(args, name) is not None, f"{what} needs --{name}")
+    _require_read(what, params, args, ("w",))
+    key = {"family": args.family, "max_n": args.max_n, **{name: getattr(args, name) for name in params}}
+    return key, lambda: payload_lyndon_check(args.family, args.w, args.max_n)
 
 
 def _lyndon_construct_request(args: argparse.Namespace):
@@ -400,10 +420,7 @@ COMMANDS = {
     ),
     "lyndon check": Command(
         "lyndon_check",
-        lambda args: (
-            {"family": args.family, "w": args.w, "max_n": args.max_n},
-            lambda: payload_lyndon_check(args.family, args.w, args.max_n),
-        ),
+        _lyndon_check_request,
         guard=("max-n", 10),
         failure=lambda p: None if p["verdict"] == "pass" else {"error": "family is not Lyndon-like"},
     ),

@@ -44,8 +44,8 @@ from .actions import (
 )
 from .genfunc import avl_q_closed, bw_q, cdp_count, cdp_q_closed, cmp_q
 from .paths import (
+    avoids_diagonals,
     cdp_values,
-    enumerate_avl,
     enumerate_balanced,
     enumerate_cmp,
     enumerate_words,
@@ -77,6 +77,7 @@ __all__ = [
     "check_cdp_fixed_points",
     "words_family",
     "FAMILIES",
+    "Family",
     "balanced_words_ending_in_one",
     "zrun_rotation_action",
 ]
@@ -490,9 +491,11 @@ class Target:
 
     Each callable takes (n, w, content), of which the target reads the
     ones named in `params`; n is the order of the action, and for `words`
-    it is the word length sum(content).  The callables reach the layer
-    functions through this module's globals, so a wrapper installed on a
-    module attribute sees every call.  `max_n` bounds n for the commands
+    it is the word length sum(content).  A target with `subset` is subset
+    sieving: the action acts on the carrier, and fixed points are counted
+    among the carrier elements x with subset(n, w, content)(x).  The
+    callables reach the layer functions through this module's globals, so
+    a wrapper installed on a module attribute sees every call.  `max_n` bounds n for the commands
     that enumerate the carrier.  A target whose carrier can exceed
     MAX_CARRIER at an admitted n also has `carrier_size`, the size of its
     carrier known before it is enumerated, which those commands bound by
@@ -505,7 +508,7 @@ class Target:
     generator: Callable[[Hashable], Hashable]
     closed: Callable[..., IntPolynomial]
     serialize: Callable[[Hashable], object] = lambda x: x
-    superset: Union[Callable[..., Iterable[Hashable]], None] = None
+    subset: Union[Callable[..., Callable[[Hashable], bool]], None] = None
     min_n: int = 1
     carrier_size: Union[Callable[..., int], None] = None
     unit: str = ""
@@ -555,8 +558,8 @@ TARGETS = {
     "avl": Target(
         params=("n", "w"),
         max_n=9,
-        carrier=lambda n, w, _: enumerate_avl(n, w),
-        superset=lambda n, w, _: enumerate_balanced(n),
+        carrier=lambda n, w, _: enumerate_balanced(n),
+        subset=lambda n, w, _: lambda bits: avoids_diagonals(bits, w),
         generator=word_shift_two,
         closed=lambda n, w, _: avl_q_closed(n, w),
     ),
@@ -574,17 +577,18 @@ TARGETS = {
 
 
 def verify_target(name: str, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> CspReport:
-    """Sieving report of one registry instance; a target with a superset is subset sieving.
+    """Sieving report of one registry instance; a target with a subset is subset sieving.
 
     Subset sieving on avoiding paths assumes gcd(n, w) = 1; a run without
     it is flagged in the report's warnings.
     """
     target = TARGETS[name]
     carrier, action, f = target.instance(n, w, content)
-    if target.superset is None:
+    if target.subset is None:
         return verify_csp(carrier, action, f)
+    inside = target.subset(n, w, content)
     warnings = [] if gcd(n, w) == 1 else [f"coprimality hypothesis not met: gcd({n},{w}) != 1"]
-    return verify_subset_csp(carrier, target.superset(n, w, content), action, f, warnings)
+    return verify_subset_csp([x for x in carrier if inside(x)], carrier, action, f, warnings)
 
 
 def cdp_fixed_counts(n: int, w: int) -> dict[int, int]:
@@ -625,11 +629,18 @@ def _words_maj_poly(alphabet: int, n: int) -> IntPolynomial:
     return sum((q_multinomial(mu) for mu in contents), IntPolynomial())
 
 
-# Lyndon-like families by name; each takes (w, max_n) and returns the
-# members n = 1..max_n.  Only `cdp` reads w.
+@dataclass(frozen=True)
+class Family:
+    """A Lyndon-like family: the parameters it reads besides max_n, as in
+    Target.params, and its members n = 1..max_n from (w, max_n)."""
+
+    params: tuple[str, ...]
+    members: Callable[[Union[int, None], int], list[FamilyMember]]
+
+
 FAMILIES = {
-    "cdp": lambda w, max_n: [TARGETS["cdp"].instance(n, w) for n in range(1, max_n + 1)],
-    "binary-words": lambda w, max_n: words_family(2, max_n),
-    "ternary-words": lambda w, max_n: words_family(3, max_n),
-    "cmp": lambda w, max_n: [TARGETS["cmp"].instance(n) for n in range(1, max_n + 1)],
+    "cdp": Family(("w",), lambda w, max_n: [TARGETS["cdp"].instance(n, w) for n in range(1, max_n + 1)]),
+    "binary-words": Family((), lambda w, max_n: words_family(2, max_n)),
+    "ternary-words": Family((), lambda w, max_n: words_family(3, max_n)),
+    "cmp": Family((), lambda w, max_n: [TARGETS["cmp"].instance(n) for n in range(1, max_n + 1)]),
 }

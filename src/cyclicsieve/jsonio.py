@@ -14,13 +14,16 @@ payload text.  The header holds command, parameters, source digest, key
 and payload_sha256, the sha256 of the exact payload text; canonical JSON
 is ASCII with no raw newline, so the first newline splits the two.
 
-What is checked where: a payload is schema-validated before it is
-written (and, with the cache disabled, before it is returned).  On read,
-an entry is trusted on its key, its command and its payload hash alone:
-the key already pins the code and schemas that validated it, and the
-hash catches a torn or edited payload.  jsonschema is therefore imported
-only when a new payload is validated, never on a cache hit, and a hit is
-returned as the stored text, never decoded and encoded again.
+What is checked where: a new payload is checked against its schema
+before it is written (and, with the cache disabled, before it is
+returned), by the small checker below: each schemas/*.json is compiled
+once per process into nested closures that read exactly the keywords
+those schemas use, and a mismatch raises SchemaError with its JSON path.
+The runtime never imports jsonschema; the tests use it as the oracle the
+checker must agree with.  On read, an entry is trusted on its key, its
+command and its payload hash alone: the key already pins the code and
+schemas that checked it, and the hash catches a torn or edited payload.
+A hit is returned as the stored text, never decoded and encoded again.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from importlib import resources
@@ -73,11 +77,174 @@ def cache_key(command: str, params: dict, source: str) -> str:
     return text_hash(dumps_canonical({"command": command, "params": params, "source": source}))
 
 
-def validate_payload(name: str, payload: Any) -> None:
-    import jsonschema  # imported here: a cache hit never needs it
+class SchemaError(Exception):
+    """A payload that does not match its schema, or a schema the checker cannot read.
 
+    Either is a fault of the program, not of its arguments, so this is not a
+    ValueError (which the CLI reports as a usage error).  `path` holds the
+    object keys and array indices from the root to the offending value.
+    """
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+        self.path: list = []
+
+    def __str__(self) -> str:
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in self.path)
+        return f"${where}: {self.reason}"
+
+
+def _brief(value: Any) -> str:
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+# JSON Schema draft 2020-12 types: a bool is not an integer, an integral
+# float is, and an array is a list.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
+}
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description"})
+_KEYWORDS = frozenset({"type", "pattern", "enum", "oneOf", "properties", "required", "additionalProperties", "items"})
+
+
+def compile_schema(schema: dict) -> Callable[[Any], None]:
+    """A check that raises SchemaError where a value breaks `schema`.
+
+    It reads exactly the keywords the package's schemas use, with draft
+    2020-12 meaning: type, pattern (re.search, strings only), enum (a bool
+    equals only a bool), oneOf (exactly one alternative matches),
+    properties, required, additionalProperties (false or a schema) and
+    items.  Annotations are skipped; any other keyword raises here, so a
+    schema edit the checker would not enforce fails at once.
+    """
+    unknown = sorted(schema.keys() - _KEYWORDS - _ANNOTATIONS)
+    if unknown:
+        raise SchemaError(f"unsupported schema keyword {unknown[0]!r}")
+    checks = []
+    if "type" in schema:
+        type_name = schema["type"]
+        if type_name not in _TYPES:
+            raise SchemaError(f"unsupported schema type {type_name!r}")
+        is_type = _TYPES[type_name]
+
+        def check_type(value):
+            if not is_type(value):
+                raise SchemaError(f"{_brief(value)} is not of type {type_name!r}")
+
+        checks.append(check_type)
+    if "pattern" in schema:
+        search = re.compile(schema["pattern"]).search
+
+        def check_pattern(value):
+            if isinstance(value, str) and not search(value):
+                raise SchemaError(f"{_brief(value)} does not match {schema['pattern']!r}")
+
+        checks.append(check_pattern)
+    if "enum" in schema:
+        options = schema["enum"]
+        if not all(o is None or isinstance(o, (str, int, float)) for o in options):
+            raise SchemaError("unsupported non-scalar enum option")
+
+        def check_enum(value):
+            if not any(value == o and isinstance(value, bool) == isinstance(o, bool) for o in options):
+                raise SchemaError(f"{_brief(value)} is not one of {options}")
+
+        checks.append(check_enum)
+    if "oneOf" in schema:
+        alternatives = [_compile_at(f"oneOf[{i}]", s) for i, s in enumerate(schema["oneOf"])]
+
+        def check_one_of(value):
+            matched = 0
+            for alternative in alternatives:
+                try:
+                    alternative(value)
+                except SchemaError:
+                    continue
+                matched += 1
+            if matched != 1:
+                raise SchemaError(f"{_brief(value)} matches {matched} of the {len(alternatives)} oneOf alternatives")
+
+        checks.append(check_one_of)
+    if "required" in schema:
+        required = schema["required"]
+
+        def check_required(value):
+            if isinstance(value, dict):
+                missing = [key for key in required if key not in value]
+                if missing:
+                    raise SchemaError(f"missing required property {missing[0]!r}")
+
+        checks.append(check_required)
+    if "properties" in schema or "additionalProperties" in schema:
+        properties = {key: _compile_at(f"properties.{key}", s) for key, s in schema.get("properties", {}).items()}
+        additional = schema.get("additionalProperties", True)
+        if not isinstance(additional, bool):
+            additional = _compile_at("additionalProperties", additional)
+
+        def check_properties(value):
+            if not isinstance(value, dict):
+                return
+            for key, item in value.items():
+                check = properties.get(key, additional)
+                if check is False:
+                    raise SchemaError(f"unexpected property {key!r}")
+                if check is not True:
+                    try:
+                        check(item)
+                    except SchemaError as exc:
+                        exc.path.insert(0, key)
+                        raise
+
+        checks.append(check_properties)
+    if "items" in schema:
+        check_item = _compile_at("items", schema["items"])
+
+        def check_items(value):
+            if not isinstance(value, list):
+                return
+            index = 0
+            try:
+                for index, item in enumerate(value):
+                    check_item(item)
+            except SchemaError as exc:
+                exc.path.insert(0, index)
+                raise
+
+        checks.append(check_items)
+
+    def check(value):
+        for one in checks:
+            one(value)
+
+    return checks[0] if len(checks) == 1 else check
+
+
+def _compile_at(where: str, schema: dict) -> Callable[[Any], None]:
+    """compile_schema of a subschema; an error names its place in the parent."""
+    try:
+        return compile_schema(schema)
+    except SchemaError as exc:
+        exc.path.insert(0, where)
+        raise
+
+
+@functools.cache
+def _schema_check(name: str) -> Callable[[Any], None]:
+    """The compiled check of schemas/<name>.schema.json, built once per process."""
     schema = resources.files("cyclicsieve").joinpath(f"schemas/{name}.schema.json").read_text()
-    jsonschema.validate(payload, json.loads(schema))
+    return compile_schema(json.loads(schema))
+
+
+def validate_payload(name: str, payload: Any) -> None:
+    """Raise SchemaError unless `payload` matches schemas/<name>.schema.json."""
+    _schema_check(name)(payload)
 
 
 def default_cache_dir() -> Path:
@@ -90,8 +257,9 @@ def default_cache_dir() -> Path:
 class ResultCache:
     """File-per-key result cache.
 
-    A payload is schema-validated before it is written; a hit is checked
-    by key, command and payload hash, not against the schema again.
+    A new payload is checked against its schema by validate_payload before
+    it is written; a hit is checked by key, command and payload hash, not
+    against the schema again.
     """
 
     def __init__(self, directory: Optional[Path] = None, enabled: bool = True):
@@ -102,14 +270,16 @@ class ResultCache:
         """Return the canonical JSON text of the payload for (command, params).
 
         This is the one place a payload is validated against `schema` and
-        encoded: a computed payload is validated, then encoded once, and
-        that text is stored, hashed and returned (with the cache disabled,
-        only returned).  A hit returns the stored payload text as it is,
-        checked in _read_valid by key, command and payload hash only; it
-        was validated when it was written, by the same code and schemas its
-        key hashes.  An entry that is corrupt or cannot be read, or that
-        cannot be written, leaves one JSON warning on stderr, and the
-        computed payload is returned all the same.
+        encoded: a computed payload is checked by validate_payload (the
+        in-package checker; a mismatch raises SchemaError and nothing is
+        written), then encoded once, and that text is stored, hashed and
+        returned (with the cache disabled, only returned).  A hit returns
+        the stored payload text as it is, checked in _read_valid by key,
+        command and payload hash only; it was validated when it was
+        written, by the same code and schemas its key hashes.  An entry
+        that is corrupt or cannot be read, or that cannot be written,
+        leaves one JSON warning on stderr, and the computed payload is
+        returned all the same.
         """
         if not self.enabled:
             payload = compute()

@@ -268,7 +268,7 @@ def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
 def crit_12_lyndon_families(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     for w in (1, 2, 3):
-        if not lyndon_check(FAMILIES["cdp"](w, bound)).passed:
+        if not lyndon_check(FAMILIES["cdp"].members(w, bound)).passed:
             return False, f"circular Dyck family at width {w} is not Lyndon-like"
     for alphabet in (2, 3):
         if not lyndon_check(words_family(alphabet, bound)).passed:

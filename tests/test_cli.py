@@ -263,11 +263,25 @@ class TestCacheAndDeterminism:
         after = cache_key("count", {"n": 3, "w": 3}, source_digest(copy))
         assert after != before
 
-    def test_key_holds_only_the_parameters_the_target_reads(self, capsys, cache_dir):
-        _, out7, _ = run_cli(capsys, cache_dir, "verify", "cmp", "--n", "4", "--w", "7")
-        _, out8, _ = run_cli(capsys, cache_dir, "verify", "cmp", "--n", "4", "--w", "8")
-        assert out7 == out8
-        assert len(list(pathlib.Path(cache_dir).glob("*.json"))) == 1
+    KEYED = [
+        (["verify", "cmp", "--n", "4"], ["--w", "7"], {"n": "4"}),
+        (["verify", "words", "--content", "2,1"], ["--n", "3"], {"content": "2,1"}),
+        (["lyndon", "check", "--family", "cmp", "--max-n", "4"], ["--w", "7"], {"family": "cmp", "max_n": 4}),
+        (["lyndon", "check", "--family", "cdp", "--w", "2", "--max-n", "4"], [], {"family": "cdp", "max_n": 4, "w": 2}),
+    ]
+
+    def test_key_holds_only_the_parameters_the_target_reads(self, capsys, tmp_path):
+        # A flag the target or family does not read is refused, so it can
+        # never split the cache; the entry's key holds what it does read.
+        for i, (argv, unread, params) in enumerate(self.KEYED):
+            cache_dir = tmp_path / str(i)
+            if unread:
+                code, out, _ = run_cli(capsys, str(cache_dir), *argv, *unread)
+                assert (code, out) == (2, ""), argv
+                assert not cache_dir.exists()
+            run_cli(capsys, str(cache_dir), *argv)
+            [entry] = cache_dir.glob("*.json")
+            assert json.loads(entry.read_text().split("\n")[0])["params"] == params
 
     def test_hit_encodes_no_payload_and_miss_encodes_it_once(self, capsys, cache_dir, monkeypatch):
         encoded = []
@@ -353,10 +367,11 @@ class TestWarmPath:
 
     @pytest.mark.parametrize("cache", ["miss", "disabled"])
     def test_new_payload_imports_jsonschema_and_validates(self, tmp_path, cache):
+        # A new payload is validated by the in-package checker, without jsonschema.
         flags = ["--cache-dir", str(tmp_path / "cache")] if cache == "miss" else ["--no-cache"]
         result, probe, warnings = run_probe(*flags, *self.COUNT)
         assert result.returncode == 0, result.stderr
-        assert probe == {"jsonschema": True, "validated": ["count"]}
+        assert probe == {"jsonschema": False, "validated": ["count"]}
         assert warnings == []
         assert len(list(tmp_path.glob("cache/*.json"))) == (1 if cache == "miss" else 0)
 
@@ -429,6 +444,16 @@ class TestExitCodes:
         reason = json.loads(line)
         assert reason["exit"] == 3
         assert reason["error"].startswith("internal error: DualRouteError: ")
+        assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
+
+    def test_payload_that_breaks_its_schema_exits_three_and_is_not_cached(self, capsys, cache_dir, monkeypatch):
+        # A payload builder that emits an int where the schema wants a string.
+        real = cli.payload_count
+        monkeypatch.setattr(cli, "payload_count", lambda n, w, q: {**real(n, w, q), "n": n})
+        code, out, err = run_cli(capsys, cache_dir, "count", "--n", "3", "--w", "3")
+        assert (code, out) == (3, "")
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": "internal error: SchemaError: $.n: 3 is not of type 'string'", "exit": 3}
         assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
 
 
@@ -554,7 +579,7 @@ class TestCacheFailures:
     def test_invalid_payload_is_rejected_and_not_cached(self, tmp_path, enabled):
         directory = tmp_path / "cache"
         cache = ResultCache(directory, enabled=enabled)
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(jsonio.SchemaError):
             cache.fetch("count", {"n": 2}, "count", lambda: {"count": 7})
         assert not directory.exists() or not list(directory.iterdir())
 
@@ -615,6 +640,11 @@ GOLDEN = [
     (["verify", "words", "--content", "", "--n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify words needs --content")),
     (["verify", "cdp", "--n", "10", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify cdp is limited to n <= 9")),
     (["verify", "avl", "--n", "3", "--w", "0"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("n and w must be positive")),
+    (["verify", "words"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify words needs --content")),
+    (["verify", "words", "--n", "9", "--content", "2,1"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify words does not read --n")),
+    (["verify", "bw", "--n", "6", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify bw does not read --w")),
+    (["verify", "cdp", "--n", "5", "--w", "3", "--content", "1,2"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify cdp does not read --content")),
+    (["orbits", "cmp", "--n", "5", "--w", "2"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("orbits cmp does not read --w")),
     (["orbits", "cdp", "--n", "4", "--w", "3"], 0, "b65a001c38d9bf6399c23a4739ee9640f5f89fd1390742b74b020819f1bae582", ""),
     (["orbits", "cdp", "--n", "4", "--w", "3", "--poly"], 0, "575d73474bb371732253ed7d48ef2ecc37c7a106a3889664d036e4adf3fd88ba", ""),
     (["orbits", "cmp", "--n", "5"], 0, "6ad6ed38864fde4684f85666a521ae97147904b99b47dc962e0bc7d27a45e175", ""),
@@ -634,6 +664,9 @@ GOLDEN = [
     (["lyndon", "check", "--family", "cmp", "--max-n", "6"], 1, "e3cea980b14de70b284c061198f5b55dc10b640f3f0d2582e26006aaccdec993", reason("family is not Lyndon-like", 1)),
     (["lyndon", "check", "--family", "cdp", "--max-n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("lyndon check --family cdp needs --w")),
     (["lyndon", "check", "--family", "nope", "--max-n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("unknown family 'nope'; choose from ['binary-words', 'cdp', 'cmp', 'ternary-words']")),
+    (["lyndon", "check", "--family", "cmp", "--w", "5", "--max-n", "4"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("lyndon check --family cmp does not read --w")),
+    (["lyndon", "check", "--family", "cmp", "--w", "6", "--max-n", "4"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("lyndon check --family cmp does not read --w")),
+    (["lyndon", "check", "--family", "binary-words", "--w", "2", "--max-n", "4"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("lyndon check --family binary-words does not read --w")),
     (["lyndon", "construct", "--t", "2,1,2,3", "--n", "4"], 0, "5623652a21d0e1d89a8e252ecb44e04032ac94983ca678239b5e9bc32afe3f55", ""),
     (["lyndon", "construct", "--t", "1", "--n", "2"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--t must define t_d for every divisor d of n")),
     (["homomesy", "--n", "4", "--action", "alpha"], 0, "c741d602b8634fef9d55976c94a7c1ef202353ed1a8a3fac06d115ad77121f1f", ""),
@@ -659,6 +692,113 @@ class TestGoldenOutput:
             if run == "warm" and stderr is SELFTEST_4_LOG:
                 stderr = ""
             assert masked(err) == stderr
+
+
+SCHEMAS = sorted(p.name.split(".")[0] for p in pathlib.Path(jsonio.__file__).parent.glob("schemas/*.schema.json"))
+
+
+def schema_of(name: str) -> dict:
+    return json.loads((pathlib.Path(jsonio.__file__).parent / "schemas" / f"{name}.schema.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_payloads():
+    """(schema name, payload) of every payload the TestGoldenOutput commands validate."""
+    seen = []
+    real = jsonio.validate_payload
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "validate_payload", lambda name, payload: (seen.append((name, payload)), real(name, payload)))
+        for argv, *_ in GOLDEN:
+            run_in_process(["--no-cache", *argv])
+    return seen
+
+
+# Values that break some schema node: a bool where an integer is wanted, an
+# integral float, a bad pattern, null, the wrong container, the other
+# alternative of a oneOf.
+WRONG = [True, 3, 2.0, 2.5, "x", "-12", None, [], {}, {"nonconstant": ["1"]}]
+
+
+def nodes(value, path=()):
+    """The path of `value` and of its members; of an array, its first item only."""
+    yield path
+    if isinstance(value, dict):
+        for key in list(value):
+            yield from nodes(value[key], (*path, key))
+    elif isinstance(value, list) and value:
+        yield from nodes(value[0], (*path, 0))
+
+
+def mutations(payload):
+    """Apply each single-field mutation of `payload` in place, yield, and undo it.
+
+    A member is replaced by each of WRONG or, in an object, deleted; an
+    object gains an extra key.
+    """
+    for path in list(nodes(payload)):
+        parent = payload
+        for step in path[:-1]:
+            parent = parent[step]
+        original = parent[path[-1]] if path else payload
+        if path:
+            for value in WRONG:
+                parent[path[-1]] = value
+                yield
+            if isinstance(parent, dict):
+                del parent[path[-1]]
+                yield
+            parent[path[-1]] = original
+        if isinstance(original, dict):
+            original["extra"] = "1"
+            yield
+            del original["extra"]
+
+
+class TestSchemaChecker:
+    def test_the_nine_schemas_compile(self):
+        assert len(SCHEMAS) == 9
+        for name in SCHEMAS:
+            jsonio.compile_schema(schema_of(name))
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"type": "integer", "minimum": 0},
+            {"properties": {"n": {"type": "integer", "minimum": 0}}},
+            {"items": {"oneOf": [{"type": "null"}, {"type": "number"}]}},
+        ],
+    )
+    def test_unsupported_keyword_or_type_is_refused(self, schema):
+        with pytest.raises(jsonio.SchemaError):
+            jsonio.compile_schema(schema)
+
+    def test_agrees_with_jsonschema_on_golden_payloads_and_mutations(self, golden_payloads):
+        validators = {name: jsonschema.Draft202012Validator(schema_of(name)) for name in SCHEMAS}
+        checks = {name: jsonio.compile_schema(schema_of(name)) for name in SCHEMAS}
+
+        def agree(name, payload):
+            try:
+                checks[name](payload)
+                valid = True
+            except jsonio.SchemaError:
+                valid = False
+            assert valid == validators[name].is_valid(payload), (name, payload)
+            return valid
+
+        assert {name for name, _ in golden_payloads} == set(SCHEMAS)
+        verdicts = []
+        distinct = {(name, jsonio.dumps_canonical(payload)): payload for name, payload in golden_payloads}
+        for (name, _), payload in distinct.items():
+            assert agree(name, payload)
+            verdicts += [agree(name, payload) for _ in mutations(payload)]
+        assert verdicts.count(True) and verdicts.count(False) > len(verdicts) // 2
+
+    def test_error_gives_the_json_path(self):
+        payload = {"n": "3", "w": "3", "count": "18", "q_poly": ["1", "2", 3]}
+        with pytest.raises(jsonio.SchemaError) as exc:
+            jsonio.validate_payload("count", payload)
+        assert str(exc.value) == "$.q_poly[2]: 3 is not of type 'string'"
+        assert not isinstance(exc.value, ValueError)
 
 
 def opt(flag, values):

@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from cyclicsieve import csp
+from cyclicsieve import csp, paths
 from cyclicsieve.actions import (
     CyclicAction,
     area_shift,
@@ -134,6 +134,21 @@ class TestVerifySubsetCsp:
                 subset, superset, CyclicAction(n, word_shift_two), cmp_q(n)
             )
             assert report.passed, n
+
+
+    def test_avl_target_enumerates_the_balanced_words_once(self, monkeypatch):
+        # The avoiding words are the superset filtered in order, not a
+        # second enumeration of all balanced words.
+        expected = list(enumerate_avl(7, 3))
+        superset = list(enumerate_balanced(7))
+        calls, subsets = [], []
+        real_words, real_subset = paths.enumerate_words, csp.verify_subset_csp
+        monkeypatch.setattr(paths, "enumerate_words", lambda content, letters: calls.append(tuple(content)) or real_words(content, letters))
+        monkeypatch.setattr(csp, "verify_subset_csp", lambda subset, *rest: subsets.append(subset) or real_subset(subset, *rest))
+        report = verify_target("avl", 7, 3)
+        assert calls == [(7, 7)]
+        assert subsets == [expected]
+        assert report == real_subset(expected, superset, CyclicAction(7, word_shift_two), avl_q_closed(7, 3))
 
 
 def direct_fixed_counts(subset, action):
@@ -371,7 +386,7 @@ def direct_relation_failures(family):
 
 def perturbed_cdp_family():
     """The width-2 CDP family to n = 6 with 1 + q added to f_4."""
-    family = list(FAMILIES["cdp"](2, 6))
+    family = list(FAMILIES["cdp"].members(2, 6))
     carrier, action, f = family[3]
     family[3] = (carrier, action, f + IntPolynomial([1, 1]))
     return family
@@ -379,7 +394,7 @@ def perturbed_cdp_family():
 
 class TestLyndonCheck:
     def test_cdp_fixed_width_family(self):
-        assert lyndon_check(FAMILIES["cdp"](2, 8)).passed
+        assert lyndon_check(FAMILIES["cdp"].members(2, 8)).passed
 
     def test_word_families(self):
         assert lyndon_check(words_family(2, 8)).passed
@@ -395,7 +410,7 @@ class TestLyndonCheck:
         assert lyndon_check(family).passed
 
     def test_mobius_family_is_not_lyndon_like(self):
-        report = lyndon_check(FAMILIES["cmp"](None, 4))
+        report = lyndon_check(FAMILIES["cmp"].members(None, 4))
         assert not report.passed
         assert (2, 2) in report.relation_failures
 
@@ -403,11 +418,11 @@ class TestLyndonCheck:
         calls = []
         real = csp.eval_at_unity
         monkeypatch.setattr(csp, "eval_at_unity", lambda f, m: calls.append(m) or real(f, m))
-        assert lyndon_check(FAMILIES["cdp"](3, 10)).passed
+        assert lyndon_check(FAMILIES["cdp"].members(3, 10)).passed
         assert len(calls) == sum(len(divisors(n)) for n in range(1, 11)) == 27
 
     @pytest.mark.parametrize(
-        "family", [FAMILIES["cmp"](None, 6), perturbed_cdp_family()], ids=["cmp", "cdp-perturbed"]
+        "family", [FAMILIES["cmp"].members(None, 6), perturbed_cdp_family()], ids=["cmp", "cdp-perturbed"]
     )
     def test_relation_failures_match_direct_evaluation(self, family):
         report = lyndon_check(family)
