@@ -32,6 +32,7 @@ from .paths import (  # noqa: F401
     dyck_pair_inverse,
     dyck_tuple,
     dyck_tuple_inverse,
+    cdp_necklaces,
     cdp_values,
     enumerate_avl,
     enumerate_cdp,
@@ -60,6 +61,7 @@ from .genfunc import (  # noqa: F401
 )
 from .actions import (  # noqa: F401
     CyclicAction,
+    Necklaces,
     OrbitDecomposition,
     area_shift,
     fixed_count,

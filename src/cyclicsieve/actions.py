@@ -16,6 +16,7 @@ The four actions of interest:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Hashable, Sequence
@@ -26,6 +27,7 @@ from .qpoly import IntPolynomial
 __all__ = [
     "CyclicAction",
     "OrbitDecomposition",
+    "Necklaces",
     "area_shift",
     "word_rotate",
     "word_shift_two",
@@ -123,9 +125,6 @@ class OrbitDecomposition:
     def carrier_size(self) -> int:
         return sum(self.sizes)
 
-    def orbit_count_of_size(self, k: int) -> int:
-        return sum(1 for o in self.orbits if len(o) == k)
-
     def to_json(self, serialize=lambda x: x) -> list[dict]:
         return [
             {
@@ -135,6 +134,42 @@ class OrbitDecomposition:
             }
             for o in self.orbits
         ]
+
+
+@dataclass(frozen=True)
+class Necklaces:
+    """The orbits of a carrier known before it is walked: each orbit's least
+    element (its necklace) and its size, in increasing order of the necklace.
+
+    Sieving reads only `sizes`.  `orbits` walks each orbit from its
+    necklace with the action's generator and lists it as orbit_decompose
+    does; it raises ValueError if an orbit does not return to its necklace
+    after exactly its size steps.
+    """
+
+    action: CyclicAction
+    necklaces: tuple[Hashable, ...]
+    sizes: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return self.action.order
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[Hashable, ...], ...]:
+        step = self.action.generator
+        orbits = []
+        for x, size in zip(self.necklaces, self.sizes):
+            orbit = [x]
+            for _ in range(size - 1):
+                orbit.append(step(orbit[-1]))
+            if x in orbit[1:] or step(orbit[-1]) != x:
+                raise ValueError(f"orbit of {x!r} does not close after exactly {size} steps")
+            orbits.append(tuple(orbit))
+        return tuple(orbits)
+
+    def to_json(self, serialize=lambda x: x) -> list[dict]:
+        return OrbitDecomposition(self.order, self.orbits).to_json(serialize)
 
 
 def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitDecomposition:

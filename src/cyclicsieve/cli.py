@@ -14,8 +14,8 @@ are usage errors.
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
 n <= 9, cmp n <= 12, bw n <= 16, words n <= 10), with at most 9! = 362880
-elements in a cdp or words carrier (|CDP(n, w)| is known before it is
-enumerated), `lyndon check` max-n <= 10 (for cdp also |CDP(max-n, w)| <= 9!),
+elements in a cdp or words carrier (|CDP(n, w)| is known before anything
+is built), `lyndon check` max-n <= 10 (for cdp also |CDP(max-n, w)| <= 9!),
 `lyndon construct` n <= 2520 with at most 30000 carrier elements (the sum
 of d * t_d over d | n, known from the arguments), `homomesy` n <= 7,
 `selftest` max-n <= 12.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import __version__
-from .actions import CyclicAction, orbit_decompose, orbit_poly, word_shift_two
+from .actions import CyclicAction, orbit_poly, word_shift_two
 from .csp import (
     FAMILIES,
     MAX_CARRIER,
@@ -111,8 +111,7 @@ def payload_verify(target: str, n: int, w: Optional[int], content: Optional[tupl
 
 
 def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tuple], with_poly: bool) -> dict:
-    carrier, action, closed = TARGETS[target].instance(n, w, content)
-    dec = orbit_decompose(carrier, action)
+    dec, action, closed = TARGETS[target].orbits(n, w, content)
     poly = orbit_poly(dec, n)
     out = {
         "target": target,

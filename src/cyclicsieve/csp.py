@@ -15,14 +15,16 @@ Lyndon-like relation read it at d = gcd(k, n) and d = n/m, and feasibility
 and Lyndon parameters invert the divisor sum F(d) = sum over j | d of S(j)
 (_parts).
 
-Each check walks the orbits of its carrier once (actions.orbit_decompose),
-which also proves that the generator is a bijection of the carrier whose
-order divides n.  Fixed-point counts are then read off the orbit sizes: the
-k-th generator power fixes exactly the elements whose orbit size divides
-gcd(k, n).  Subset sieving counts, per superset orbit, the subset elements
-it holds.  The CDP carrier is the plain area tuples of paths.cdp_values
-under one-step rotation, which order, hash and serialize as AreaSequence
-objects of one width do.
+Each check reads the orbit sizes of its carrier, and Target.orbits is the
+one place that finds them.  The `cdp` target lists its rotation classes
+with paths.cdp_necklaces, each as its least area tuple and its size, and
+never builds CDP(n, w); its area tuples order, hash and serialize as
+AreaSequence objects of one width do.  Every other carrier is walked once
+by actions.orbit_decompose, which also proves that the generator is a
+bijection of the carrier whose order divides n.  Fixed-point counts are
+then read off the orbit sizes: the k-th generator power fixes exactly the
+elements whose orbit size divides gcd(k, n).  Subset sieving counts, per
+superset orbit, the subset elements it holds.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from typing import Callable, Hashable, Iterable, Sequence, Union
 
 from .actions import (
     CyclicAction,
+    Necklaces,
+    OrbitDecomposition,
     mobius_shift,
     orbit_decompose,
     orbit_poly,
@@ -45,6 +49,7 @@ from .actions import (
 from .genfunc import avl_q_closed, bw_q, cdp_count, cdp_q_closed, cmp_q
 from .paths import (
     avoids_diagonals,
+    cdp_necklaces,
     cdp_values,
     enumerate_balanced,
     enumerate_cmp,
@@ -178,14 +183,19 @@ def _evaluation_rows(
     return tuple(rows), first_mismatch is None, first_mismatch
 
 
+Orbits = Union[OrbitDecomposition, Necklaces]
+
+
 def verify_csp(
-    carrier: Sequence[Hashable],
+    carrier: Union[Sequence[Hashable], Orbits],
     action: CyclicAction,
     f: IntPolynomial,
     warnings: Sequence[str] = (),
 ) -> CspReport:
     """Exact sieving check of (carrier, action, f), with the dual-route guard.
 
+    `carrier` is the elements, walked here by orbit_decompose, or their
+    orbits already found (Target.orbits); only the orbit sizes are read.
     Route one compares f at each root of unity with the fixed-point count,
     one row per k built from the evaluation and the count at d = gcd(k, n).
     Route two folds f mod q^n - 1 and compares it with actions.orbit_poly
@@ -193,9 +203,8 @@ def verify_csp(
     divides l).  The two verdicts agree for every polynomial; if they ever
     do not, a DualRouteError is raised instead of a report.
     """
-    carrier = list(carrier)
     n = action.order
-    dec = orbit_decompose(carrier, action)
+    dec = carrier if isinstance(carrier, (OrbitDecomposition, Necklaces)) else orbit_decompose(list(carrier), action)
 
     members: dict[int, int] = {}
     for s in dec.sizes:
@@ -222,21 +231,22 @@ def verify_subset_csp(
 
     Matches f at each root of unity against the number of subset elements
     fixed by the corresponding generator power.  One orbit walk over the
-    sorted superset checks that the generator is a bijection of it whose
-    order divides n, and raises ValueError with a witness otherwise; the
-    subset need not be closed.  An element is fixed by g^k exactly when its
-    orbit size divides gcd(k, n), so the subset's fixed count for g^k is the
-    sum of |orbit & subset| over the superset orbits of such sizes, and no
-    power of the generator is applied again.
+    superset, in its given order and without copying it, checks that the
+    generator is a bijection of it whose order divides n, and raises
+    ValueError with a witness otherwise; the subset need not be closed, but
+    the walk must meet every subset element, else ValueError.  An element is
+    fixed by g^k exactly when its orbit size divides gcd(k, n), so the
+    subset's fixed count for g^k is the sum of |orbit & subset| over the
+    superset orbits of such sizes, and no power of the generator is applied
+    again.
     """
     sub = set(subset)
-    sup = set(superset)
-    if not sub <= sup:
-        raise ValueError("subset is not contained in the superset")
     n = action.order
     inside: dict[int, int] = {}
-    for orbit in orbit_decompose(sorted(sup), action).orbits:
+    for orbit in orbit_decompose(superset, action).orbits:
         inside[len(orbit)] = inside.get(len(orbit), 0) + sum(1 for x in orbit if x in sub)
+    if sum(inside.values()) != len(sub):
+        raise ValueError("subset is not contained in the superset")
     rows, passed, first_mismatch = _evaluation_rows(f, n, inside)
     return CspReport(n, rows, passed, first_mismatch, tuple(warnings))
 
@@ -371,7 +381,8 @@ def lyndon_construct(
     return carrier, action, f
 
 
-FamilyMember = tuple[Sequence[Hashable], CyclicAction, IntPolynomial]
+# (carrier, action, f); the carrier may be given by its orbits, as verify_csp reads it.
+FamilyMember = tuple[Union[Sequence[Hashable], Orbits], CyclicAction, IntPolynomial]
 
 
 @dataclass(frozen=True)
@@ -496,10 +507,13 @@ class Target:
     among the carrier elements x with subset(n, w, content)(x).  The
     callables reach the layer functions through this module's globals, so
     a wrapper installed on a module attribute sees every call.  `max_n` bounds n for the commands
-    that enumerate the carrier.  A target whose carrier can exceed
+    that build the carrier or its orbits.  A target whose carrier can exceed
     MAX_CARRIER at an admitted n also has `carrier_size`, the size of its
-    carrier known before it is enumerated, which those commands bound by
+    carrier known before anything is built, which those commands bound by
     MAX_CARRIER; its elements are called `unit` in the error past that bound.
+    A target with `necklaces` lists its orbits without its carrier: the
+    callable yields (least element, orbit size) for each orbit, in
+    increasing order of the least element.
     """
 
     params: tuple[str, ...]
@@ -512,9 +526,24 @@ class Target:
     min_n: int = 1
     carrier_size: Union[Callable[..., int], None] = None
     unit: str = ""
+    necklaces: Union[Callable[..., Iterable[tuple[Hashable, int]]], None] = None
 
     def instance(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> FamilyMember:
         return list(self.carrier(n, w, content)), CyclicAction(n, self.generator), self.closed(n, w, content)
+
+    def orbits(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> FamilyMember:
+        """instance() with the carrier replaced by its orbits, the one place that finds them.
+
+        A target with `necklaces` reads them off its necklace generator;
+        any other walks its carrier with orbit_decompose.
+        """
+        action = CyclicAction(n, self.generator)
+        if self.necklaces is None:
+            orbits: Orbits = orbit_decompose(list(self.carrier(n, w, content)), action)
+        else:
+            pairs = list(self.necklaces(n, w, content))
+            orbits = Necklaces(action, tuple(x for x, _ in pairs), tuple(s for _, s in pairs))
+        return orbits, action, self.closed(n, w, content)
 
 
 def _rotate(word: Sequence) -> Sequence:
@@ -522,10 +551,12 @@ def _rotate(word: Sequence) -> Sequence:
     return word_rotate(word, 1)
 
 
-# The carrier bound of `cdp` and `words`, 9! elements, admits about 2 s of
-# cold `verify` on a 2-core host at every n (1.7-2.1 s for CDP(n, w) with n =
-# 2..9 at the bound, 2.4 s for the content 1^9; `orbits`, which prints every
-# element, takes about 6 s).  The content 1^10 is ten times that and takes 26 s.
+# The carrier bound of `cdp` and `words`, 9! elements, admits at most about
+# 3.5 s of cold work on a 2-core host at every n.  Cold `verify` takes 0.25-
+# 0.66 s for CDP(n, w) with n = 9..2 at the bound (its necklaces, never the
+# carrier) and 2.3 s for the content 1^9; `orbits`, which prints every
+# element, takes 1.4-3.5 s for CDP(n, w) and 3.2 s for 1^9.  The content 1^10
+# is ten times the bound.
 MAX_CARRIER = 362_880
 
 TARGETS = {
@@ -538,6 +569,7 @@ TARGETS = {
         serialize=list,
         carrier_size=lambda n, w, _: cdp_count(n, w),
         unit="area sequences",
+        necklaces=lambda n, w, _: cdp_necklaces(n, w),
     ),
     "cmp": Target(
         params=("n",),
@@ -583,9 +615,9 @@ def verify_target(name: str, n: int, w: Union[int, None] = None, content: Union[
     it is flagged in the report's warnings.
     """
     target = TARGETS[name]
-    carrier, action, f = target.instance(n, w, content)
     if target.subset is None:
-        return verify_csp(carrier, action, f)
+        return verify_csp(*target.orbits(n, w, content))
+    carrier, action, f = target.instance(n, w, content)
     inside = target.subset(n, w, content)
     warnings = [] if gcd(n, w) == 1 else [f"coprimality hypothesis not met: gcd({n},{w}) != 1"]
     return verify_subset_csp([x for x in carrier if inside(x)], carrier, action, f, warnings)
@@ -639,7 +671,7 @@ class Family:
 
 
 FAMILIES = {
-    "cdp": Family(("w",), lambda w, max_n: [TARGETS["cdp"].instance(n, w) for n in range(1, max_n + 1)]),
+    "cdp": Family(("w",), lambda w, max_n: [TARGETS["cdp"].orbits(n, w) for n in range(1, max_n + 1)]),
     "binary-words": Family((), lambda w, max_n: words_family(2, max_n)),
     "ternary-words": Family((), lambda w, max_n: words_family(3, max_n)),
     "cmp": Family((), lambda w, max_n: [TARGETS["cmp"].instance(n) for n in range(1, max_n + 1)]),

@@ -31,6 +31,7 @@ __all__ = [
     "MobiusWord",
     "validate_area_sequence",
     "cdp_values",
+    "cdp_necklaces",
     "enumerate_cdp",
     "area_to_path",
     "path_to_area",
@@ -173,6 +174,44 @@ def cdp_values(n: int, w: int) -> Iterator[tuple[int, ...]]:
     for p in level:
         for b in range(max(p[0] - 1, 0), min(w, p[-1] + 2)):
             yield p + (b,)
+
+
+def cdp_necklaces(n: int, w: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(necklace, period) for each rotation class of CDP(n, w), necklaces increasing.
+
+    The necklace of a class is its lexicographically least rotation, and
+    its period is the size of the class.  This is the FKM prenecklace
+    recursion (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms
+    2000) pruned by the CDP rule: a prenecklace a_1 ... a_{t-1} whose
+    longest Lyndon prefix has length p extends by a_t in [a_{t-p},
+    min(w-1, a_{t-1}+1)], keeping p when a_t = a_{t-p} and taking p = t
+    otherwise; a word of length n is a necklace of period p when p | n.
+    The rule a_{i+1} <= a_i + 1 is read on prefixes, and every prefix of a
+    prenecklace that keeps it is a prenecklace that keeps it, so the
+    pruned tree still reaches every necklace that keeps it.  The
+    wrap-around condition a_1 <= a_n + 1 needs no test: a necklace is no
+    greater than its rotation a_n a_1 ... a_{n-1}, so a_n >= a_1.  Levels
+    are built in lexicographic order, as in cdp_values; the last is
+    yielded lazily.  Width 0 yields nothing.
+    """
+    if n < 1 or w < 1:
+        return
+    level = [((a,), 1) for a in range(w)]
+    for t in range(1, n - 1):
+        level = [
+            (pre + (b,), p if b == pre[t - p] else t + 1)
+            for pre, p in level
+            for b in range(pre[t - p], min(w, pre[-1] + 2))
+        ]
+    if n == 1:
+        yield from level
+        return
+    t = n - 1
+    for pre, p in level:
+        for b in range(pre[t - p], min(w, pre[-1] + 2)):
+            period = p if b == pre[t - p] else n
+            if n % period == 0:
+                yield pre + (b,), period
 
 
 def enumerate_cdp(n: int, w: int) -> Iterator[AreaSequence]:

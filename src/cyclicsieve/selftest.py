@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Callable, Iterator
 
-from .actions import CyclicAction, orbit_decompose, word_shift_two
+from .actions import CyclicAction, word_shift_two
 from .csp import (
     FAMILIES,
     TARGETS,
@@ -234,16 +234,15 @@ def crit_10_subset_csp(max_n: int) -> tuple[bool, str]:
 def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
     checked = 0
     # Genuine actions: orbit census must equal S_k / k.
-    instances = [TARGETS["cdp"].instance(n, w) for n in range(1, min(8, max_n) + 1) for w in range(1, n + 1)]
-    instances += [TARGETS["bw"].instance(n) for n in range(2, min(12, max_n) + 1)]
-    instances += [TARGETS["cmp"].instance(n) for n in range(1, min(10, max_n) + 1)]
-    for carrier, action, f in instances:
+    instances = [TARGETS["cdp"].orbits(n, w) for n in range(1, min(8, max_n) + 1) for w in range(1, n + 1)]
+    instances += [TARGETS["bw"].orbits(n) for n in range(2, min(12, max_n) + 1)]
+    instances += [TARGETS["cmp"].orbits(n) for n in range(1, min(10, max_n) + 1)]
+    for orbits, action, f in instances:
         rep = csp_feasibility(f, action.order)
         if not rep.feasible:
             return False, f"infeasible at order {action.order}: {rep.diagnosis}"
-        dec = orbit_decompose(carrier, action)
         for k, count in rep.orbit_counts().items():
-            if count != dec.orbit_count_of_size(k):
+            if count != orbits.sizes.count(k):
                 return False, f"census mismatch at order {action.order}, orbit size {k}"
         checked += 1
     # Subset instances: feasibility plus a synthesized action that passes.

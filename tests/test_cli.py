@@ -457,6 +457,60 @@ class TestExitCodes:
         assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
 
 
+def dropped(index):
+    """A cdp_necklaces that loses its index-th necklace."""
+    real = csp.cdp_necklaces
+    return lambda n, w: (pair for i, pair in enumerate(real(n, w)) if i != index)
+
+
+def misreported(index, period):
+    """A cdp_necklaces that reports `period` for its index-th necklace."""
+    real = csp.cdp_necklaces
+    return lambda n, w: ((x, period if i == index else p) for i, (x, p) in enumerate(real(n, w)))
+
+
+class TestNecklaceMutations:
+    """A necklace generator that loses a class or misreports a size never passes."""
+
+    # CDP(6, 3) has 60 necklaces; those at 0, 1, 9 and 22 have periods 1, 6, 3 and 2.
+    @pytest.mark.parametrize("index", [0, 1, 9, 22, 59])
+    def test_a_dropped_necklace_fails_verify(self, capsys, cache_dir, monkeypatch, index):
+        monkeypatch.setattr(csp, "cdp_necklaces", dropped(index))
+        code, out, err = run_cli(capsys, cache_dir, "verify", "cdp", "--n", "6", "--w", "3")
+        assert code == 1
+        assert payload_of(out)["report"]["verdict"] == "fail"
+        assert json.loads(err.strip().splitlines()[-1])["exit"] == 1
+
+    @pytest.mark.parametrize("index", [0, 1, 9, 22])
+    def test_a_wrong_period_fails_verify(self, capsys, cache_dir, monkeypatch, index):
+        true_period = list(csp.cdp_necklaces(6, 3))[index][1]
+        for period in (1, 2, 3, 6):
+            if period == true_period:
+                continue
+            monkeypatch.setattr(csp, "cdp_necklaces", misreported(index, period))
+            code, out, _ = run_cli(capsys, cache_dir, "--no-cache", "verify", "cdp", "--n", "6", "--w", "3")
+            assert code == 1, (index, period)
+            assert payload_of(out)["report"]["verdict"] == "fail"
+
+    def test_a_period_that_does_not_divide_n_is_refused(self, capsys, cache_dir, monkeypatch):
+        monkeypatch.setattr(csp, "cdp_necklaces", misreported(1, 4))
+        code, out, err = run_cli(capsys, cache_dir, "verify", "cdp", "--n", "6", "--w", "3")
+        assert (code, out) == (2, "")
+        assert "orbit size 4 does not divide 6" in err
+
+    def test_a_dropped_necklace_fails_the_lyndon_check(self, capsys, cache_dir, monkeypatch):
+        monkeypatch.setattr(csp, "cdp_necklaces", dropped(3))
+        code, out, _ = run_cli(capsys, cache_dir, "lyndon", "check", "--family", "cdp", "--w", "3", "--max-n", "6")
+        assert code == 1
+        assert payload_of(out)["verdict"] == "fail"
+
+    def test_a_wrong_period_breaks_orbits(self, capsys, cache_dir, monkeypatch):
+        monkeypatch.setattr(csp, "cdp_necklaces", misreported(1, 3))
+        code, out, err = run_cli(capsys, cache_dir, "orbits", "cdp", "--n", "6", "--w", "3")
+        assert (code, out) == (2, "")
+        assert "does not close after exactly 3 steps" in err
+
+
 class TestFileErrors:
     def test_missing_sizes_file_is_usage_error(self, capsys, cache_dir, tmp_path):
         code, out, err = run_cli(capsys, cache_dir, "lyndon", "params", "--sizes-file", str(tmp_path / "missing"))

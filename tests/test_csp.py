@@ -9,6 +9,7 @@ import pytest
 from cyclicsieve import csp, paths
 from cyclicsieve.actions import (
     CyclicAction,
+    Necklaces,
     area_shift,
     fixed_count,
     orbit_decompose,
@@ -18,6 +19,7 @@ from cyclicsieve.actions import (
 )
 from cyclicsieve.csp import (
     FAMILIES,
+    TARGETS,
     balanced_words_ending_in_one,
     check_cdp_fixed_points,
     csp_feasibility,
@@ -32,7 +34,7 @@ from cyclicsieve.csp import (
     zrun_rotation_action,
 )
 from cyclicsieve.genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
-from cyclicsieve.paths import enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, enumerate_words, inv_zero_one
+from cyclicsieve.paths import cdp_values, enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, enumerate_words, inv_zero_one
 from cyclicsieve.qpoly import IntPolynomial, NonConstant, divisors, eval_at_unity, q_factorial, q_multinomial
 
 
@@ -135,6 +137,22 @@ class TestVerifySubsetCsp:
             )
             assert report.passed, n
 
+
+    def test_walks_the_superset_as_given(self, monkeypatch):
+        walked = []
+        real = csp.orbit_decompose
+        monkeypatch.setattr(csp, "orbit_decompose", lambda carrier, action: walked.append(carrier) or real(carrier, action))
+        superset = list(enumerate_balanced(5))
+        assert verify_subset_csp(list(enumerate_avl(5, 2)), superset, CyclicAction(5, word_shift_two), avl_q_closed(5, 2)).passed
+        assert len(walked) == 1 and walked[0] is superset
+
+    def test_subset_with_repeats_or_an_outside_element(self):
+        superset = list(enumerate_balanced(3))
+        action, f = CyclicAction(3, word_shift_two), avl_q_closed(3, 2)
+        subset = list(enumerate_avl(3, 2))
+        assert verify_subset_csp(subset + subset[:2], superset, action, f) == verify_subset_csp(subset, superset, action, f)
+        with pytest.raises(ValueError, match="not contained"):
+            verify_subset_csp(subset + ["0101"], superset, action, f)
 
     def test_avl_target_enumerates_the_balanced_words_once(self, monkeypatch):
         # The avoiding words are the superset filtered in order, not a
@@ -244,7 +262,52 @@ class TestFeasibility:
         assert report.feasible
         dec = orbit_decompose(carrier, action)
         for k, count in report.orbit_counts().items():
-            assert count == dec.orbit_count_of_size(k)
+            assert count == dec.sizes.count(k)
+
+
+class TestNecklaceRoute:
+    """The cdp target's orbits come from paths.cdp_necklaces, never from its carrier."""
+
+    # tests/test_paths.py checks the necklaces themselves to n = 8 and at (9, 9).
+    CELLS = [(n, w) for n in range(1, 8) for w in range(1, n + 3)]
+
+    @pytest.mark.parametrize("n, w", CELLS, ids=[f"{n}-{w}" for n, w in CELLS])
+    def test_orbits_equal_the_walk_in_order(self, n, w):
+        orbits, action, _ = TARGETS["cdp"].orbits(n, w)
+        assert isinstance(orbits, Necklaces)
+        dec = orbit_decompose(list(cdp_values(n, w)), action)
+        assert orbits.sizes == dec.sizes
+        assert orbits.orbits == dec.orbits
+        assert orbits.to_json(list) == dec.to_json(list)
+
+    def test_other_targets_walk_their_carrier(self):
+        for name, n, w, content in [("cmp", 6, None, None), ("bw", 6, None, None), ("words", 6, None, (2, 2, 2))]:
+            carrier, action, f = TARGETS[name].instance(n, w, content)
+            assert TARGETS[name].orbits(n, w, content) == (orbit_decompose(carrier, action), action, f)
+
+    def test_verify_and_the_family_never_build_the_carrier(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("carrier enumerated")
+
+        walked = {(n, w): verify_csp(*TARGETS["cdp"].instance(n, w)) for n, w in [(6, 3), (8, 8), (7, 2)]}
+        monkeypatch.setattr(csp, "cdp_values", forbidden)
+        monkeypatch.setattr(csp, "orbit_decompose", forbidden)
+        for (n, w), report in walked.items():
+            assert verify_target("cdp", n, w) == report
+        assert lyndon_check(FAMILIES["cdp"].members(3, 8)).passed
+
+    def test_reports_equal_the_walked_carrier(self):
+        for n in range(1, 8):
+            for w in range(1, n + 2):
+                assert verify_target("cdp", n, w) == verify_csp(*TARGETS["cdp"].instance(n, w)), (n, w)
+
+    def test_a_wrong_size_does_not_close(self):
+        action = CyclicAction(4, csp._rotate)
+        with pytest.raises(ValueError, match="does not close"):
+            Necklaces(action, ((0, 0, 1, 1),), (2,)).orbits
+        with pytest.raises(ValueError, match="does not close"):
+            Necklaces(action, ((0, 1, 0, 1),), (4,)).orbits
+        assert Necklaces(action, ((0, 1, 0, 1),), (2,)).orbits == (((0, 1, 0, 1), (1, 0, 1, 0)),)
 
 
 def moebius(n):

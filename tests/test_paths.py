@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyclicsieve.actions import CyclicAction, orbit_decompose, word_rotate
 from cyclicsieve.paths import (
     AreaSequence,
     DyckPath,
     LatticeWord,
     MobiusWord,
     area_to_path,
+    cdp_necklaces,
     cdp_values,
     dyck_pair,
     dyck_pair_inverse,
@@ -89,6 +91,64 @@ class TestEnumeration:
             got = list(enumerate_cdp(n, w))
             assert [a.values for a in got] == want
             assert all(a == AreaSequence(a.values, w) for a in got)
+
+
+class TestNecklaces:
+    """cdp_necklaces against its oracle, the orbit walk over cdp_values."""
+
+    @staticmethod
+    def walked(n, w):
+        dec = orbit_decompose(list(cdp_values(n, w)), CyclicAction(n, lambda v: word_rotate(v, 1)))
+        return [(orbit[0], len(orbit)) for orbit in dec.orbits]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_orbit_walk_in_order(self, n):
+        for w in range(1, n + 3):
+            assert list(cdp_necklaces(n, w)) == self.walked(n, w), (n, w)
+
+    def test_nine_by_nine(self):
+        got = list(cdp_necklaces(9, 9))
+        assert len(got) == 15_172
+        assert got == self.walked(9, 9)
+
+    def test_small_cells_by_hand(self):
+        assert list(cdp_necklaces(2, 2)) == [((0, 0), 1), ((0, 1), 2), ((1, 1), 1)]
+        # Every word of {0,1}^3 keeps the rule at width 2.
+        assert list(cdp_necklaces(3, 2)) == [((0, 0, 0), 1), ((0, 0, 1), 3), ((0, 1, 1), 3), ((1, 1, 1), 1)]
+
+    def test_height_one(self):
+        for w in range(1, 7):
+            assert list(cdp_necklaces(1, w)) == [((a,), 1) for a in range(w)]
+
+    def test_width_one(self):
+        for n in range(1, 8):
+            assert list(cdp_necklaces(n, 1)) == [((0,) * n, 1)]
+
+    def test_width_zero_and_height_zero_are_empty(self):
+        for n in range(0, 6):
+            assert list(cdp_necklaces(n, 0)) == []
+        assert list(cdp_necklaces(0, 3)) == []
+
+    def test_wide_cells(self):
+        # w >= n + 1: every value up to w - 1 is reachable, none saturates.
+        for n in range(1, 6):
+            for w in (n + 1, n + 3, n + 5):
+                got = list(cdp_necklaces(n, w))
+                assert got == self.walked(n, w), (n, w)
+                assert max(max(x) for x, _ in got) == w - 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_least_rotation_exact_period_increasing(self, n):
+        for w in range(1, n + 2):
+            got = list(cdp_necklaces(n, w))
+            assert [x for x, _ in got] == sorted({x for x, _ in got})
+            for x, p in got:
+                assert validate_area_sequence(x, w)
+                assert x == min(x[i:] + x[:i] for i in range(n))
+                assert p == min(d for d in range(1, n + 1) if x[d:] + x[:d] == x)
+
+    def test_is_a_generator(self):
+        assert inspect.isgeneratorfunction(cdp_necklaces)
 
 
 class TestAreaSequenceBoundary:
