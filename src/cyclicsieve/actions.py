@@ -9,8 +9,13 @@ The four actions of interest:
   right (order n on words of length 2n).
 * twisted_shift: move the last two bits of a length-n binary word to the
   front, complemented; applying it n times is the identity.
+  twisted_shift_bits is the same map on the word read as an n-bit int.
 * mobius_shift: the action induced by twisted_shift on circular Mobius
   paths through the odd-parity-word bijection.
+
+A generator that leaves its carrier, is not a bijection of it, or has an
+orbit whose size does not divide the order is a kernel bug, reported as
+OrbitError and never as a verdict.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .paths import AreaSequence, MobiusWord
-from .qpoly import IntPolynomial
+from .qpoly import IntPolynomial, divisors
 
 __all__ = [
+    "OrbitError",
     "CyclicAction",
     "OrbitDecomposition",
     "Necklaces",
@@ -32,11 +38,20 @@ __all__ = [
     "word_rotate",
     "word_shift_two",
     "twisted_shift",
+    "twisted_shift_bits",
+    "twisted_necklaces",
     "mobius_shift",
+    "rotation_census",
     "orbit_decompose",
     "fixed_count",
     "orbit_poly",
 ]
+
+
+class OrbitError(AssertionError):
+    """An action is not a bijection of its carrier with every orbit size
+    dividing its order, or an orbit census says otherwise: a kernel bug."""
+
 
 def area_shift(a: AreaSequence) -> AreaSequence:
     """Rotate the area values one step to the right.
@@ -73,6 +88,43 @@ def twisted_shift(bits: str) -> str:
     return flip[bits[-2]] + flip[bits[-1]] + bits[:-2]
 
 
+def twisted_shift_bits(v: int, n: int) -> int:
+    """twisted_shift on the n-bit int whose binary digits, top bit first, are b_1 ... b_n; needs n >= 2."""
+    return (v >> 2) | (((v & 3) ^ 3) << (n - 2))
+
+
+def twisted_necklaces(n: int, odd: bool = False) -> Iterator[tuple[int, int]]:
+    """(least element, size) of each twisted-shift orbit on the n-bit ints, least elements increasing.
+
+    With `odd`, only the ints with an odd number of 1 bits, which the shift
+    keeps among themselves; at n = 1 that is the one int 1, fixed (the
+    Mobius shift of the single path of size 1).  The ints are passed once
+    in increasing order, so the first one not yet seen is the least of its
+    orbit, which is then walked with twisted_shift_bits and marked seen.
+    Raises OrbitError if a step reaches a seen int before the orbit closes
+    (the step is not a bijection) or if an orbit size does not divide n.
+    """
+    if n == 1 and odd:
+        yield 1, 1
+        return
+    seen = bytearray(1 << n)
+    for v in range(1 << n):
+        if seen[v] or (odd and not v.bit_count() & 1):
+            continue
+        seen[v] = 1
+        size = 1
+        y = twisted_shift_bits(v, n)
+        while y != v:
+            if seen[y]:
+                raise OrbitError(f"twisted shift is not a bijection near {y:0{n}b}")
+            seen[y] = 1
+            size += 1
+            y = twisted_shift_bits(y, n)
+        if n % size != 0:
+            raise OrbitError(f"orbit size {size} does not divide {n}")
+        yield v, size
+
+
 def mobius_shift(m: MobiusWord) -> MobiusWord:
     """Conjugate of twisted_shift under the odd-parity-word bijection.
 
@@ -87,6 +139,25 @@ def mobius_shift(m: MobiusWord) -> MobiusWord:
     parity_bit = "0" if head.count("1") % 2 == 1 else "1"
     shifted = twisted_shift(head + parity_bit)
     return MobiusWord(shifted[:-1] + "0")
+
+
+def rotation_census(words: Iterable[Sequence], n: int, step: int = 1) -> dict[int, int]:
+    """Number of words of each orbit size under rotation by `step` letters, of order n.
+
+    A word of length step * n returns to itself after d rotations exactly
+    when word[step*d:] == word[:-step*d]; its orbit size, its least period,
+    is the least such d dividing n, else n.  Each word is read once.
+    """
+    shifts = [step * d for d in divisors(n)[:-1]]
+    census: dict[int, int] = {}  # keyed by the period in letters
+    for x in words:
+        for period in shifts:
+            if x[period:] == x[:-period]:
+                break
+        else:
+            period = step * n
+        census[period] = census.get(period, 0) + 1
+    return {period // step: count for period, count in census.items()}
 
 
 @dataclass(frozen=True)
@@ -143,7 +214,7 @@ class Necklaces:
 
     Sieving reads only `sizes`.  `orbits` walks each orbit from its
     necklace with the action's generator and lists it as orbit_decompose
-    does; it raises ValueError if an orbit does not return to its necklace
+    does; it raises OrbitError if an orbit does not return to its necklace
     after exactly its size steps.
     """
 
@@ -164,7 +235,7 @@ class Necklaces:
             for _ in range(size - 1):
                 orbit.append(step(orbit[-1]))
             if x in orbit[1:] or step(orbit[-1]) != x:
-                raise ValueError(f"orbit of {x!r} does not close after exactly {size} steps")
+                raise OrbitError(f"orbit of {x!r} does not close after exactly {size} steps")
             orbits.append(tuple(orbit))
         return tuple(orbits)
 
@@ -178,7 +249,7 @@ def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitD
     The carrier is walked in its given order, so an error witness does not
     depend on set order; each orbit is then rotated to start at its minimum
     and the orbits are ordered by that minimum, which needs no sort of the
-    carrier.  Raises ValueError (with a witness) if the generator leaves
+    carrier.  Raises OrbitError (with a witness) if the generator leaves
     the carrier or is not a bijection on it, or if an orbit size does not
     divide the order (that is, g^order is not the identity on the carrier).
     """
@@ -193,14 +264,14 @@ def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitD
         y = action.generator(x)
         while y != x:
             if y not in cset:
-                raise ValueError(f"generator leaves the carrier at {y!r}")
+                raise OrbitError(f"generator leaves the carrier at {y!r}")
             if y in seen:
-                raise ValueError(f"generator is not a bijection near {y!r}")
+                raise OrbitError(f"generator is not a bijection near {y!r}")
             orbit.append(y)
             seen.add(y)
             y = action.generator(y)
         if action.order % len(orbit) != 0:
-            raise ValueError(f"orbit size {len(orbit)} does not divide order {action.order}")
+            raise OrbitError(f"orbit size {len(orbit)} does not divide order {action.order}")
         i = orbit.index(min(orbit))
         orbits.append(tuple(orbit[i:] + orbit[:i]))
     orbits.sort(key=itemgetter(0))
@@ -229,7 +300,7 @@ def orbit_poly(dec: OrbitDecomposition, n: int) -> IntPolynomial:
     coeffs = [0] * n
     for size in dec.sizes:
         if n % size != 0:
-            raise ValueError(f"orbit size {size} does not divide {n}")
+            raise OrbitError(f"orbit size {size} does not divide {n}")
         for ell in range(0, n, n // size):
             coeffs[ell] += 1
     return IntPolynomial(coeffs)

@@ -2,14 +2,15 @@
 
 Every command prints one canonical JSON payload to stdout (keys sorted,
 fixed separators, integer values as decimal strings) so runs with equal
-arguments are byte-identical.  Exit codes: 0 success / verification pass,
-1 mathematical verification failure, 2 usage error, 3 internal fault (a
-bug in the program, such as the two sieving routes disagreeing; it is
-never cached).  Non-zero exits also write a machine-readable JSON reason
-to stderr.  A --sizes-file that cannot be read, a --csv path that cannot
-be written, a count flag that would be ignored and a --n, --w or --content
-that the verify or orbits target or the lyndon check family does not read
-are usage errors.
+arguments are byte-identical.  Exit codes: 0 success / verification pass
+(for `orbits --poly`, the closed polynomial matches the orbit census), 1
+mathematical verification failure, 2 usage error, 3 internal fault (a bug
+in the program, such as the two sieving routes disagreeing or an action
+that is not a bijection of its carrier; it is never cached).  Non-zero
+exits also write a machine-readable JSON reason to stderr.  A --sizes-file
+that cannot be read, a --csv path that cannot be written, a count flag
+that would be ignored and a --n, --w or --content that the verify or
+orbits target or the lyndon check family does not read are usage errors.
 
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
@@ -412,6 +413,11 @@ COMMANDS = {
         else {"error": "verification failed", "first_mismatch": p["report"]["first_mismatch"]},
     ),
     "orbits": Command("orbits", _target_request),
+    "orbits --poly": Command(
+        "orbits",
+        _target_request,
+        failure=lambda p: None if p["poly_match"] else {"error": "closed polynomial does not match the orbit polynomial"},
+    ),
     "lyndon params": Command(
         "lyndon_params",
         _lyndon_params_request,
@@ -451,6 +457,8 @@ def _command_name(args: argparse.Namespace) -> str:
         return f"lyndon {args.subcommand}"
     if args.command == "count":
         return "count --max-n" if args.max_n is not None else "count --q" if args.q else "count"
+    if args.command == "orbits" and args.poly:
+        return "orbits --poly"
     return args.command
 
 

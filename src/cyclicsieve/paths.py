@@ -576,9 +576,22 @@ def avoids_diagonals(bits: str, w: int) -> bool:
 
 
 def enumerate_avl(n: int, w: int) -> Iterator[str]:
-    """Balanced 2n-step words from (0,0) to (n,n) avoiding x - y = +-w."""
+    """Balanced 2n-step words from (0,0) to (n,n) avoiding x - y = +-w, in lexicographic order.
+
+    A height-bounded walk: the prefixes are built level by level, '0'
+    before '1', and a '0' raises the height x - y by one and a '1' lowers
+    it.  A prefix of length i is kept when its height h has |h| < w and
+    |h| <= 2n - i; then it still returns to height 0 without touching a
+    diagonal, so no prefix is a dead end.  The last step, which brings the
+    height +-1 back to 0, is added lazily.  These are the balanced words
+    that avoids_diagonals(bits, w) keeps, and no other balanced word is
+    built.
+    """
     if n < 1 or w < 1:
         raise ValueError("n and w must be positive")
-    for bits in enumerate_balanced(n):
-        if avoids_diagonals(bits, w):
-            yield bits
+    level = [("", 0)]
+    for i in range(1, 2 * n):
+        bound = min(w - 1, 2 * n - i)
+        level = [(p + b, h + s) for p, h in level for b, s in (("0", 1), ("1", -1)) if -bound <= h + s <= bound]
+    for p, h in level:
+        yield p + ("1" if h == 1 else "0")

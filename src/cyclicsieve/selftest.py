@@ -137,10 +137,13 @@ def crit_4_main_csp(max_n: int) -> tuple[bool, str]:
 def crit_5_fixed_points(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     cells = 0
-    sizes: dict[tuple[int, int], int] = {}  # |CDP(d, w)|, enumerated once per (d, w)
+    # |CDP(d, w)|, read off cell (d, w) when it is counted (k = d fixes every
+    # element); a (d, w) with d < w is no cell and is enumerated once.
+    sizes: dict[tuple[int, int], int] = {}
     for n in range(1, bound + 1):
         for w in range(1, n + 1):
             fixed = cdp_fixed_counts(n, w)
+            sizes[n, w] = fixed[n]
             for k in range(1, n + 1):
                 d = gcd(n, k)
                 if (d, w) not in sizes:
@@ -201,10 +204,10 @@ def crit_9_mobius(max_n: int) -> tuple[bool, str]:
         if sum(1 for _ in enumerate_cmp(n)) != 2 ** (n - 1):
             return False, f"|CMP({n})| != 2^{n - 1}"
     for n in range(1, min(10, max_n) + 1):
-        carrier, action, poly = TARGETS["cmp"].instance(n)
-        if not verify_csp(carrier, action, poly).passed:
+        orbits, action, poly = TARGETS["cmp"].orbits(n)
+        if not verify_csp(orbits, action, poly).passed:
             return False, f"CMP CSP fails at n={n} with the maj polynomial"
-        if not verify_csp(carrier, action, _half_bw_poly(n)).passed:
+        if not verify_csp(orbits, action, _half_bw_poly(n)).passed:
             return False, f"CMP CSP fails at n={n} with the halved word polynomial"
         if mod_cyclic(poly * 2, n) != mod_cyclic(bw_q(n), n):
             return False, f"congruence mod q^{n}-1 fails at n={n}"

@@ -7,12 +7,15 @@ import pytest
 
 from cyclicsieve.actions import (
     CyclicAction,
+    OrbitError,
     area_shift,
     fixed_count,
     mobius_shift,
     orbit_decompose,
     orbit_poly,
+    rotation_census,
     twisted_shift,
+    twisted_shift_bits,
     word_rotate,
     word_shift_two,
 )
@@ -87,6 +90,11 @@ class TestTwistedShift:
         with pytest.raises(ValueError):
             twisted_shift("1")
 
+    def test_int_shift_equals_the_word_shift(self):
+        for n in range(2, 13):
+            for v in range(2 ** n):
+                assert format(twisted_shift_bits(v, n), f"0{n}b") == twisted_shift(format(v, f"0{n}b")), (n, v)
+
 
 class TestMobiusShift:
     def test_worked_example(self):
@@ -127,12 +135,12 @@ class TestOrbits:
 
     def test_closure_violation_reports_witness(self):
         action = CyclicAction(4, lambda w: word_rotate(w, 1))
-        with pytest.raises(ValueError, match="leaves the carrier"):
+        with pytest.raises(OrbitError, match="leaves the carrier"):
             orbit_decompose(["0001"], action)
 
     def test_rejects_wrong_order(self):
         action = CyclicAction(3, lambda w: word_rotate(w, 1))
-        with pytest.raises(ValueError, match="order"):
+        with pytest.raises(OrbitError, match="order"):
             orbit_decompose(bw(4), action)
 
 
@@ -177,18 +185,33 @@ class TestOrbitDecomposeReference:
 
     def test_leaving_the_carrier_raises(self):
         carrier = [a for a in enumerate_cdp(4, 3) if a.values != (1, 0, 0, 0)]
-        with pytest.raises(ValueError, match="leaves the carrier"):
+        with pytest.raises(OrbitError, match="leaves the carrier"):
             orbit_decompose(carrier, CyclicAction(4, area_shift))
 
     def test_non_bijection_raises(self):
         collapse = {"a": "c", "b": "c", "c": "a"}
         for carrier in (["a", "b", "c"], ["c", "b", "a"], ["b", "a", "c"]):
-            with pytest.raises(ValueError, match="not a bijection"):
+            with pytest.raises(OrbitError, match="not a bijection"):
                 orbit_decompose(carrier, CyclicAction(2, collapse.__getitem__))
 
     def test_orbit_size_must_divide_order(self):
-        with pytest.raises(ValueError, match="does not divide"):
+        with pytest.raises(OrbitError, match="does not divide"):
             orbit_decompose(["01", "10"], CyclicAction(3, lambda w: word_rotate(w, 1)))
+
+
+class TestRotationCensus:
+    def test_counts_each_word_by_its_orbit_size(self):
+        for n in range(1, 9):
+            for step in (1, 2) if n <= 6 else (1,):
+                words = bw(step * n)
+                action = CyclicAction(n, lambda x: word_rotate(x, step))
+                sizes = orbit_decompose(words, action).sizes
+                walked = {s: s * sizes.count(s) for s in set(sizes)}
+                assert rotation_census(words, n, step) == walked, (n, step)
+
+    def test_tuples_and_an_empty_list(self):
+        assert rotation_census([(0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1)], 4) == {2: 1, 1: 1, 4: 1}
+        assert rotation_census([], 6, 2) == {}
 
 
 class TestFixedCount:
@@ -240,5 +263,5 @@ class TestOrbitPoly:
 
     def test_rejects_non_dividing_orbit(self):
         dec = orbit_decompose(["01", "10"], CyclicAction(2, lambda w: word_rotate(w, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(OrbitError):
             orbit_poly(dec, 3)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclicsieve
-from cyclicsieve import cli, csp, jsonio
+from cyclicsieve import actions, cli, csp, jsonio
 from cyclicsieve.cli import main
 from cyclicsieve.jsonio import ResultCache, cache_key, package_digest, source_digest, validate_payload
 
@@ -457,16 +457,16 @@ class TestExitCodes:
         assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
 
 
-def dropped(index):
-    """A cdp_necklaces that loses its index-th necklace."""
-    real = csp.cdp_necklaces
-    return lambda n, w: (pair for i, pair in enumerate(real(n, w)) if i != index)
+def dropped(index, real=None):
+    """A necklace generator (by default cdp_necklaces) that loses its index-th necklace."""
+    real = real or csp.cdp_necklaces
+    return lambda *args, **kwargs: (pair for i, pair in enumerate(real(*args, **kwargs)) if i != index)
 
 
-def misreported(index, period):
-    """A cdp_necklaces that reports `period` for its index-th necklace."""
-    real = csp.cdp_necklaces
-    return lambda n, w: ((x, period if i == index else p) for i, (x, p) in enumerate(real(n, w)))
+def misreported(index, period, real=None):
+    """A necklace generator (by default cdp_necklaces) that reports `period` for its index-th necklace."""
+    real = real or csp.cdp_necklaces
+    return lambda *args, **kwargs: ((x, period if i == index else p) for i, (x, p) in enumerate(real(*args, **kwargs)))
 
 
 class TestNecklaceMutations:
@@ -495,7 +495,7 @@ class TestNecklaceMutations:
     def test_a_period_that_does_not_divide_n_is_refused(self, capsys, cache_dir, monkeypatch):
         monkeypatch.setattr(csp, "cdp_necklaces", misreported(1, 4))
         code, out, err = run_cli(capsys, cache_dir, "verify", "cdp", "--n", "6", "--w", "3")
-        assert (code, out) == (2, "")
+        assert (code, out) == (3, "")
         assert "orbit size 4 does not divide 6" in err
 
     def test_a_dropped_necklace_fails_the_lyndon_check(self, capsys, cache_dir, monkeypatch):
@@ -507,8 +507,79 @@ class TestNecklaceMutations:
     def test_a_wrong_period_breaks_orbits(self, capsys, cache_dir, monkeypatch):
         monkeypatch.setattr(csp, "cdp_necklaces", misreported(1, 3))
         code, out, err = run_cli(capsys, cache_dir, "orbits", "cdp", "--n", "6", "--w", "3")
-        assert (code, out) == (2, "")
+        assert (code, out) == (3, "")
         assert "does not close after exactly 3 steps" in err
+
+
+class TestCensusMutations:
+    """A census of bw, cmp or avl that loses an element or misreports a size never passes."""
+
+    # The twisted shift on 6-bit ints has 12 orbits; those at 0 and 9 have sizes 6 and 2.
+    @pytest.mark.parametrize("index", [0, 9, 11])
+    def test_a_dropped_bw_necklace_fails_verify_and_orbits_poly(self, capsys, cache_dir, monkeypatch, index):
+        monkeypatch.setattr(csp, "twisted_necklaces", dropped(index, csp.twisted_necklaces))
+        code, out, err = run_cli(capsys, cache_dir, "verify", "bw", "--n", "6")
+        assert code == 1
+        assert payload_of(out)["report"]["verdict"] == "fail"
+        code, out, err = run_cli(capsys, cache_dir, "orbits", "bw", "--n", "6", "--poly")
+        assert code == 1
+        assert payload_of(out)["poly_match"] is False
+        assert json.loads(err.strip().splitlines()[-1]) == {
+            "error": "closed polynomial does not match the orbit polynomial",
+            "exit": 1,
+        }
+
+    @pytest.mark.parametrize("index", [0, 5])
+    def test_a_dropped_cmp_necklace_fails_verify(self, capsys, cache_dir, monkeypatch, index):
+        monkeypatch.setattr(csp, "twisted_necklaces", dropped(index, csp.twisted_necklaces))
+        code, out, _ = run_cli(capsys, cache_dir, "verify", "cmp", "--n", "6")
+        assert code == 1
+        assert payload_of(out)["report"]["verdict"] == "fail"
+
+    @pytest.mark.parametrize("target", ["bw", "cmp"])
+    def test_a_wrong_size_fails_verify(self, capsys, cache_dir, monkeypatch, target):
+        for index, size in [(0, 3), (0, 1)]:
+            monkeypatch.setattr(csp, "twisted_necklaces", misreported(index, size, csp.twisted_necklaces))
+            code, out, _ = run_cli(capsys, cache_dir, "--no-cache", "verify", target, "--n", "6")
+            assert code == 1, (index, size)
+            assert payload_of(out)["report"]["verdict"] == "fail"
+
+    @pytest.mark.parametrize("target", ["bw", "cmp"])
+    def test_a_size_that_does_not_divide_n_is_an_internal_fault(self, capsys, cache_dir, monkeypatch, target):
+        monkeypatch.setattr(csp, "twisted_necklaces", misreported(0, 4, csp.twisted_necklaces))
+        code, out, err = run_cli(capsys, cache_dir, "verify", target, "--n", "6")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "internal error: OrbitError: orbit size 4 does not divide 6", "exit": 3}
+
+    @pytest.mark.parametrize("argv", [["verify", "bw", "--n", "6"], ["verify", "cmp", "--n", "6"], ["orbits", "bw", "--n", "6"]])
+    def test_a_step_that_is_not_a_bijection_is_an_internal_fault(self, capsys, cache_dir, monkeypatch, argv):
+        real = actions.twisted_shift_bits
+        monkeypatch.setattr(actions, "twisted_shift_bits", lambda v, n: real(v, n) & ~1)
+        code, out, err = run_cli(capsys, cache_dir, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"].startswith("internal error: OrbitError: twisted shift is not a bijection near ")
+
+    @pytest.mark.parametrize("index", [0, 7])
+    def test_a_dropped_avoiding_word_fails_verify(self, capsys, cache_dir, monkeypatch, index):
+        real = csp.enumerate_avl
+        monkeypatch.setattr(csp, "enumerate_avl", lambda n, w: (x for i, x in enumerate(real(n, w)) if i != index))
+        code, out, _ = run_cli(capsys, cache_dir, "verify", "avl", "--n", "5", "--w", "2")
+        assert code == 1
+        assert payload_of(out)["report"]["verdict"] == "fail"
+
+    def test_a_wrong_avoiding_word_period_fails_verify(self, capsys, cache_dir, monkeypatch):
+        real = csp.rotation_census
+
+        def shifted(words, n, step):
+            census = real(words, n, step)
+            census[n] -= 1
+            census[1] = census.get(1, 0) + 1
+            return census
+
+        monkeypatch.setattr(csp, "rotation_census", shifted)
+        code, out, _ = run_cli(capsys, cache_dir, "verify", "avl", "--n", "5", "--w", "2")
+        assert code == 1
+        assert payload_of(out)["report"]["verdict"] == "fail"
 
 
 class TestFileErrors:
@@ -808,6 +879,15 @@ def mutations(payload):
             del original["extra"]
 
 
+def trimmed(value, keep=3):
+    """A copy of `value` with every array cut to its first `keep` items; nodes() sees the same paths."""
+    if isinstance(value, dict):
+        return {key: trimmed(member, keep) for key, member in value.items()}
+    if isinstance(value, list):
+        return [trimmed(member, keep) for member in value[:keep]]
+    return value
+
+
 class TestSchemaChecker:
     def test_the_nine_schemas_compile(self):
         assert len(SCHEMAS) == 9
@@ -844,7 +924,12 @@ class TestSchemaChecker:
         distinct = {(name, jsonio.dumps_canonical(payload)): payload for name, payload in golden_payloads}
         for (name, _), payload in distinct.items():
             assert agree(name, payload)
-            verdicts += [agree(name, payload) for _ in mutations(payload)]
+            # Each mutation is validated whole, so it is made on a copy with
+            # short arrays (the 36 kB `orbits cdp --n 6 --w 6 --poly` payload
+            # alone took most of this test); the mutated paths are the same.
+            small = trimmed(payload)
+            assert list(nodes(small)) == list(nodes(payload))
+            verdicts += [agree(name, small) for _ in mutations(small)]
         assert verdicts.count(True) and verdicts.count(False) > len(verdicts) // 2
 
     def test_error_gives_the_json_path(self):

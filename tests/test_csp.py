@@ -1,18 +1,21 @@
 """Verification engines: sieving reports, feasibility, Lyndon families, homomesy."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 
-from cyclicsieve import csp, paths
+from cyclicsieve import actions, csp, paths
 from cyclicsieve.actions import (
     CyclicAction,
     Necklaces,
+    OrbitError,
     area_shift,
     fixed_count,
     orbit_decompose,
+    twisted_necklaces,
     twisted_shift,
     word_rotate,
     word_shift_two,
@@ -154,19 +157,18 @@ class TestVerifySubsetCsp:
         with pytest.raises(ValueError, match="not contained"):
             verify_subset_csp(subset + ["0101"], superset, action, f)
 
-    def test_avl_target_enumerates_the_balanced_words_once(self, monkeypatch):
-        # The avoiding words are the superset filtered in order, not a
-        # second enumeration of all balanced words.
-        expected = list(enumerate_avl(7, 3))
-        superset = list(enumerate_balanced(7))
-        calls, subsets = [], []
-        real_words, real_subset = paths.enumerate_words, csp.verify_subset_csp
-        monkeypatch.setattr(paths, "enumerate_words", lambda content, letters: calls.append(tuple(content)) or real_words(content, letters))
-        monkeypatch.setattr(csp, "verify_subset_csp", lambda subset, *rest: subsets.append(subset) or real_subset(subset, *rest))
-        report = verify_target("avl", 7, 3)
-        assert calls == [(7, 7)]
-        assert subsets == [expected]
-        assert report == real_subset(expected, superset, CyclicAction(7, word_shift_two), avl_q_closed(7, 3))
+    def test_avl_target_never_builds_the_balanced_words(self, monkeypatch):
+        # The avoiding words are counted by their periods as they are
+        # generated; neither the balanced words nor a superset walk is made.
+        walked = verify_subset_csp(list(enumerate_avl(7, 3)), list(enumerate_balanced(7)), CyclicAction(7, word_shift_two), avl_q_closed(7, 3))
+
+        def forbidden(*args):
+            raise AssertionError("superset built or walked")
+
+        monkeypatch.setattr(paths, "enumerate_words", forbidden)
+        monkeypatch.setattr(csp, "verify_subset_csp", forbidden)
+        monkeypatch.setattr(csp, "orbit_decompose", forbidden)
+        assert verify_target("avl", 7, 3) == walked
 
 
 def direct_fixed_counts(subset, action):
@@ -178,6 +180,7 @@ def direct_fixed_counts(subset, action):
 
 class TestSubsetFixedCountsFromOrbits:
     def test_avoiding_paths(self):
+        # The avl target's period census gives the rows of the superset walk, coprime or not.
         for n in range(1, 9):
             superset = list(enumerate_balanced(n))
             action = CyclicAction(n, word_shift_two)
@@ -185,6 +188,7 @@ class TestSubsetFixedCountsFromOrbits:
                 subset = list(enumerate_avl(n, w))
                 report = verify_subset_csp(subset, superset, action, avl_q_closed(n, w))
                 assert [row.fixed for row in report.rows] == direct_fixed_counts(subset, action), (n, w)
+                assert verify_target("avl", n, w).rows == report.rows, (n, w)
 
     def test_mobius_paths_inside_balanced_words(self):
         for n in range(1, 9):
@@ -214,14 +218,14 @@ class TestDefectiveActionsAreRejected:
     @pytest.mark.parametrize("defect", sorted(DEFECTS))
     def test_subset_sieving(self, defect):
         superset, order, generator, message = DEFECTS[defect]
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(OrbitError, match=message):
             verify_subset_csp(superset[:1], superset, CyclicAction(order, generator), IntPolynomial([1]))
 
     @pytest.mark.parametrize("defect", sorted(CONSTRUCT_DEFECTS))
     def test_lyndon_construct(self, defect, monkeypatch):
         build, message = CONSTRUCT_DEFECTS[defect]
         monkeypatch.setattr(csp, "CyclicAction", build)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(OrbitError, match=message):
             lyndon_construct({1: 1, 2: 0, 3: 1}, 3)
 
 
@@ -281,9 +285,10 @@ class TestNecklaceRoute:
         assert orbits.to_json(list) == dec.to_json(list)
 
     def test_other_targets_walk_their_carrier(self):
-        for name, n, w, content in [("cmp", 6, None, None), ("bw", 6, None, None), ("words", 6, None, (2, 2, 2))]:
-            carrier, action, f = TARGETS[name].instance(n, w, content)
-            assert TARGETS[name].orbits(n, w, content) == (orbit_decompose(carrier, action), action, f)
+        walked = [name for name, target in TARGETS.items() if target.necklaces is None and target.subset is None]
+        assert walked == ["words"]
+        carrier, action, f = TARGETS["words"].instance(6, None, (2, 2, 2))
+        assert TARGETS["words"].orbits(6, None, (2, 2, 2)) == (orbit_decompose(carrier, action), action, f)
 
     def test_verify_and_the_family_never_build_the_carrier(self, monkeypatch):
         def forbidden(*args):
@@ -303,11 +308,51 @@ class TestNecklaceRoute:
 
     def test_a_wrong_size_does_not_close(self):
         action = CyclicAction(4, csp._rotate)
-        with pytest.raises(ValueError, match="does not close"):
+        with pytest.raises(OrbitError, match="does not close"):
             Necklaces(action, ((0, 0, 1, 1),), (2,)).orbits
-        with pytest.raises(ValueError, match="does not close"):
+        with pytest.raises(OrbitError, match="does not close"):
             Necklaces(action, ((0, 1, 0, 1),), (4,)).orbits
         assert Necklaces(action, ((0, 1, 0, 1),), (2,)).orbits == (((0, 1, 0, 1), (1, 0, 1, 0)),)
+
+
+class TestTwistedCensus:
+    """The bw and cmp targets read their orbits off one pass over n-bit ints."""
+
+    @pytest.mark.parametrize("name, ns", [("bw", range(2, 15)), ("cmp", range(1, 13))], ids=["bw", "cmp"])
+    def test_orbits_equal_the_walk_in_order(self, name, ns):
+        for n in ns:
+            orbits, action, _ = TARGETS[name].orbits(n)
+            assert isinstance(orbits, Necklaces)
+            dec = orbit_decompose(list(TARGETS[name].carrier(n, None, None)), action)
+            assert orbits.sizes == dec.sizes, n
+            assert orbits.necklaces == tuple(o[0] for o in dec.orbits), n
+            assert orbits.orbits == dec.orbits, n
+
+    def test_verify_and_the_family_never_call_the_generator(self, monkeypatch):
+        walked = {(name, n): verify_csp(*TARGETS[name].instance(n)) for name, n in [("bw", 12), ("cmp", 10), ("cmp", 1)]}
+        family = lyndon_check([TARGETS["cmp"].instance(n) for n in range(1, 9)])
+
+        def forbidden(*args):
+            raise AssertionError("generator called")
+
+        monkeypatch.setattr(csp, "orbit_decompose", forbidden)
+        for name in ("cmp", "bw"):
+            monkeypatch.setitem(TARGETS, name, dataclasses.replace(TARGETS[name], generator=forbidden))
+        for (name, n), report in walked.items():
+            assert verify_target(name, n) == report
+        assert lyndon_check(FAMILIES["cmp"].members(None, 8)) == family
+
+    def test_a_step_that_is_not_a_bijection_is_refused(self, monkeypatch):
+        real = actions.twisted_shift_bits
+        monkeypatch.setattr(actions, "twisted_shift_bits", lambda v, n: real(v, n) & ~1)
+        with pytest.raises(OrbitError, match="not a bijection"):
+            list(twisted_necklaces(6))
+
+    def test_an_orbit_size_that_does_not_divide_n_is_refused(self, monkeypatch):
+        cycle = {0: 1, 1: 2, 2: 0}
+        monkeypatch.setattr(actions, "twisted_shift_bits", lambda v, n: cycle.get(v, v))
+        with pytest.raises(OrbitError, match="orbit size 3 does not divide 4"):
+            list(twisted_necklaces(4))
 
 
 def moebius(n):

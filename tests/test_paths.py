@@ -14,6 +14,7 @@ from cyclicsieve.paths import (
     LatticeWord,
     MobiusWord,
     area_to_path,
+    avoids_diagonals,
     cdp_necklaces,
     cdp_values,
     dyck_pair,
@@ -368,6 +369,17 @@ class TestAvoidingPaths:
         assert sum(1 for _ in enumerate_avl(3, 2)) == 8
         assert sum(1 for _ in enumerate_avl(2, 1)) == 0
         assert sum(1 for _ in enumerate_avl(2, 3)) == 6
+
+    def test_equals_the_filtered_balanced_words_in_order(self):
+        for n in range(1, 9):
+            balanced = list(enumerate_balanced(n))
+            for w in range(1, n + 3):
+                assert list(enumerate_avl(n, w)) == [b for b in balanced if avoids_diagonals(b, w)], (n, w)
+
+    @pytest.mark.parametrize("n, w", [(0, 3), (3, 0), (2, -1)])
+    def test_rejects_a_size_below_one(self, n, w):
+        with pytest.raises(ValueError, match="must be positive"):
+            next(enumerate_avl(n, w))
 
 
 @st.composite
