@@ -23,7 +23,17 @@ of d * t_d over d | n, known from the arguments), `homomesy` n <= 7,
 
 Results are cached under --cache-dir, the CYCLIC_SIEVE_CACHE environment
 variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.  The
-JSON printed is the payload text the cache stores, byte for byte.
+JSON printed is the payload text the cache stores, byte for byte, and the
+exit code and stderr reason of a hit come from the verdict stored with it.
+
+A request's cache parameters are read off the parsed flags alone, so a hit
+imports only this module and jsonio, never the math kernels.  The checks
+that need the target and family registries or a kernel (required and
+unread flags, n bounds, carrier sizes, an unknown family), and then the
+size guard, run on a miss, before anything is computed.  A hit skips them
+safely: every flag they read is in the key, and the key holds the source
+digest, so an entry exists only for a request that passed the same checks
+under the same code.
 """
 
 from __future__ import annotations
@@ -32,30 +42,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import __version__
-from .actions import CyclicAction, orbit_poly, word_shift_two
-from .csp import (
-    FAMILIES,
-    MAX_CARRIER,
-    TARGETS,
-    Target,
-    balanced_words_ending_in_one,
-    homomesy_check,
-    lyndon_check,
-    lyndon_construct,
-    lyndon_params,
-    verify_csp,
-    verify_target,
-    zrun_rotation_action,
-)
-from .genfunc import cdp_count, cdp_q_closed
 from .jsonio import ResultCache, dumps_canonical
-from .paths import enumerate_balanced, inv_zero_one
-from .qpoly import IntPolynomial, divisors, mod_cyclic
-from .selftest import run_all
+
+if TYPE_CHECKING:
+    from .csp import Target
 
 
 class UsageError(Exception):
@@ -86,10 +80,12 @@ def _require(cond: bool, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Command payloads
+# Command payloads; each imports the kernels it calls, so only a miss loads them
 # ---------------------------------------------------------------------------
 
 def payload_count(n: int, w: int, with_poly: bool) -> dict:
+    from .genfunc import cdp_count, cdp_q_closed
+
     out = {"n": str(n), "w": str(w), "count": str(cdp_count(n, w))}
     if with_poly:
         out["q_poly"] = cdp_q_closed(n, w).to_json()
@@ -97,21 +93,31 @@ def payload_count(n: int, w: int, with_poly: bool) -> dict:
 
 
 def payload_count_table(w: int, max_n: int) -> dict:
+    from .genfunc import cdp_count
+
     rows = [{"n": str(n), "count": str(cdp_count(n, w))} for n in range(1, max_n + 1)]
     return {"w": str(w), "max_n": str(max_n), "rows": rows}
 
 
 def _target_params(target: str, n: int, w: Optional[int], content: Optional[tuple]) -> dict:
+    from .csp import TARGETS
+
     values = {"n": n, "w": w, "content": ",".join(str(m) for m in content) if content else None}
     return {p: str(values[p]) for p in TARGETS[target].params}
 
 
 def payload_verify(target: str, n: int, w: Optional[int], content: Optional[tuple]) -> dict:
+    from .csp import verify_target
+
     report = verify_target(target, n, w, content)
     return {"target": target, "params": _target_params(target, n, w, content), "report": report.to_json()}
 
 
 def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tuple], with_poly: bool) -> dict:
+    from .actions import orbit_poly
+    from .csp import TARGETS
+    from .qpoly import IntPolynomial, mod_cyclic
+
     dec, action, closed = TARGETS[target].orbits(n, w, content)
     poly = orbit_poly(dec, n)
     out = {
@@ -129,10 +135,14 @@ def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tupl
 
 
 def payload_lyndon_params(sizes: list[int]) -> dict:
+    from .csp import lyndon_params
+
     return {"sizes": [str(s) for s in sizes], **lyndon_params(sizes).to_json()}
 
 
 def payload_lyndon_check(family: str, w: Optional[int], max_n: int) -> dict:
+    from .csp import FAMILIES, TARGETS, lyndon_check
+
     if family in TARGETS:
         # The largest member, n = max_n, bounds the work of the family.
         _require_carrier(TARGETS[family], f"lyndon check --family {family}", max_n, w, None)
@@ -142,19 +152,25 @@ def payload_lyndon_check(family: str, w: Optional[int], max_n: int) -> dict:
 
 
 def payload_lyndon_construct(t_values: list[int], n: int) -> dict:
+    from .csp import lyndon_construct, verify_csp
+
     t = {d: v for d, v in enumerate(t_values, start=1)}
-    carrier, action, poly = lyndon_construct(t, n)
-    report = verify_csp(carrier, action, poly)
+    orbits, action, poly = lyndon_construct(t, n)
+    report = verify_csp(orbits, action, poly)
     return {
         "n": str(n),
         "t": {str(d): str(v) for d, v in t.items()},
-        "carrier": [list(x) for x in carrier],
+        "carrier": [list(x) for orbit in orbits.orbits for x in orbit],
         "orbit_poly": poly.to_json(),
         "csp_verdict": report.verdict,
     }
 
 
 def payload_homomesy(n: int, action_name: str) -> dict:
+    from .actions import CyclicAction, word_shift_two
+    from .csp import balanced_words_ending_in_one, homomesy_check, zrun_rotation_action
+    from .paths import enumerate_balanced, inv_zero_one
+
     if action_name == "alpha":
         carrier = balanced_words_ending_in_one(n)
         action = zrun_rotation_action(n)
@@ -166,6 +182,8 @@ def payload_homomesy(n: int, action_name: str) -> dict:
 
 
 def payload_selftest(max_n: int) -> dict:
+    from .selftest import run_all
+
     results = run_all(max_n, echo=lambda line: print(line, file=sys.stderr))
     return {
         "max_n": str(max_n),
@@ -278,23 +296,29 @@ def build_parser() -> JsonArgumentParser:
     return parser
 
 
-# Each request checks its arguments and returns the cache parameters and
+# Each request reads the parsed flags alone.  It makes the checks that need
+# no registry or kernel (each comes before every check that does), and
+# returns the cache parameters, the checks that run on a miss (or None) and
 # the computation of the payload.
+Request = tuple[dict, Optional[Callable[[], None]], Callable[[], dict]]
 
-def _count_request(args: argparse.Namespace):
+
+def _count_request(args: argparse.Namespace) -> Request:
     _require(args.w >= 1, "--w must be positive")
     if args.max_n is not None:
         _require(args.n is None, "--n cannot be used with --max-n")
         _require(not args.q, "--q cannot be used with --max-n")
         _require(args.max_n >= 1, "--max-n must be positive")
-        return {"w": args.w, "max_n": args.max_n}, lambda: payload_count_table(args.w, args.max_n)
+        return {"w": args.w, "max_n": args.max_n}, None, lambda: payload_count_table(args.w, args.max_n)
     _require(args.n is not None and args.n >= 1, "count needs --n (positive) or --max-n")
     _require(not args.bfile, "--bfile needs --max-n")
     _require(not args.csv, "--csv needs --max-n")
-    return {"n": args.n, "w": args.w, "q": args.q}, lambda: payload_count(args.n, args.w, args.q)
+    return {"n": args.n, "w": args.w, "q": args.q}, None, lambda: payload_count(args.n, args.w, args.q)
 
 
 def _require_carrier(target: Target, what: str, n: int, w: Optional[int], content: Optional[tuple]) -> None:
+    from .csp import MAX_CARRIER
+
     if target.carrier_size is not None:
         size = target.carrier_size(n, w, content)
         _require(size <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {target.unit}")
@@ -306,12 +330,30 @@ def _require_read(what: str, params: tuple[str, ...], args: argparse.Namespace, 
         _require(flag in params or getattr(args, flag) is None, f"{what} does not read --{flag}")
 
 
-def _target_request(args: argparse.Namespace):
+def _target_request(args: argparse.Namespace) -> Request:
+    """A verify or orbits request; its cache parameters are the flags given.
+
+    They are n, w and the parsed content re-joined, as strings (an empty
+    --content stays in as "").  A flag the target does not read is refused
+    on a miss, so for every accepted request they are exactly the target's
+    parameters.
+    """
+    content = _parse_content(args.content) if args.content else None
+    given = {"n": args.n, "w": args.w, "content": ",".join(str(m) for m in content) if content else args.content}
+    params = {name: str(value) for name, value in given.items() if value is not None}
+    n = sum(content) if (args.target == "words" and content) else args.n
+    check = partial(_check_target, args, n, content)
+    if args.command == "verify":
+        return params, check, lambda: payload_verify(args.target, n, args.w, content)
+    return {**params, "poly": args.poly}, check, lambda: payload_orbits(args.target, n, args.w, content, args.poly)
+
+
+def _check_target(args: argparse.Namespace, n: Optional[int], content: Optional[tuple]) -> None:
     """Check a verify or orbits target's arguments against its registry entry."""
+    from .csp import TARGETS
+
     target = TARGETS[args.target]
     what = f"{args.command} {args.target}"
-    content = _parse_content(args.content) if args.content else None
-    n = sum(content) if (args.target == "words" and content) else args.n
     values = {"n": n, "w": args.w, "content": content}
     for name in target.params:
         _require(values[name] is not None, f"{what} needs --{name}")
@@ -320,13 +362,9 @@ def _target_request(args: argparse.Namespace):
     _require(n <= target.max_n, f"{what} is limited to n <= {target.max_n}")
     _require(n >= target.min_n, f"{what} needs --n at least {target.min_n}")
     _require_carrier(target, what, n, args.w, content)
-    params = _target_params(args.target, n, args.w, content)  # the cache key holds only these
-    if args.command == "verify":
-        return params, lambda: payload_verify(args.target, n, args.w, content)
-    return {**params, "poly": args.poly}, lambda: payload_orbits(args.target, n, args.w, content, args.poly)
 
 
-def _lyndon_params_request(args: argparse.Namespace):
+def _lyndon_params_request(args: argparse.Namespace) -> Request:
     if args.sizes_file:
         try:
             with open(args.sizes_file) as fh:
@@ -341,22 +379,34 @@ def _lyndon_params_request(args: argparse.Namespace):
     except ValueError:
         raise UsageError("sizes must be integers")
     _require(bool(sizes), "need at least one size")
-    return {"sizes": sizes}, lambda: payload_lyndon_params(sizes)
+    return {"sizes": sizes}, None, lambda: payload_lyndon_params(sizes)
 
 
-def _lyndon_check_request(args: argparse.Namespace):
-    """Check the family's arguments against its registry entry; the cache key holds only what it reads."""
+def _lyndon_check_request(args: argparse.Namespace) -> Request:
+    """A lyndon check request; its cache parameters are the family, max_n and --w if given.
+
+    A --w the family does not read is refused on a miss, as is an unknown
+    family, so for every accepted request the key holds only what it reads.
+    """
+    key = {"family": args.family, "max_n": args.max_n}
+    if args.w is not None:
+        key["w"] = args.w
+    return key, partial(_check_family, args), lambda: payload_lyndon_check(args.family, args.w, args.max_n)
+
+
+def _check_family(args: argparse.Namespace) -> None:
+    """Check the family's arguments against its registry entry."""
+    from .csp import FAMILIES
+
     _require(args.family in FAMILIES, f"unknown family {args.family!r}; choose from {sorted(FAMILIES)}")
     what = f"lyndon check --family {args.family}"
     params = FAMILIES[args.family].params
     for name in params:
         _require(getattr(args, name) is not None, f"{what} needs --{name}")
     _require_read(what, params, args, ("w",))
-    key = {"family": args.family, "max_n": args.max_n, **{name: getattr(args, name) for name in params}}
-    return key, lambda: payload_lyndon_check(args.family, args.w, args.max_n)
 
 
-def _lyndon_construct_request(args: argparse.Namespace):
+def _lyndon_construct_request(args: argparse.Namespace) -> Request:
     try:
         t_values = [int(p) for p in args.t.split(",")]
     except ValueError:
@@ -364,25 +414,32 @@ def _lyndon_construct_request(args: argparse.Namespace):
     _require(args.n >= 1, "--n must be positive")
     _require(all(v >= 0 for v in t_values), "Lyndon parameters must be non-negative")
     _require(len(t_values) >= args.n, "--t must define t_d for every divisor d of n")
-    size = sum(d * t_values[d - 1] for d in divisors(args.n))
+    check = partial(_check_construct_size, t_values, args.n)
+    return {"t": t_values, "n": args.n}, check, lambda: payload_lyndon_construct(t_values, args.n)
+
+
+def _check_construct_size(t_values: list[int], n: int) -> None:
+    """The construction's carrier has sum over d | n of d * t_d elements."""
+    from .qpoly import divisors
+
+    size = sum(d * t_values[d - 1] for d in divisors(n))
     _require(size <= MAX_CONSTRUCT, f"lyndon construct is limited to {MAX_CONSTRUCT} elements")
-    return {"t": t_values, "n": args.n}, lambda: payload_lyndon_construct(t_values, args.n)
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One command: payload schema (also the cache entry name; verify and
-    orbits add the target), argument check returning the cache parameters
-    and the computation, size guard (argument, limit) bounding the argument
-    to 1..limit, text rendering when asked for (else None), and the stderr
-    reason of a mathematical failure (exit 1; else None).  A command with
-    neither a rendering nor a failure reason never decodes its payload.
+    orbits add the target), the request reading the flags (see Request),
+    size guard (argument, limit) bounding the argument to 1..limit, checked
+    on a miss after the request's own checks, the text rendering the flags
+    ask for (a function of the payload, else None), and the stderr reason
+    of a mathematical failure (exit 1; else None), which the cache stores
+    as the entry's verdict.  A payload is decoded only to be rendered.
     """
 
     schema: str
-    request: Callable[[argparse.Namespace], tuple[dict, Callable[[], dict]]]
+    request: Callable[[argparse.Namespace], Request]
     guard: Optional[tuple[str, int]] = None
-    text: Optional[Callable[[dict, argparse.Namespace], Optional[str]]] = None
+    text: Optional[Callable[[argparse.Namespace], Optional[Callable[[dict], str]]]] = None
     failure: Optional[Callable[[dict], Optional[dict]]] = None
 
 
@@ -402,12 +459,12 @@ COMMANDS = {
         "count_table",
         _count_request,
         guard=("max-n", 500),
-        text=lambda p, args: format_count_table(p, args.bfile) if args.bfile or args.csv else None,
+        text=lambda args: partial(format_count_table, bfile=args.bfile) if args.bfile or args.csv else None,
     ),
     "verify": Command(
         "verify",
         _target_request,
-        text=lambda p, args: format_verify_table(p) if args.table or args.csv else None,
+        text=lambda args: format_verify_table if args.table or args.csv else None,
         failure=lambda p: None
         if p["report"]["verdict"] == "pass"
         else {"error": "verification failed", "first_mismatch": p["report"]["first_mismatch"]},
@@ -437,13 +494,13 @@ COMMANDS = {
     ),
     "homomesy": Command(
         "homomesy",
-        lambda args: ({"n": args.n, "action": args.action}, lambda: payload_homomesy(args.n, args.action)),
+        lambda args: ({"n": args.n, "action": args.action}, None, lambda: payload_homomesy(args.n, args.action)),
         guard=("n", 7),
         failure=lambda p: None if p["homomesic"] or p["action"] == "beta" else {"error": "expected homomesic case failed"},
     ),
     "selftest": Command(
         "selftest",
-        lambda args: ({"max_n": args.max_n}, lambda: payload_selftest(args.max_n)),
+        lambda args: ({"max_n": args.max_n}, None, lambda: payload_selftest(args.max_n)),
         guard=("max-n", 12),
         failure=lambda p: None
         if p["passed"]
@@ -465,19 +522,25 @@ def _command_name(args: argparse.Namespace) -> str:
 def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
     name = _command_name(args)
     command = COMMANDS[name]
-    params, compute = command.request(args)
-    if command.guard is not None:
-        arg, limit = command.guard
-        _require(1 <= getattr(args, arg.replace("-", "_")) <= limit, f"{name} is limited to 1 <= {arg} <= {limit}")
+    params, check, compute = command.request(args)
+
+    def checked_compute() -> tuple[dict, Optional[dict]]:
+        # Run on a miss only; the module docstring says why a hit may skip the checks.
+        if check is not None:
+            check()
+        if command.guard is not None:
+            arg, limit = command.guard
+            _require(1 <= getattr(args, arg.replace("-", "_")) <= limit, f"{name} is limited to 1 <= {arg} <= {limit}")
+        payload = compute()
+        return payload, command.failure(payload) if command.failure else None
+
     entry = f"{command.schema}_{args.target}" if hasattr(args, "target") else command.schema
-    payload_text = cache.fetch(entry, params, command.schema, compute)
-    payload = json.loads(payload_text) if command.text or command.failure else None
-    rendered = command.text(payload, args) if command.text else None
-    if rendered is None:
+    payload_text, reason = cache.fetch(entry, params, command.schema, checked_compute)
+    render = command.text(args) if command.text else None
+    if render is None:
         _print(payload_text)
     else:
-        _emit(rendered, args.csv)
-    reason = command.failure(payload) if command.failure else None
+        _emit(render(json.loads(payload_text)), args.csv)
     if reason is None:
         return 0
     print(dumps_canonical({**reason, "exit": 1}), file=sys.stderr)

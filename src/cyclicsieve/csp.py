@@ -356,7 +356,7 @@ def lyndon_params(sizes: Sequence[int]) -> LyndonParameters:
 
 def lyndon_construct(
     t: Union[LyndonParameters, dict[int, int]], n: int
-) -> tuple[list[tuple[int, int, int]], CyclicAction, IntPolynomial]:
+) -> tuple[OrbitDecomposition, CyclicAction, IntPolynomial]:
     """Canonical carrier, action and polynomial realizing given Lyndon parameters.
 
     The carrier is {(d, i, j) : d | n, 1 <= i <= t_d, 1 <= j <= d} and the
@@ -364,6 +364,12 @@ def lyndon_construct(
     is a single orbit of size d.  The polynomial is the orbit polynomial,
     so the triple exhibits sieving by construction, and the family over n
     is Lyndon-like.
+
+    The carrier is returned as its orbits, from the one orbit_decompose
+    walk that also proves the generator a bijection of it; verify_csp and
+    lyndon_check read them without walking again.  Each orbit starts at
+    its (d, i, 1) and the orbits come in (d, i) order, so listing them in
+    turn gives the carrier in the order above.
     """
     params = t.t if isinstance(t, LyndonParameters) else dict(t)
     if isinstance(t, LyndonParameters) and not t.valid:
@@ -386,8 +392,8 @@ def lyndon_construct(
         return (d, i, j % d + 1)
 
     action = CyclicAction(n, generator)
-    f = orbit_poly(orbit_decompose(carrier, action), n)
-    return carrier, action, f
+    orbits = orbit_decompose(carrier, action)
+    return orbits, action, orbit_poly(orbits, n)
 
 
 # (carrier, action, f); the carrier may be given by its orbits, as verify_csp reads it.

@@ -10,9 +10,10 @@ Cached results are stored one file per cache key; the key is a stable
 hash of (command, parameters, source digest), where the source digest
 hashes the package's own code and schemas, so a change to either never
 reads an entry the old code wrote.  An entry is one header line, then the
-payload text.  The header holds command, parameters, source digest, key
-and payload_sha256, the sha256 of the exact payload text; canonical JSON
-is ASCII with no raw newline, so the first newline splits the two.
+payload text.  The header holds command, parameters, source digest, key,
+payload_sha256 (the sha256 of the exact payload text) and the verdict
+(null, or the JSON reason the command fails with); canonical JSON is ASCII
+with no raw newline, so the first newline splits the two.
 
 What is checked where: a new payload is checked against its schema
 before it is written (and, with the cache disabled, before it is
@@ -21,9 +22,10 @@ once per process into nested closures that read exactly the keywords
 those schemas use, and a mismatch raises SchemaError with its JSON path.
 The runtime never imports jsonschema; the tests use it as the oracle the
 checker must agree with.  On read, an entry is trusted on its key, its
-command and its payload hash alone: the key already pins the code and
-schemas that checked it, and the hash catches a torn or edited payload.
-A hit is returned as the stored text, never decoded and encoded again.
+command, its payload hash and a verdict of the right type alone: the key
+already pins the code and schemas that checked it, and the hash catches a
+torn or edited payload.  A hit is returned as the stored text with the
+header's verdict, never decoded and encoded again.
 """
 
 from __future__ import annotations
@@ -258,47 +260,58 @@ class ResultCache:
     """File-per-key result cache.
 
     A new payload is checked against its schema by validate_payload before
-    it is written; a hit is checked by key, command and payload hash, not
-    against the schema again.
+    it is written; a hit is checked by key, command, payload hash and the
+    type of its verdict, not against the schema again.
     """
 
     def __init__(self, directory: Optional[Path] = None, enabled: bool = True):
         self.directory = Path(directory) if directory else default_cache_dir()
         self.enabled = enabled
 
-    def fetch(self, command: str, params: dict, schema: str, compute: Callable[[], Any]) -> str:
-        """Return the canonical JSON text of the payload for (command, params).
+    def fetch(
+        self, command: str, params: dict, schema: str, compute: Callable[[], tuple[Any, Optional[dict]]]
+    ) -> tuple[str, Optional[dict]]:
+        """The canonical JSON text of the payload for (command, params), and its verdict.
 
-        This is the one place a payload is validated against `schema` and
-        encoded: a computed payload is checked by validate_payload (the
-        in-package checker; a mismatch raises SchemaError and nothing is
-        written), then encoded once, and that text is stored, hashed and
-        returned (with the cache disabled, only returned).  A hit returns
-        the stored payload text as it is, checked in _read_valid by key,
-        command and payload hash only; it was validated when it was
-        written, by the same code and schemas its key hashes.  An entry
-        that is corrupt or cannot be read, or that cannot be written,
-        leaves one JSON warning on stderr, and the computed payload is
-        returned all the same.
+        `compute` returns the payload and its verdict: None, or the JSON
+        reason the command fails with.  This is the one place a payload is
+        validated against `schema` and encoded: a computed payload is
+        checked by validate_payload (the in-package checker; a mismatch
+        raises SchemaError and nothing is written), then encoded once, and
+        that text is stored, hashed and returned, with the verdict stored in
+        the header (with the cache disabled, only returned).  A hit returns
+        the stored payload text as it is and the header's verdict, checked
+        in _read_valid by key, command, payload hash and verdict type only;
+        it was validated when it was written, by the same code and schemas
+        its key hashes.  An entry that is corrupt or cannot be read, or that
+        cannot be written, leaves one JSON warning on stderr, and the
+        computed payload is returned all the same.
         """
         if not self.enabled:
-            payload = compute()
+            payload, verdict = compute()
             validate_payload(schema, payload)
-            return dumps_canonical(payload)
+            return dumps_canonical(payload), verdict
         source = package_digest()
         key = cache_key(command, params, source)
         path = self.directory / f"{key}.json"
         warned = False
         if path.exists():
-            text = self._read_valid(path, key, command)
-            if text is not None:
-                return text
+            entry = self._read_valid(path, key, command)
+            if entry is not None:
+                return entry
             warned = True
-        payload = compute()
+        payload, verdict = compute()
         validate_payload(schema, payload)
         text = dumps_canonical(payload)
         header = dumps_canonical(
-            {"command": command, "params": params, "source": source, "key": key, "payload_sha256": text_hash(text)}
+            {
+                "command": command,
+                "params": params,
+                "source": source,
+                "key": key,
+                "payload_sha256": text_hash(text),
+                "verdict": verdict,
+            }
         )
         try:
             self._write(path, f"{header}\n{text}")
@@ -308,7 +321,7 @@ class ResultCache:
                     dumps_canonical({"warning": f"cannot write cache entry {path.name}: {exc}", "action": "running without cache"}),
                     file=sys.stderr,
                 )
-        return text
+        return text, verdict
 
     def _write(self, path: Path, entry: str) -> None:
         """Write through a temp file of this writer's own, then rename it into place."""
@@ -323,8 +336,8 @@ class ResultCache:
                 os.unlink(tmp)
             raise
 
-    def _read_valid(self, path: Path, key: str, command: str) -> Optional[str]:
-        """The payload text of the entry at `path`, or None (with a warning) if it fails a check."""
+    def _read_valid(self, path: Path, key: str, command: str) -> Optional[tuple[str, Optional[dict]]]:
+        """The payload text and verdict of the entry at `path`, or None (with a warning) if it fails a check."""
         try:
             header_line, _, text = path.read_text(encoding="ascii").partition("\n")
             header = json.loads(header_line)
@@ -332,7 +345,10 @@ class ResultCache:
                 raise ValueError("cache key mismatch")
             if text_hash(text) != header.get("payload_sha256"):
                 raise ValueError("payload hash mismatch")
-            return text
+            verdict = header.get("verdict", False)  # False, never a stored verdict, marks one missing
+            if verdict is not None and not (isinstance(verdict, dict) and isinstance(verdict.get("error"), str)):
+                raise ValueError("missing or malformed verdict")
+            return text, verdict
         except (OSError, ValueError) as exc:
             print(
                 dumps_canonical({"warning": f"corrupted cache entry {path.name}: {exc}", "action": "recomputing"}),

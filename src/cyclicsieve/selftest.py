@@ -256,12 +256,12 @@ def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
             return False, f"AVL({n},{w}) polynomial infeasible: {rep.diagnosis}"
         t = {k: 0 for k in range(1, n + 1)}
         t.update(rep.orbit_counts())
-        carrier, action, poly = lyndon_construct(t, n)
+        orbits, action, poly = lyndon_construct(t, n)
         # By the orbit-census equivalence the synthesized orbit polynomial
         # must equal f folded mod q^n - 1, and the triple must pass.
         if poly != IntPolynomial(mod_cyclic(f, n)):
             return False, f"synthesized polynomial differs from f mod q^n-1 at AVL({n},{w})"
-        if not verify_csp(carrier, action, f).passed:
+        if not verify_csp(orbits, action, f).passed:
             return False, f"synthesized action fails CSP at AVL({n},{w})"
         checked += 1
     return True, f"{checked} polynomials feasible with matching orbit counts"
@@ -291,10 +291,10 @@ def crit_13_construction(max_n: int) -> tuple[bool, str]:
         t = {d: rng.randint(0, 3) for d in range(1, bound + 1)}
         family = []
         for n in range(1, bound + 1):
-            carrier, action, f = lyndon_construct(t, n)
-            if carrier and not verify_csp(carrier, action, f).passed:
+            orbits, action, f = lyndon_construct(t, n)
+            if orbits.orbits and not verify_csp(orbits, action, f).passed:
                 return False, f"trial {trial}: construction fails CSP at n={n}"
-            family.append((carrier, action, f))
+            family.append((orbits, action, f))
         if not lyndon_check(family).passed:
             return False, f"trial {trial}: constructed family is not Lyndon-like"
     return True, f"20 random parameter vectors, all constructions pass to n={bound}"

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -385,6 +386,156 @@ class TestWarmPath:
         assert probe == {"jsonschema": False, "validated": []}
         assert warnings == []
 
+    HITS = [
+        ["verify", "cdp", "--n", "6", "--w", "3"],
+        ["orbits", "cdp", "--n", "4", "--w", "3", "--poly"],
+        ["count", "--n", "5", "--w", "2"],
+    ]
+
+    def test_hit_loads_no_kernel_module_and_no_dataclasses(self, tmp_path):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        cold = {}
+        for argv in self.HITS:
+            result, loaded = run_module_probe(*cache, *argv)
+            assert result.returncode == 0, result.stderr
+            assert "cyclicsieve.genfunc" in loaded["package"]  # a miss computes, so the probe sees kernels load
+            cold[tuple(argv)] = result.stdout
+        for argv in self.HITS:
+            result, loaded = run_module_probe(*cache, *argv)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == cold[tuple(argv)]
+            assert loaded["package"] == ["cyclicsieve", "cyclicsieve.cli", "cyclicsieve.jsonio"], argv
+            assert "dataclasses" not in loaded["new"], argv
+
+
+# Runs cli.main on its arguments; the last stderr line lists the cyclicsieve
+# modules loaded and every module the run added after interpreter start.
+MODULE_PROBE = """
+import json, sys
+started = set(sys.modules)
+from cyclicsieve.cli import main
+code = main(sys.argv[1:])
+package = sorted(m for m in sys.modules if m.split(".")[0] == "cyclicsieve")
+print(json.dumps({"package": package, "new": sorted(set(sys.modules) - started)}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_module_probe(*argv: str):
+    result = subprocess.run(**child_kwargs("-c", MODULE_PROBE, *argv), capture_output=True, text=True)
+    return result, json.loads(result.stderr.splitlines()[-1])
+
+
+class TestLazyExports:
+    def test_every_name_resolves_to_its_submodule_attribute(self):
+        names = cyclicsieve.__all__
+        assert len(names) == len(set(names)) == 72
+        for name in names:
+            module = importlib.import_module(f"cyclicsieve.{cyclicsieve._SUBMODULE[name]}")
+            assert getattr(cyclicsieve, name) is getattr(module, name), name
+        assert set(names) <= set(dir(cyclicsieve))
+
+    def test_star_import_yields_every_name(self):
+        namespace = {}
+        exec("from cyclicsieve import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(cyclicsieve.__all__)
+
+    def test_unknown_name_is_refused(self):
+        with pytest.raises(AttributeError):
+            cyclicsieve.no_such_name
+        with pytest.raises(ImportError):
+            exec("from cyclicsieve import no_such_name", {})
+
+    def test_package_import_loads_no_submodule(self):
+        code = "import sys, cyclicsieve; print(sorted(m for m in sys.modules if m.startswith('cyclicsieve')))"
+        result = subprocess.run(**child_kwargs("-c", code), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "['cyclicsieve']\n"
+
+
+# An accepted request, then a neighbour of it that is refused: the refusal
+# holds with the accepted entry in the cache, and writes no entry.
+REFUSED_AFTER_HIT = [
+    (["verify", "cmp", "--n", "4"], ["--w", "7"], "verify cmp does not read --w"),
+    (["verify", "words", "--content", "3,3,4"], ["--n", "10"], "verify words does not read --n"),
+    (["lyndon", "check", "--family", "cmp", "--max-n", "4"], ["--w", "5"], "lyndon check --family cmp does not read --w"),
+    (["verify", "cdp", "--n", "9", "--w", "9"], ["--w", "19"], "verify cdp is limited to 362880 area sequences"),
+]
+
+
+class TestRefusedAfterHit:
+    @pytest.mark.parametrize("accepted, extra, error", REFUSED_AFTER_HIT, ids=[" ".join(r[0] + r[1]) for r in REFUSED_AFTER_HIT])
+    def test_refused_neighbour_of_a_cached_request(self, capsys, cache_dir, accepted, extra, error):
+        cold = run_cli(capsys, cache_dir, *accepted)
+        assert cold[0] in (0, 1)  # the cmp family is accepted and is not Lyndon-like
+        assert run_cli(capsys, cache_dir, *accepted) == cold
+        [entry] = pathlib.Path(cache_dir).glob("*.json")
+        for run in ("first", "second"):
+            assert run_cli(capsys, cache_dir, *accepted, *extra) == (2, "", reason(error)), run
+        assert list(pathlib.Path(cache_dir).glob("*.json")) == [entry]
+
+
+def entry_header(cache_dir: str) -> tuple[pathlib.Path, dict, str]:
+    [entry] = pathlib.Path(cache_dir).glob("*.json")
+    header_line, _, text = entry.read_text().partition("\n")
+    return entry, json.loads(header_line), text
+
+
+class TestVerdictHeader:
+    VERDICTS = [
+        (["verify", "avl", "--n", "4", "--w", "2"], 1, {"error": "verification failed", "first_mismatch": "1"}),
+        (["lyndon", "params", "--sizes", "1,2,5"], 1, {"error": "sizes admit no Lyndon parameters"}),
+        (["orbits", "cdp", "--n", "4", "--w", "3", "--poly"], 0, None),
+        (["count", "--n", "3", "--w", "3"], 0, None),
+    ]
+
+    @pytest.mark.parametrize("argv, exit_code, verdict", VERDICTS, ids=[" ".join(v[0]) for v in VERDICTS])
+    def test_entry_stores_the_verdict_and_a_hit_repeats_it(self, capsys, cache_dir, argv, exit_code, verdict):
+        cold = run_cli(capsys, cache_dir, *argv)
+        assert cold[0] == exit_code
+        assert entry_header(cache_dir)[1]["verdict"] == verdict
+        assert cold[2] == ("" if verdict is None else reason(**verdict, code=1))
+        assert run_cli(capsys, cache_dir, *argv) == cold
+
+    def test_hit_takes_exit_code_and_reason_from_the_header(self, capsys, cache_dir):
+        argv = ["orbits", "cdp", "--n", "4", "--w", "3", "--poly"]
+        _, cold, _ = run_cli(capsys, cache_dir, *argv)
+        entry, header, text = entry_header(cache_dir)
+        entry.write_text(json.dumps({**header, "verdict": {"error": "stored reason"}}) + "\n" + text)
+        assert run_cli(capsys, cache_dir, *argv) == (1, cold, reason("stored reason", 1))
+
+    @pytest.mark.parametrize(
+        "argv", [["orbits", "cdp", "--n", "4", "--w", "3", "--poly"], ["verify", "cmp", "--n", "5", "--table"]], ids=["json", "table"]
+    )
+    def test_hit_decodes_its_payload_only_to_render_it(self, capsys, cache_dir, monkeypatch, argv):
+        _, cold, _ = run_cli(capsys, cache_dir, *argv)
+        _, header, text = entry_header(cache_dir)
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kwargs: (decoded.append(s), real(s, **kwargs))[1])
+        assert run_cli(capsys, cache_dir, *argv) == (0, cold, "")
+        assert [real(s) for s in decoded] == [header] + ([real(text)] if "--table" in argv else [])
+
+    @pytest.mark.parametrize("verdict", ["absent", "fail", 1, True, [], {}, {"error": 1}], ids=repr)
+    def test_malformed_verdict_is_a_corrupt_entry(self, capsys, cache_dir, verdict):
+        argv = ["verify", "avl", "--n", "4", "--w", "2"]
+        cold = run_cli(capsys, cache_dir, *argv)
+        entry, header, text = entry_header(cache_dir)
+        if verdict == "absent":
+            del header["verdict"]
+        else:
+            header["verdict"] = verdict
+        entry.write_text(json.dumps(header) + "\n" + text)
+        code, out, err = run_cli(capsys, cache_dir, *argv)
+        warning, *rest = err.splitlines(keepends=True)
+        assert json.loads(warning) == {
+            "warning": f"corrupted cache entry {entry.name}: missing or malformed verdict",
+            "action": "recomputing",
+        }
+        assert (code, out, "".join(rest)) == cold
+        assert entry_header(cache_dir)[1]["verdict"] == {"error": "verification failed", "first_mismatch": "1"}
+        assert run_cli(capsys, cache_dir, *argv) == cold
+
 
 class TestClosedStdout:
     @pytest.mark.parametrize(
@@ -686,26 +837,26 @@ class TestCacheFailures:
         def replace(src, dst):
             if not nested:
                 nested.append(None)
-                nested[0] = b.fetch("count", {"n": 2}, "count", lambda: dict(payload))
+                nested[0] = b.fetch("count", {"n": 2}, "count", lambda: (dict(payload), None))
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", replace)
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        assert a.fetch("count", {"n": 2}, "count", lambda: dict(payload)) == text
-        assert nested == [text]
+        assert a.fetch("count", {"n": 2}, "count", lambda: (dict(payload), None)) == (text, None)
+        assert nested == [(text, None)]
         entries = list(directory.glob("*.json"))
         assert len(entries) == 1
         assert list(directory.glob("*.tmp")) == []
         monkeypatch.setattr(os, "replace", real_replace)
         hit = ResultCache(directory).fetch("count", {"n": 2}, "count", lambda: pytest.fail("recomputed"))
-        assert hit == text
+        assert hit == (text, None)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_invalid_payload_is_rejected_and_not_cached(self, tmp_path, enabled):
         directory = tmp_path / "cache"
         cache = ResultCache(directory, enabled=enabled)
         with pytest.raises(jsonio.SchemaError):
-            cache.fetch("count", {"n": 2}, "count", lambda: {"count": 7})
+            cache.fetch("count", {"n": 2}, "count", lambda: ({"count": 7}, None))
         assert not directory.exists() or not list(directory.iterdir())
 
 

@@ -462,22 +462,42 @@ class TestLyndonParams:
 class TestLyndonConstruct:
     def test_singleton(self):
         for n in (1, 4, 6):
-            carrier, action, f = lyndon_construct({d: 1 if d == 1 else 0 for d in range(1, n + 1)}, n)
-            assert carrier == [(1, 1, 1)]
+            orbits, action, f = lyndon_construct({d: 1 if d == 1 else 0 for d in range(1, n + 1)}, n)
+            assert orbits.orbits == (((1, 1, 1),),)
             assert f == IntPolynomial([1])
-            assert verify_csp(carrier, action, f).passed
+            assert verify_csp(orbits, action, f).passed
 
     def test_binary_profile_at_four(self):
         params = lyndon_params([2, 4, 8, 16])
-        carrier, action, f = lyndon_construct(params, 4)
+        orbits, action, f = lyndon_construct(params, 4)
+        carrier = [x for orbit in orbits.orbits for x in orbit]
         assert len(carrier) == 16
-        dec = orbit_decompose(carrier, action)
-        assert sorted(dec.sizes) == [1, 1, 2, 4, 4, 4]
-        assert verify_csp(carrier, action, f).passed
+        assert orbit_decompose(carrier, action) == orbits
+        assert sorted(orbits.sizes) == [1, 1, 2, 4, 4, 4]
+        assert verify_csp(orbits, action, f).passed
+        assert verify_csp(carrier, action, f) == verify_csp(orbits, action, f)
 
     def test_missing_divisor_rejected(self):
         with pytest.raises(ValueError):
             lyndon_construct({1: 1, 2: 1}, 4)
+
+    def test_carrier_is_walked_once(self, monkeypatch):
+        # The one orbit_decompose walk inside lyndon_construct calls the
+        # generator once per element; verify_csp and lyndon_check read the
+        # orbits it returns and call it no more.
+        calls = []
+
+        def counting(order, generator):
+            return CyclicAction(order, lambda x: (calls.append(x), generator(x))[1])
+
+        monkeypatch.setattr(csp, "CyclicAction", counting)
+        t = {1: 2, 2: 1, 3: 2, 4: 3}
+        family = [lyndon_construct(t, n) for n in range(1, 5)]
+        size = sum(orbits.carrier_size() for orbits, _, _ in family)
+        assert len(calls) == size == 2 + 4 + 8 + 16
+        assert all(verify_csp(*member).passed for member in family)
+        assert lyndon_check(family).passed
+        assert len(calls) == size
 
 
 def direct_relation_failures(family):
@@ -597,9 +617,9 @@ class TestDualRoute:
         for _ in range(150):
             n = rng.randint(1, 8)
             t = {d: rng.randint(0, 2) for d in range(1, n + 1)}
-            carrier, action, good = lyndon_construct(t, n)
+            orbits, action, good = lyndon_construct(t, n)
             f = good + P([rng.randint(0, 2) for _ in range(rng.randint(0, n + 2))])
-            report = verify_csp(carrier, action, f)  # must not raise DualRouteError
+            report = verify_csp(orbits, action, f)  # must not raise DualRouteError
             assert report.passed == (mod_cyclic(f, n) == mod_cyclic(good, n))
 
 
@@ -650,7 +670,7 @@ class TestCensusEquivariance:
             words, rotation, _ = words_family(2, n)[-1]
             built, action, _ = lyndon_construct(params, n)
             census_words = sorted(orbit_decompose(list(words), rotation).sizes)
-            census_built = sorted(orbit_decompose(built, action).sizes)
+            census_built = sorted(built.sizes)
             assert census_words == census_built
 
 
