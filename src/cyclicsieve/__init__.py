@@ -70,7 +70,6 @@ _EXPORTS = {
     ),
     "actions": (
         "CyclicAction",
-        "Necklaces",
         "OrbitDecomposition",
         "area_shift",
         "fixed_count",

@@ -13,6 +13,11 @@ The four actions of interest:
 * mobius_shift: the action induced by twisted_shift on circular Mobius
   paths through the odd-parity-word bijection.
 
+OrbitDecomposition is the one orbit type: each orbit's least element and
+size, from a census that never walks the carrier (twisted_necklaces,
+paths.cdp_necklaces) or from orbit_decompose, which walks it and keeps
+the orbits; orbit_poly and every sieving check read only the sizes.
+
 A generator that leaves its carrier, is not a bijection of it, or has an
 orbit whose size does not divide the order is a kernel bug, reported as
 OrbitError and never as a verdict.
@@ -33,7 +38,6 @@ __all__ = [
     "OrbitError",
     "CyclicAction",
     "OrbitDecomposition",
-    "Necklaces",
     "area_shift",
     "word_rotate",
     "word_shift_two",
@@ -102,9 +106,12 @@ def twisted_necklaces(n: int, odd: bool = False) -> Iterator[tuple[int, int]]:
     in increasing order, so the first one not yet seen is the least of its
     orbit, which is then walked with twisted_shift_bits and marked seen.
     Raises OrbitError if a step reaches a seen int before the orbit closes
-    (the step is not a bijection) or if an orbit size does not divide n.
+    (the step is not a bijection) or if an orbit size does not divide n,
+    and ValueError, as twisted_shift does, for n < 2 without `odd`.
     """
-    if n == 1 and odd:
+    if n < 2 and not odd:
+        raise ValueError("twisted shift needs word length at least 2")
+    if n == 1:
         yield 1, 1
         return
     seen = bytearray(1 << n)
@@ -184,38 +191,16 @@ class CyclicAction:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    """Partition of a carrier into orbits, ordered by minimal element."""
+    """The orbits of a carrier under an action: each orbit's least element
+    (its necklace) and its size, in increasing order of the necklace.
 
-    order: int
-    orbits: tuple[tuple[Hashable, ...], ...]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.orbits)
-
-    def carrier_size(self) -> int:
-        return sum(self.sizes)
-
-    def to_json(self, serialize=lambda x: x) -> list[dict]:
-        return [
-            {
-                "size": len(o),
-                "stabilizer_order": self.order // len(o),
-                "elements": [serialize(x) for x in o],
-            }
-            for o in self.orbits
-        ]
-
-
-@dataclass(frozen=True)
-class Necklaces:
-    """The orbits of a carrier known before it is walked: each orbit's least
-    element (its necklace) and its size, in increasing order of the necklace.
-
-    Sieving reads only `sizes`.  `orbits` walks each orbit from its
-    necklace with the action's generator and lists it as orbit_decompose
-    does; it raises OrbitError if an orbit does not return to its necklace
-    after exactly its size steps.
+    Sieving reads only `sizes`, so a census that finds the necklaces
+    without walking the carrier builds one directly.  `orbits` lists each
+    orbit from its necklace by the action's generator, walked on first
+    read; it raises OrbitError if an orbit does not return to its necklace
+    after exactly its size steps.  orbit_decompose returns one that already
+    holds the orbits it walked.  Equality reads the action, the necklaces
+    and the sizes, never whether `orbits` was read.
     """
 
     action: CyclicAction
@@ -239,8 +224,18 @@ class Necklaces:
             orbits.append(tuple(orbit))
         return tuple(orbits)
 
+    def carrier_size(self) -> int:
+        return sum(self.sizes)
+
     def to_json(self, serialize=lambda x: x) -> list[dict]:
-        return OrbitDecomposition(self.order, self.orbits).to_json(serialize)
+        return [
+            {
+                "size": len(o),
+                "stabilizer_order": self.order // len(o),
+                "elements": [serialize(x) for x in o],
+            }
+            for o in self.orbits
+        ]
 
 
 def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitDecomposition:
@@ -275,7 +270,9 @@ def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitD
         i = orbit.index(min(orbit))
         orbits.append(tuple(orbit[i:] + orbit[:i]))
     orbits.sort(key=itemgetter(0))
-    return OrbitDecomposition(action.order, tuple(orbits))
+    dec = OrbitDecomposition(action, tuple(o[0] for o in orbits), tuple(len(o) for o in orbits))
+    dec.__dict__["orbits"] = tuple(orbits)  # the walk's own orbits, so `orbits` is not walked again
+    return dec
 
 
 def fixed_count(carrier: Sequence[Hashable], action: CyclicAction, k: int) -> int:
@@ -288,15 +285,14 @@ def fixed_count(carrier: Sequence[Hashable], action: CyclicAction, k: int) -> in
     return sum(1 for x in carrier if action.apply_power(x, d) == x)
 
 
-def orbit_poly(dec: OrbitDecomposition, n: int) -> IntPolynomial:
+def orbit_poly(dec: OrbitDecomposition) -> IntPolynomial:
     """Coefficient of q^l counts the orbits whose stabilizer order divides l.
 
     This is the canonical sieving polynomial of the action: evaluating it
     at a primitive (n/gcd(n,k))-th root of unity gives the number of fixed
-    points of the k-th generator power.
+    points of the k-th generator power, n = dec.order.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = dec.order
     coeffs = [0] * n
     for size in dec.sizes:
         if n % size != 0:

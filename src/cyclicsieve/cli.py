@@ -119,7 +119,7 @@ def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tupl
     from .qpoly import IntPolynomial, mod_cyclic
 
     dec, action, closed = TARGETS[target].orbits(n, w, content)
-    poly = orbit_poly(dec, n)
+    poly = orbit_poly(dec)
     out = {
         "target": target,
         "params": _target_params(target, n, w, content),

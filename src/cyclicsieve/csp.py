@@ -16,21 +16,23 @@ and Lyndon parameters invert the divisor sum F(d) = sum over j | d of S(j)
 (_parts).
 
 Each check reads the orbit sizes of its carrier, and Target.orbits is the
-one place that finds them.  The `cdp` target lists its rotation classes
-with paths.cdp_necklaces, each as its least area tuple and its size, and
-never builds CDP(n, w); its area tuples order, hash and serialize as
-AreaSequence objects of one width do.  The `bw` and `cmp` targets read
-theirs off one pass over the n-bit ints (actions.twisted_necklaces; `cmp`
-takes the odd-parity ones, its half-words through the parity bijection),
-which also proves that the twisted shift is a bijection whose orbit sizes
-divide n, and never call the generator.  Only `words` is walked by
-actions.orbit_decompose, which proves the same of its carrier.  The
+one place that finds them, as an actions.OrbitDecomposition.  The `cdp`
+target lists its rotation classes with paths.cdp_necklaces, each as its
+least area tuple and its size, and never builds CDP(n, w); its area
+tuples order, hash and serialize as AreaSequence objects of one width do.
+The `bw` and `cmp` targets read theirs off one pass over the n-bit ints
+(actions.twisted_necklaces; `cmp` takes the odd-parity ones, its
+half-words through the parity bijection), which also proves that the
+twisted shift is a bijection whose orbit sizes divide n, and never call
+the generator.  Only `words` is walked by actions.orbit_decompose, which
+proves the same of its carrier and keeps the orbits it walked.  The
 `avl` target counts each avoiding word once by its least period under
 rotation by two (actions.rotation_census) and never builds the balanced
 words.  Fixed-point counts are then read off the orbit sizes: the k-th
 generator power fixes exactly the elements whose orbit size divides
-gcd(k, n).  orbit_decompose and verify_subset_csp stay as the walking
-oracles of these censuses.
+gcd(k, n), as check_cdp_fixed_points reads them off cdp_necklaces.
+orbit_decompose and verify_subset_csp stay as the walking oracles of
+these censuses.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from typing import Callable, Hashable, Iterable, Sequence, Union
 
 from .actions import (
     CyclicAction,
-    Necklaces,
     OrbitDecomposition,
     mobius_shift,
     orbit_decompose,
@@ -87,7 +88,6 @@ __all__ = [
     "TARGETS",
     "MAX_CARRIER",
     "verify_target",
-    "cdp_fixed_counts",
     "check_cdp_fixed_points",
     "words_family",
     "FAMILIES",
@@ -166,12 +166,13 @@ class CspReport:
         }
 
 
-def _evaluation_rows(
+def _report(
     f: IntPolynomial,
     n: int,
     counted_by_orbit_size: dict[int, int],
-) -> tuple[tuple[CspRow, ...], bool, Union[int, None]]:
-    """Compare f at each root of unity with a fixed-point count.
+    warnings: Sequence[str] = (),
+) -> CspReport:
+    """The sieving report comparing f at each root of unity with a fixed-point count.
 
     `counted_by_orbit_size` maps an orbit size s to the number of counted
     elements lying in orbits of size s.  The k-th generator power fixes an
@@ -189,14 +190,11 @@ def _evaluation_rows(
         if not ok and first_mismatch is None:
             first_mismatch = k
         rows.append(CspRow(k, d, ev, fc, ok))
-    return tuple(rows), first_mismatch is None, first_mismatch
-
-
-Orbits = Union[OrbitDecomposition, Necklaces]
+    return CspReport(n, tuple(rows), first_mismatch is None, first_mismatch, tuple(warnings))
 
 
 def verify_csp(
-    carrier: Union[Sequence[Hashable], Orbits],
+    carrier: Union[Sequence[Hashable], OrbitDecomposition],
     action: CyclicAction,
     f: IntPolynomial,
     warnings: Sequence[str] = (),
@@ -213,20 +211,20 @@ def verify_csp(
     do not, a DualRouteError is raised instead of a report.
     """
     n = action.order
-    dec = carrier if isinstance(carrier, (OrbitDecomposition, Necklaces)) else orbit_decompose(list(carrier), action)
+    dec = carrier if isinstance(carrier, OrbitDecomposition) else orbit_decompose(list(carrier), action)
 
     members: dict[int, int] = {}
     for s in dec.sizes:
         members[s] = members.get(s, 0) + s
 
-    rows, passed, first_mismatch = _evaluation_rows(f, n, members)
+    report = _report(f, n, members, warnings)
 
-    coefficient_route = IntPolynomial(mod_cyclic(f, n)) == orbit_poly(dec, n)
-    if coefficient_route != passed:
+    coefficient_route = IntPolynomial(mod_cyclic(f, n)) == orbit_poly(dec)
+    if coefficient_route != report.passed:
         raise DualRouteError(
-            f"root-of-unity route says {passed}, coefficient route says {coefficient_route}"
+            f"root-of-unity route says {report.passed}, coefficient route says {coefficient_route}"
         )
-    return CspReport(n, rows, passed, first_mismatch, tuple(warnings))
+    return report
 
 
 def verify_subset_csp(
@@ -256,8 +254,7 @@ def verify_subset_csp(
         inside[len(orbit)] = inside.get(len(orbit), 0) + sum(1 for x in orbit if x in sub)
     if sum(inside.values()) != len(sub):
         raise ValueError("subset is not contained in the superset")
-    rows, passed, first_mismatch = _evaluation_rows(f, n, inside)
-    return CspReport(n, rows, passed, first_mismatch, tuple(warnings))
+    return _report(f, n, inside, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +390,11 @@ def lyndon_construct(
 
     action = CyclicAction(n, generator)
     orbits = orbit_decompose(carrier, action)
-    return orbits, action, orbit_poly(orbits, n)
+    return orbits, action, orbit_poly(orbits)
 
 
 # (carrier, action, f); the carrier may be given by its orbits, as verify_csp reads it.
-FamilyMember = tuple[Union[Sequence[Hashable], Orbits], CyclicAction, IntPolynomial]
+FamilyMember = tuple[Union[Sequence[Hashable], OrbitDecomposition], CyclicAction, IntPolynomial]
 
 
 @dataclass(frozen=True)
@@ -556,10 +553,10 @@ class Target:
         """
         action = CyclicAction(n, self.generator)
         if self.necklaces is None:
-            orbits: Orbits = orbit_decompose(list(self.carrier(n, w, content)), action)
+            orbits = orbit_decompose(list(self.carrier(n, w, content)), action)
         else:
             pairs = list(self.necklaces(n, w, content))
-            orbits = Necklaces(action, tuple(x for x, _ in pairs), tuple(s for _, s in pairs))
+            orbits = OrbitDecomposition(action, tuple(x for x, _ in pairs), tuple(s for _, s in pairs))
         return orbits, action, self.closed(n, w, content)
 
 
@@ -643,28 +640,22 @@ def verify_target(name: str, n: int, w: Union[int, None] = None, content: Union[
     target = TARGETS[name]
     if target.subset is None:
         return verify_csp(*target.orbits(n, w, content))
-    census = target.subset(n, w, content)
     warnings = () if gcd(n, w) == 1 else (f"coprimality hypothesis not met: gcd({n},{w}) != 1",)
-    rows, passed, first_mismatch = _evaluation_rows(target.closed(n, w, content), n, census)
-    return CspReport(n, rows, passed, first_mismatch, warnings)
-
-
-def cdp_fixed_counts(n: int, w: int) -> dict[int, int]:
-    """For every k = 1..n, |{a in CDP(n,w) : shifted by k steps equals a}|.
-
-    CDP(n, w) is enumerated once, and each area tuple is counted by its
-    least period p under rotation; rotating by k steps fixes it exactly
-    when p divides k.
-    """
-    census = rotation_census(cdp_values(n, w), n)
-    return {k: sum(c for p, c in census.items() if k % p == 0) for k in range(1, n + 1)}
+    return _report(target.closed(n, w, content), n, target.subset(n, w, content), warnings)
 
 
 def check_cdp_fixed_points(n: int, w: int, k: int) -> bool:
-    """|{a in CDP(n,w) : shifted by k steps equals a}| == |CDP(gcd(n,k), w)|."""
+    """|{a in CDP(n,w) : shifted by k steps equals a}| == |CDP(gcd(n,k), w)|.
+
+    The left side is read off the rotation classes of paths.cdp_necklaces:
+    rotation by k fixes every element of a class of size s when s divides
+    gcd(n, k), and none otherwise.  The right side enumerates CDP(gcd(n,k), w).
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    return cdp_fixed_counts(n, w)[k] == sum(1 for _ in cdp_values(gcd(n, k), w))
+    d = gcd(n, k)
+    fixed = sum(s for _, s in cdp_necklaces(n, w) if d % s == 0)
+    return fixed == sum(1 for _ in cdp_values(d, w))
 
 
 def words_family(alphabet: int, max_n: int) -> list[FamilyMember]:

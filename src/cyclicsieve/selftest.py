@@ -23,7 +23,6 @@ from .csp import (
     FAMILIES,
     TARGETS,
     balanced_words_ending_in_one,
-    cdp_fixed_counts,
     csp_feasibility,
     homomesy_check,
     lyndon_check,
@@ -49,7 +48,7 @@ from .genfunc import (
     h_bruteforce,
     h_closed,
 )
-from .paths import cdp_values, enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
+from .paths import cdp_necklaces, enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
 from .qpoly import IntPolynomial, NonConstant, eval_at_unity, mod_cyclic, q_binomial, q_lucas_eval
 
 
@@ -137,18 +136,15 @@ def crit_4_main_csp(max_n: int) -> tuple[bool, str]:
 def crit_5_fixed_points(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     cells = 0
-    # |CDP(d, w)|, read off cell (d, w) when it is counted (k = d fixes every
-    # element); a (d, w) with d < w is no cell and is enumerated once.
-    sizes: dict[tuple[int, int], int] = {}
+    # Rotation by k fixes every element of a class of size s | gcd(n, k) and
+    # no other: the classes come from cdp_necklaces, |CDP(d, w)| from the
+    # closed count.
     for n in range(1, bound + 1):
         for w in range(1, n + 1):
-            fixed = cdp_fixed_counts(n, w)
-            sizes[n, w] = fixed[n]
+            classes = [s for _, s in cdp_necklaces(n, w)]
             for k in range(1, n + 1):
                 d = gcd(n, k)
-                if (d, w) not in sizes:
-                    sizes[d, w] = sum(1 for _ in cdp_values(d, w))
-                if fixed[k] != sizes[d, w]:
+                if sum(s for s in classes if d % s == 0) != cdp_count(d, w):
                     return False, f"fixed-point count fails at (n,w,k)=({n},{w},{k})"
                 cells += 1
     return True, f"{cells} cells, |fixed| == |CDP(gcd(n,k),w)|"

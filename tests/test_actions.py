@@ -7,6 +7,7 @@ import pytest
 
 from cyclicsieve.actions import (
     CyclicAction,
+    OrbitDecomposition,
     OrbitError,
     area_shift,
     fixed_count,
@@ -14,6 +15,7 @@ from cyclicsieve.actions import (
     orbit_decompose,
     orbit_poly,
     rotation_census,
+    twisted_necklaces,
     twisted_shift,
     twisted_shift_bits,
     word_rotate,
@@ -90,6 +92,12 @@ class TestTwistedShift:
         with pytest.raises(ValueError):
             twisted_shift("1")
 
+    def test_necklaces_refuse_short_words(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="twisted shift needs word length at least 2"):
+                list(twisted_necklaces(n))
+        assert list(twisted_necklaces(1, odd=True)) == [(1, 1)]
+
     def test_int_shift_equals_the_word_shift(self):
         for n in range(2, 13):
             for v in range(2 ** n):
@@ -142,6 +150,27 @@ class TestOrbits:
         action = CyclicAction(3, lambda w: word_rotate(w, 1))
         with pytest.raises(OrbitError, match="order"):
             orbit_decompose(bw(4), action)
+
+    def test_walked_orbits_are_kept(self):
+        # orbit_decompose calls the generator once per element and hands
+        # over the orbits it walked; reading them calls it no more.
+        calls = []
+        action = CyclicAction(6, lambda x: (calls.append(x), area_shift(x))[1])
+        carrier = list(enumerate_cdp(6, 3))
+        dec = orbit_decompose(carrier, action)
+        assert len(calls) == len(carrier)
+        assert sum(len(o) for o in dec.orbits) == len(carrier)
+        assert len(calls) == len(carrier)
+        assert dec.necklaces == tuple(o[0] for o in dec.orbits)
+
+    def test_equality_does_not_depend_on_reading_the_orbits(self):
+        carrier = list(enumerate_cdp(6, 3))
+        action = CyclicAction(6, area_shift)
+        walked = orbit_decompose(carrier, action)
+        unread = OrbitDecomposition(action, walked.necklaces, walked.sizes)
+        assert unread == walked
+        assert unread.orbits == walked.orbits
+        assert unread == walked
 
 
 def sorted_reference_orbits(carrier, action):
@@ -242,14 +271,14 @@ class TestFixedCount:
 class TestOrbitPoly:
     def test_single_fixed_point(self):
         dec = orbit_decompose(["x"], CyclicAction(1, lambda x: x))
-        assert orbit_poly(dec, 1) == IntPolynomial([1])
+        assert orbit_poly(dec) == IntPolynomial([1])
 
     def test_single_free_orbit(self):
         for n in range(1, 8):
             base = "1" + "0" * (n - 1)
             carrier = [word_rotate(base, k) for k in range(n)]
             dec = orbit_decompose(carrier, CyclicAction(n, lambda w: word_rotate(w, 1)))
-            assert orbit_poly(dec, n) == q_int(n)
+            assert orbit_poly(dec) == q_int(n)
 
     def test_evaluations_count_fixed_points(self):
         # Root-of-unity values of the orbit polynomial are fixed-point counts.
@@ -257,11 +286,11 @@ class TestOrbitPoly:
             carrier = bw(n)
             action = CyclicAction(n, lambda w: word_rotate(w, 1))
             dec = orbit_decompose(carrier, action)
-            f = orbit_poly(dec, n)
+            f = orbit_poly(dec)
             for m in (d for d in range(1, n + 1) if n % d == 0):
                 assert eval_at_unity(f, m) == fixed_count(carrier, action, n // m)
 
     def test_rejects_non_dividing_orbit(self):
-        dec = orbit_decompose(["01", "10"], CyclicAction(2, lambda w: word_rotate(w, 1)))
+        dec = OrbitDecomposition(CyclicAction(3, lambda w: word_rotate(w, 1)), ("01",), (2,))
         with pytest.raises(OrbitError):
-            orbit_poly(dec, 3)
+            orbit_poly(dec)

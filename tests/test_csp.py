@@ -7,10 +7,10 @@ from math import comb, gcd
 
 import pytest
 
-from cyclicsieve import actions, csp, paths
+from cyclicsieve import actions, csp, paths, selftest
 from cyclicsieve.actions import (
     CyclicAction,
-    Necklaces,
+    OrbitDecomposition,
     OrbitError,
     area_shift,
     fixed_count,
@@ -278,8 +278,8 @@ class TestNecklaceRoute:
     @pytest.mark.parametrize("n, w", CELLS, ids=[f"{n}-{w}" for n, w in CELLS])
     def test_orbits_equal_the_walk_in_order(self, n, w):
         orbits, action, _ = TARGETS["cdp"].orbits(n, w)
-        assert isinstance(orbits, Necklaces)
         dec = orbit_decompose(list(cdp_values(n, w)), action)
+        assert orbits == dec
         assert orbits.sizes == dec.sizes
         assert orbits.orbits == dec.orbits
         assert orbits.to_json(list) == dec.to_json(list)
@@ -309,10 +309,10 @@ class TestNecklaceRoute:
     def test_a_wrong_size_does_not_close(self):
         action = CyclicAction(4, csp._rotate)
         with pytest.raises(OrbitError, match="does not close"):
-            Necklaces(action, ((0, 0, 1, 1),), (2,)).orbits
+            OrbitDecomposition(action, ((0, 0, 1, 1),), (2,)).orbits
         with pytest.raises(OrbitError, match="does not close"):
-            Necklaces(action, ((0, 1, 0, 1),), (4,)).orbits
-        assert Necklaces(action, ((0, 1, 0, 1),), (2,)).orbits == (((0, 1, 0, 1), (1, 0, 1, 0)),)
+            OrbitDecomposition(action, ((0, 1, 0, 1),), (4,)).orbits
+        assert OrbitDecomposition(action, ((0, 1, 0, 1),), (2,)).orbits == (((0, 1, 0, 1), (1, 0, 1, 0)),)
 
 
 class TestTwistedCensus:
@@ -322,8 +322,8 @@ class TestTwistedCensus:
     def test_orbits_equal_the_walk_in_order(self, name, ns):
         for n in ns:
             orbits, action, _ = TARGETS[name].orbits(n)
-            assert isinstance(orbits, Necklaces)
             dec = orbit_decompose(list(TARGETS[name].carrier(n, None, None)), action)
+            assert orbits == dec, n
             assert orbits.sizes == dec.sizes, n
             assert orbits.necklaces == tuple(o[0] for o in dec.orbits), n
             assert orbits.orbits == dec.orbits, n
@@ -341,6 +341,11 @@ class TestTwistedCensus:
         for (name, n), report in walked.items():
             assert verify_target(name, n) == report
         assert lyndon_check(FAMILIES["cmp"].members(None, 8)) == family
+
+    def test_bw_below_two_bits_is_refused(self):
+        for build in (lambda: verify_target("bw", 1), lambda: TARGETS["bw"].orbits(1)):
+            with pytest.raises(ValueError, match="twisted shift needs word length at least 2"):
+                build()
 
     def test_a_step_that_is_not_a_bijection_is_refused(self, monkeypatch):
         real = actions.twisted_shift_bits
@@ -584,6 +589,17 @@ class TestHomomesy:
         n, orbit = witness
         assert orbit  # a concrete failing orbit is reported
 
+    def test_carrier_is_walked_once(self):
+        # The orbits of the one orbit_decompose walk are handed over: the
+        # generator is called once per carrier element.
+        for n in range(1, 7):
+            calls = []
+            generator = zrun_rotation_action(n).generator
+            action = CyclicAction(n, lambda x: (calls.append(x), generator(x))[1])
+            carrier = balanced_words_ending_in_one(n)
+            assert homomesy_check(carrier, action, inv_zero_one, "inv").homomesic
+            assert sorted(calls) == sorted(carrier), n
+
 
 class TestWordCsp:
     def test_single_content(self):
@@ -687,3 +703,33 @@ class TestCdpFixedPoints:
 
     def test_six_three_four(self):
         assert check_cdp_fixed_points(6, 3, 4)
+
+    def test_class_sizes_count_the_fixed_points(self):
+        # The necklace route against g^d applied to each enumerated path.
+        for n in range(1, 8):
+            action = CyclicAction(n, area_shift)
+            for w in range(1, n + 2):
+                carrier = list(enumerate_cdp(n, w))
+                sizes = [s for _, s in paths.cdp_necklaces(n, w)]
+                by_divisor = {d: fixed_count(carrier, action, d) for d in divisors(n)}
+                for k in range(1, n + 1):
+                    d = gcd(n, k)
+                    assert check_cdp_fixed_points(n, w, k), (n, w, k)
+                    assert sum(s for s in sizes if d % s == 0) == by_divisor[d], (n, w, k)
+
+    # CDP(6, 3) has 60 necklaces; those at 0, 1, 9 and 22 have periods 1, 6, 3 and 2.
+    @pytest.mark.parametrize("index", [0, 1, 9, 22, 59])
+    def test_a_dropped_class_fails(self, monkeypatch, index):
+        size = list(paths.cdp_necklaces(6, 3))[index][1]
+        real = paths.cdp_necklaces
+
+        def dropped(n, w):
+            return (c for i, c in enumerate(real(n, w)) if (n, w, i) != (6, 3, index))
+
+        monkeypatch.setattr(csp, "cdp_necklaces", dropped)
+        monkeypatch.setattr(selftest, "cdp_necklaces", dropped)
+        failing = [k for k in range(1, 7) if not check_cdp_fixed_points(6, 3, k)]
+        assert failing == [k for k in range(1, 7) if gcd(6, k) % size == 0]
+        passed, detail = selftest.crit_5_fixed_points(8)
+        assert not passed
+        assert detail.startswith("fixed-point count fails at (n,w,k)=(6,3,")
