@@ -25,6 +25,7 @@ OrbitError and never as a verdict.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -197,10 +198,11 @@ class OrbitDecomposition:
     Sieving reads only `sizes`, so a census that finds the necklaces
     without walking the carrier builds one directly.  `orbits` lists each
     orbit from its necklace by the action's generator, walked on first
-    read; it raises OrbitError if an orbit does not return to its necklace
-    after exactly its size steps.  orbit_decompose returns one that already
-    holds the orbits it walked.  Equality reads the action, the necklaces
-    and the sizes, never whether `orbits` was read.
+    read; it raises OrbitError unless each orbit returns to its necklace
+    after exactly its size steps and each necklace is its orbit's least
+    element, above the one before.  orbit_decompose returns one that
+    already holds the orbits it walked.  Equality reads the action, the
+    necklaces and the sizes, never whether `orbits` was read.
     """
 
     action: CyclicAction
@@ -221,11 +223,17 @@ class OrbitDecomposition:
                 orbit.append(step(orbit[-1]))
             if x in orbit[1:] or step(orbit[-1]) != x:
                 raise OrbitError(f"orbit of {x!r} does not close after exactly {size} steps")
+            if min(orbit) != x or (orbits and not orbits[-1][0] < x):
+                raise OrbitError(f"necklace {x!r} is not its orbit's least element above the necklace before it")
             orbits.append(tuple(orbit))
         return tuple(orbits)
 
     def carrier_size(self) -> int:
         return sum(self.sizes)
+
+    def census(self) -> dict[int, int]:
+        """Number of elements in orbits of each size."""
+        return {s: s * count for s, count in Counter(self.sizes).items()}
 
     def to_json(self, serialize=lambda x: x) -> list[dict]:
         return [

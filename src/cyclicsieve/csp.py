@@ -3,40 +3,31 @@ orbit-count feasibility, and homomesy.
 
 A triple (carrier, action, f) exhibits cyclic sieving when f evaluated at
 the k-th power of a primitive n-th root of unity equals the number of
-fixed points of the k-th power of the generator, for every k.  All
-evaluations here are exact (cyclotomic reduction); every verdict is also
-recomputed through a second route (folding f mod q^n - 1 and comparing
-with actions.orbit_poly), and disagreement between the two routes is
-raised as an internal error rather than reported as a result.
+fixed points of the k-th power of the generator, for every k; subset
+sieving counts those fixed points inside a subset of the carrier.  Both
+read one census, the number of counted elements in orbits of each size
+s | n, and one builder, _report, turns f and a census into every
+CspReport, by two routes: f at each root of unity (_values_at_unity)
+against the elements fixed by g^d (_fixed_points), and n times f folded
+mod q^n - 1 against the census itself.  All arithmetic is exact, and a
+disagreement between the routes is an internal error, never a result.
+Feasibility and Lyndon parameters invert the divisor sum F(d) = sum over
+j | d of S(j) (_parts).
 
-Every verdict reads one table per divisor d of n, f at a primitive
-(n/d)-th root of unity (_values_at_unity): sieving row k and the
-Lyndon-like relation read it at d = gcd(k, n) and d = n/m, and feasibility
-and Lyndon parameters invert the divisor sum F(d) = sum over j | d of S(j)
-(_parts).
-
-Each check reads the orbit sizes of its carrier, and Target.orbits is the
-one place that finds them, as an actions.OrbitDecomposition.  The `cdp`
-target lists its rotation classes with paths.cdp_necklaces, each as its
-least area tuple and its size, and never builds CDP(n, w); its area
-tuples order, hash and serialize as AreaSequence objects of one width do.
-The `bw` and `cmp` targets read theirs off one pass over the n-bit ints
-(actions.twisted_necklaces; `cmp` takes the odd-parity ones, its
-half-words through the parity bijection), which also proves that the
-twisted shift is a bijection whose orbit sizes divide n, and never call
-the generator.  Only `words` is walked by actions.orbit_decompose, which
-proves the same of its carrier and keeps the orbits it walked.  The
-`avl` target counts each avoiding word once by its least period under
-rotation by two (actions.rotation_census) and never builds the balanced
-words.  Fixed-point counts are then read off the orbit sizes: the k-th
-generator power fixes exactly the elements whose orbit size divides
-gcd(k, n), as check_cdp_fixed_points reads them off cdp_necklaces.
-orbit_decompose and verify_subset_csp stay as the walking oracles of
-these censuses.
+Target.counted gives each registry target's census.  `cdp` reads it off
+its rotation classes (paths.cdp_necklaces), never building CDP(n, w);
+`bw` and `cmp` off one pass over the n-bit ints (actions.twisted_necklaces,
+which also proves the twisted shift a bijection whose orbit sizes divide
+n), never calling the generator; `words` off one orbit_decompose walk of
+its carrier.  `avl` is subset sieving: it counts each avoiding word once
+by its least period under rotation by two (actions.rotation_census),
+never building the balanced words.  orbit_decompose and
+verify_subset_csp stay as the walking oracles of these censuses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -46,6 +37,7 @@ from typing import Callable, Hashable, Iterable, Sequence, Union
 from .actions import (
     CyclicAction,
     OrbitDecomposition,
+    OrbitError,
     mobius_shift,
     orbit_decompose,
     orbit_poly,
@@ -166,21 +158,24 @@ class CspReport:
         }
 
 
-def _report(
-    f: IntPolynomial,
-    n: int,
-    counted_by_orbit_size: dict[int, int],
-    warnings: Sequence[str] = (),
-) -> CspReport:
-    """The sieving report comparing f at each root of unity with a fixed-point count.
+def _fixed_points(census: dict[int, int], n: int) -> dict[int, int]:
+    """Counted elements fixed by g^d, those whose orbit size divides d, for each d | n."""
+    return {d: sum(c for s, c in census.items() if d % s == 0) for d in divisors(n)}
 
-    `counted_by_orbit_size` maps an orbit size s to the number of counted
-    elements lying in orbits of size s.  The k-th generator power fixes an
-    element exactly when its orbit size divides d = gcd(k, n), so both sides
-    are built once per divisor d and read by every k with that gcd.
+
+def _report(f: IntPolynomial, n: int, census: dict[int, int], warnings: Sequence[str] = ()) -> CspReport:
+    """The sieving report of f against a census: counted elements by orbit size s.
+
+    Route one compares f at a primitive (n/d)-th root of unity with the
+    elements fixed by g^d, once per d | n, for every k with gcd(k, n) = d.
+    Route two: n times f folded mod q^n - 1 must equal the census spread
+    over the multiples of n/s, each element weighted n/s (for a whole
+    carrier, n times actions.orbit_poly).  The verdicts agree for every f
+    and census (Reiner, Stanton and White, Prop. 2.1), so a disagreement
+    raises DualRouteError; a size not dividing n raises OrbitError.
     """
     values = _values_at_unity(f, n)
-    fixed = {d: sum(c for s, c in counted_by_orbit_size.items() if d % s == 0) for d in values}
+    fixed = _fixed_points(census, n)
     rows = []
     first_mismatch = None
     for k in range(1, n + 1):
@@ -190,7 +185,20 @@ def _report(
         if not ok and first_mismatch is None:
             first_mismatch = k
         rows.append(CspRow(k, d, ev, fc, ok))
-    return CspReport(n, tuple(rows), first_mismatch is None, first_mismatch, tuple(warnings))
+    report = CspReport(n, tuple(rows), first_mismatch is None, first_mismatch, tuple(warnings))
+
+    spread = [0] * n
+    for s, c in census.items():
+        if n % s != 0:
+            raise OrbitError(f"orbit size {s} does not divide {n}")
+        for ell in range(0, n, n // s):
+            spread[ell] += c * (n // s)
+    coefficient_route = [n * c for c in mod_cyclic(f, n)] == spread
+    if coefficient_route != report.passed:
+        raise DualRouteError(
+            f"root-of-unity route says {report.passed}, coefficient route says {coefficient_route}"
+        )
+    return report
 
 
 def verify_csp(
@@ -199,32 +207,13 @@ def verify_csp(
     f: IntPolynomial,
     warnings: Sequence[str] = (),
 ) -> CspReport:
-    """Exact sieving check of (carrier, action, f), with the dual-route guard.
+    """Exact sieving check of (carrier, action, f), with the dual-route guard of _report.
 
     `carrier` is the elements, walked here by orbit_decompose, or their
-    orbits already found (Target.orbits); only the orbit sizes are read.
-    Route one compares f at each root of unity with the fixed-point count,
-    one row per k built from the evaluation and the count at d = gcd(k, n).
-    Route two folds f mod q^n - 1 and compares it with actions.orbit_poly
-    of the orbits (coefficient l counts orbits whose stabilizer order
-    divides l).  The two verdicts agree for every polynomial; if they ever
-    do not, a DualRouteError is raised instead of a report.
+    orbits already found (Target.orbits); only their orbit sizes are read.
     """
-    n = action.order
     dec = carrier if isinstance(carrier, OrbitDecomposition) else orbit_decompose(list(carrier), action)
-
-    members: dict[int, int] = {}
-    for s in dec.sizes:
-        members[s] = members.get(s, 0) + s
-
-    report = _report(f, n, members, warnings)
-
-    coefficient_route = IntPolynomial(mod_cyclic(f, n)) == orbit_poly(dec)
-    if coefficient_route != report.passed:
-        raise DualRouteError(
-            f"root-of-unity route says {report.passed}, coefficient route says {coefficient_route}"
-        )
-    return report
+    return _report(f, action.order, dec.census(), warnings)
 
 
 def verify_subset_csp(
@@ -236,25 +225,17 @@ def verify_subset_csp(
 ) -> CspReport:
     """Subset sieving: fixed points are counted inside a subset of the carrier.
 
-    Matches f at each root of unity against the number of subset elements
-    fixed by the corresponding generator power.  One orbit walk over the
-    superset, in its given order and without copying it, checks that the
-    generator is a bijection of it whose order divides n, and raises
-    OrbitError with a witness otherwise; the subset need not be closed, but
-    the walk must meet every subset element, else ValueError.  An element is
-    fixed by g^k exactly when its orbit size divides gcd(k, n), so the
-    subset's fixed count for g^k is the sum of |orbit & subset| over the
-    superset orbits of such sizes, and no power of the generator is applied
-    again.
+    The census counts the subset elements in the superset orbits of each
+    size.  One orbit walk over the superset, in its given order and without
+    copying it, checks that the generator is a bijection of it whose order
+    divides n, else OrbitError with a witness; the subset need not be
+    closed, but the walk must meet every subset element, else ValueError.
     """
     sub = set(subset)
-    n = action.order
-    inside: dict[int, int] = {}
-    for orbit in orbit_decompose(superset, action).orbits:
-        inside[len(orbit)] = inside.get(len(orbit), 0) + sum(1 for x in orbit if x in sub)
+    inside = Counter(len(orbit) for orbit in orbit_decompose(superset, action).orbits for x in orbit if x in sub)
     if sum(inside.values()) != len(sub):
         raise ValueError("subset is not contained in the superset")
-    return _report(f, n, inside, warnings)
+    return _report(f, action.order, inside, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +495,18 @@ class Target:
 
     Each callable takes (n, w, content), of which the target reads the
     ones named in `params`; n is the order of the action, and for `words`
-    it is the word length sum(content).  A target with `subset` is subset
-    sieving: its carrier is part of a set the action acts on and need not
-    be closed under it, and subset(n, w, content) counts the carrier
-    elements of each orbit size in that set, from which the fixed points
-    of each generator power are counted.  The
-    callables reach the layer functions through this module's globals, so
-    a wrapper installed on a module attribute sees every call.  `max_n` bounds n for the commands
+    it is the word length sum(content).  The callables reach the layer
+    functions through this module's globals, so a wrapper installed on a
+    module attribute sees every call.  `max_n` bounds n for the commands
     that build the carrier or its orbits.  A target whose carrier can exceed
     MAX_CARRIER at an admitted n also has `carrier_size`, the size of its
     carrier known before anything is built, which those commands bound by
     MAX_CARRIER; its elements are called `unit` in the error past that bound.
     A target with `necklaces` lists its orbits without its carrier: the
     callable yields (least element, orbit size) for each orbit, in
-    increasing order of the least element.
+    increasing order of the least element.  A target with `census` is
+    subset sieving: its carrier need not be closed under the action, and
+    census(n, w, content) gives its census and the instance's warnings.
     """
 
     params: tuple[str, ...]
@@ -536,33 +515,47 @@ class Target:
     generator: Callable[[Hashable], Hashable]
     closed: Callable[..., IntPolynomial]
     serialize: Callable[[Hashable], object] = lambda x: x
-    subset: Union[Callable[..., dict[int, int]], None] = None
     min_n: int = 1
     carrier_size: Union[Callable[..., int], None] = None
     unit: str = ""
     necklaces: Union[Callable[..., Iterable[tuple[Hashable, int]]], None] = None
+    census: Union[Callable[..., tuple[dict[int, int], tuple[str, ...]]], None] = None
 
     def instance(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> FamilyMember:
         return list(self.carrier(n, w, content)), CyclicAction(n, self.generator), self.closed(n, w, content)
 
     def orbits(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> FamilyMember:
-        """instance() with the carrier replaced by its orbits, the one place that finds them.
+        """instance() with the carrier replaced by its orbits (decompose())."""
+        dec = self.decompose(n, w, content)
+        return dec, dec.action, self.closed(n, w, content)
 
-        A target with `necklaces` reads them off its necklace generator;
-        any other walks its carrier with orbit_decompose.
-        """
+    def decompose(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> OrbitDecomposition:
+        """The carrier's orbits, the one place that finds them: off `necklaces`, else by orbit_decompose."""
         action = CyclicAction(n, self.generator)
         if self.necklaces is None:
-            orbits = orbit_decompose(list(self.carrier(n, w, content)), action)
-        else:
-            pairs = list(self.necklaces(n, w, content))
-            orbits = OrbitDecomposition(action, tuple(x for x, _ in pairs), tuple(s for _, s in pairs))
-        return orbits, action, self.closed(n, w, content)
+            return orbit_decompose(list(self.carrier(n, w, content)), action)
+        pairs = list(self.necklaces(n, w, content))
+        return OrbitDecomposition(action, tuple(x for x, _ in pairs), tuple(s for _, s in pairs))
+
+    def counted(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> tuple[dict[int, int], tuple[str, ...]]:
+        """The census and warnings that verify reads: `census`'s, else all of decompose(), with none."""
+        if self.census is not None:
+            return self.census(n, w, content)
+        return self.decompose(n, w, content).census(), ()
 
 
 def _rotate(word: Sequence) -> Sequence:
     """One-step right rotation, the generator on area tuples and on words."""
     return word_rotate(word, 1)
+
+
+def _avoiding_census(n: int, w: int, _) -> tuple[dict[int, int], tuple[str, ...]]:
+    """Avoiding words by least period under rotation by two, flagged unless gcd(n, w) = 1.
+
+    The periods are their orbit sizes in the balanced words, which are never built.
+    """
+    warnings = () if gcd(n, w) == 1 else (f"coprimality hypothesis not met: gcd({n},{w}) != 1",)
+    return rotation_census(enumerate_avl(n, w), n, 2), warnings
 
 
 # The carrier bound of `cdp` and `words`, 9! elements, admits at most about
@@ -614,9 +607,9 @@ TARGETS = {
         params=("n", "w"),
         max_n=9,
         carrier=lambda n, w, _: enumerate_avl(n, w),
-        subset=lambda n, w, _: rotation_census(enumerate_avl(n, w), n, 2),
         generator=word_shift_two,
         closed=lambda n, w, _: avl_q_closed(n, w),
+        census=_avoiding_census,
     ),
     "words": Target(
         params=("content",),
@@ -632,30 +625,22 @@ TARGETS = {
 
 
 def verify_target(name: str, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> CspReport:
-    """Sieving report of one registry instance; a target with a subset is subset sieving.
-
-    Subset sieving on avoiding paths assumes gcd(n, w) = 1; a run without
-    it is flagged in the report's warnings.
-    """
+    """Sieving report of one registry instance, from its census (Target.counted)."""
     target = TARGETS[name]
-    if target.subset is None:
-        return verify_csp(*target.orbits(n, w, content))
-    warnings = () if gcd(n, w) == 1 else (f"coprimality hypothesis not met: gcd({n},{w}) != 1",)
-    return _report(target.closed(n, w, content), n, target.subset(n, w, content), warnings)
+    return _report(target.closed(n, w, content), n, *target.counted(n, w, content))
 
 
 def check_cdp_fixed_points(n: int, w: int, k: int) -> bool:
     """|{a in CDP(n,w) : shifted by k steps equals a}| == |CDP(gcd(n,k), w)|.
 
-    The left side is read off the rotation classes of paths.cdp_necklaces:
-    rotation by k fixes every element of a class of size s when s divides
-    gcd(n, k), and none otherwise.  The right side enumerates CDP(gcd(n,k), w).
+    The left side is read off the `cdp` census by _fixed_points, as verify
+    reads it; the right side enumerates CDP(gcd(n,k), w).
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     d = gcd(n, k)
-    fixed = sum(s for _, s in cdp_necklaces(n, w) if d % s == 0)
-    return fixed == sum(1 for _ in cdp_values(d, w))
+    census, _ = TARGETS["cdp"].counted(n, w)
+    return _fixed_points(census, n)[d] == sum(1 for _ in cdp_values(d, w))
 
 
 def words_family(alphabet: int, max_n: int) -> list[FamilyMember]:

@@ -22,6 +22,7 @@ from .actions import CyclicAction, word_shift_two
 from .csp import (
     FAMILIES,
     TARGETS,
+    _fixed_points,
     balanced_words_ending_in_one,
     csp_feasibility,
     homomesy_check,
@@ -48,7 +49,7 @@ from .genfunc import (
     h_bruteforce,
     h_closed,
 )
-from .paths import cdp_necklaces, enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
+from .paths import enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
 from .qpoly import IntPolynomial, NonConstant, eval_at_unity, mod_cyclic, q_binomial, q_lucas_eval
 
 
@@ -136,15 +137,14 @@ def crit_4_main_csp(max_n: int) -> tuple[bool, str]:
 def crit_5_fixed_points(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     cells = 0
-    # Rotation by k fixes every element of a class of size s | gcd(n, k) and
-    # no other: the classes come from cdp_necklaces, |CDP(d, w)| from the
-    # closed count.
+    # The fixed points of rotation by k are read off the census of the
+    # rotation classes, as verify reads them; |CDP(d, w)| from the closed count.
     for n in range(1, bound + 1):
         for w in range(1, n + 1):
-            classes = [s for _, s in cdp_necklaces(n, w)]
+            fixed = _fixed_points(TARGETS["cdp"].counted(n, w)[0], n)
             for k in range(1, n + 1):
                 d = gcd(n, k)
-                if sum(s for s in classes if d % s == 0) != cdp_count(d, w):
+                if fixed[d] != cdp_count(d, w):
                     return False, f"fixed-point count fails at (n,w,k)=({n},{w},{k})"
                 cells += 1
     return True, f"{cells} cells, |fixed| == |CDP(gcd(n,k),w)|"

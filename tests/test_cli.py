@@ -597,6 +597,15 @@ class TestExitCodes:
         assert reason["error"].startswith("internal error: DualRouteError: ")
         assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
 
+    def test_a_subset_sieving_fault_exits_three(self, capsys, cache_dir, monkeypatch):
+        # avl is subset sieving; an evaluation kernel off by one at q = 1 is
+        # caught by the dual-route guard, not reported as a failing verdict.
+        real = csp.eval_at_unity
+        monkeypatch.setattr(csp, "eval_at_unity", lambda f, m: real(f, m) + (m == 1))
+        code, out, err = run_cli(capsys, cache_dir, "--no-cache", "verify", "avl", "--n", "7", "--w", "3")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"].startswith("internal error: DualRouteError: ")
+
     def test_payload_that_breaks_its_schema_exits_three_and_is_not_cached(self, capsys, cache_dir, monkeypatch):
         # A payload builder that emits an int where the schema wants a string.
         real = cli.payload_count
@@ -661,6 +670,21 @@ class TestNecklaceMutations:
         assert (code, out) == (3, "")
         assert "does not close after exactly 3 steps" in err
 
+    def test_a_repeated_class_breaks_orbits(self, capsys, cache_dir, monkeypatch):
+        # Class 9 of CDP(6, 3), (0,0,1,0,0,1), yielded again in place of
+        # class 27, (0,1,1,0,1,1); both have size 3.
+        classes = list(csp.cdp_necklaces(6, 3))
+        assert [size for _, size in (classes[9], classes[27])] == [3, 3]
+        repeated = classes[:27] + [classes[9]] + classes[28:]
+        monkeypatch.setattr(csp, "cdp_necklaces", lambda n, w: iter(repeated))
+        code, out, err = run_cli(capsys, cache_dir, "--no-cache", "orbits", "cdp", "--n", "6", "--w", "3", "--poly")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"].startswith("internal error: OrbitError: necklace (0, 0, 1, 0, 0, 1) is not ")
+        # verify reads only the class sizes, and those are still right, so it still passes.
+        code, out, _ = run_cli(capsys, cache_dir, "--no-cache", "verify", "cdp", "--n", "6", "--w", "3")
+        assert code == 0
+        assert payload_of(out)["report"]["verdict"] == "pass"
+
 
 class TestCensusMutations:
     """A census of bw, cmp or avl that loses an element or misreports a size never passes."""
@@ -701,6 +725,20 @@ class TestCensusMutations:
         code, out, err = run_cli(capsys, cache_dir, "verify", target, "--n", "6")
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": "internal error: OrbitError: orbit size 4 does not divide 6", "exit": 3}
+
+    def test_a_necklace_that_is_not_least_breaks_orbits(self, capsys, cache_dir, monkeypatch):
+        # The last orbit is named by its successor under the shift, which is also in it but larger.
+        real = csp.twisted_necklaces
+
+        def not_least(n, odd=False):
+            pairs = list(real(n, odd))
+            v, size = pairs[-1]
+            return iter(pairs[:-1] + [(actions.twisted_shift_bits(v, n), size)])
+
+        monkeypatch.setattr(csp, "twisted_necklaces", not_least)
+        code, out, err = run_cli(capsys, cache_dir, "--no-cache", "orbits", "bw", "--n", "6")
+        assert (code, out) == (3, "")
+        assert "is not its orbit's least element" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("argv", [["verify", "bw", "--n", "6"], ["verify", "cmp", "--n", "6"], ["orbits", "bw", "--n", "6"]])
     def test_a_step_that_is_not_a_bijection_is_an_internal_fault(self, capsys, cache_dir, monkeypatch, argv):

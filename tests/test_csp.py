@@ -285,7 +285,7 @@ class TestNecklaceRoute:
         assert orbits.to_json(list) == dec.to_json(list)
 
     def test_other_targets_walk_their_carrier(self):
-        walked = [name for name, target in TARGETS.items() if target.necklaces is None and target.subset is None]
+        walked = [name for name, target in TARGETS.items() if target.necklaces is None and target.census is None]
         assert walked == ["words"]
         carrier, action, f = TARGETS["words"].instance(6, None, (2, 2, 2))
         assert TARGETS["words"].orbits(6, None, (2, 2, 2)) == (orbit_decompose(carrier, action), action, f)
@@ -313,6 +313,15 @@ class TestNecklaceRoute:
         with pytest.raises(OrbitError, match="does not close"):
             OrbitDecomposition(action, ((0, 1, 0, 1),), (4,)).orbits
         assert OrbitDecomposition(action, ((0, 1, 0, 1),), (2,)).orbits == (((0, 1, 0, 1), (1, 0, 1, 0)),)
+
+    def test_necklaces_are_increasing_orbit_minima(self):
+        action = CyclicAction(4, csp._rotate)
+        with pytest.raises(OrbitError, match="not its orbit's least element"):
+            OrbitDecomposition(action, ((1, 0, 1, 0),), (2,)).orbits
+        with pytest.raises(OrbitError, match="not its orbit's least element"):
+            OrbitDecomposition(action, ((0, 1, 0, 1), (0, 0, 1, 1)), (2, 4)).orbits
+        with pytest.raises(OrbitError, match="not its orbit's least element"):
+            OrbitDecomposition(action, ((0, 1, 0, 1), (0, 1, 0, 1)), (2, 2)).orbits
 
 
 class TestTwistedCensus:
@@ -639,19 +648,31 @@ class TestDualRoute:
             assert report.passed == (mod_cyclic(f, n) == mod_cyclic(good, n))
 
 
-    @pytest.mark.parametrize("route", ["mod_cyclic", "eval_at_unity"])
+    @pytest.mark.parametrize("route", ["mod_cyclic", "eval_at_unity", "_fixed_points"])
     def test_perturbed_route_raises(self, route, monkeypatch):
-        # One route changed by one coefficient or one value disagrees with
-        # the other on an instance that passes, so the guard must fire.
-        carrier, action, f = bw(6), CyclicAction(6, twisted_shift), bw_q(6)
-        assert verify_csp(carrier, action, f).passed
+        # One route changed by one coefficient, one value or one fixed count
+        # disagrees with the other on an instance that passes, so the guard
+        # must fire: on a whole carrier, on a registry target, and on subset
+        # sieving, both the avl census and a superset walk.
+        instances = [
+            lambda: verify_csp(bw(6), CyclicAction(6, twisted_shift), bw_q(6)),
+            lambda: verify_target("cdp", 6, 3),
+            lambda: verify_target("avl", 7, 3),
+            lambda: verify_subset_csp(
+                list(enumerate_avl(5, 2)), list(enumerate_balanced(5)), CyclicAction(5, word_shift_two), avl_q_closed(5, 2)
+            ),
+        ]
+        assert all(report().passed for report in instances)
         real = getattr(csp, route)
         if route == "mod_cyclic":
             monkeypatch.setattr(csp, route, lambda g, n: (real(g, n)[0] + 1,) + real(g, n)[1:])
-        else:
+        elif route == "eval_at_unity":
             monkeypatch.setattr(csp, route, lambda g, m: real(g, m) + (m == 1))
-        with pytest.raises(csp.DualRouteError):
-            verify_csp(carrier, action, f)
+        else:
+            monkeypatch.setattr(csp, route, lambda census, n: {d: c + (d == n) for d, c in real(census, n).items()})
+        for report in instances:
+            with pytest.raises(csp.DualRouteError):
+                report()
 
     def test_rows_read_the_direct_evaluation(self):
         rng = random.Random(5)
@@ -727,7 +748,6 @@ class TestCdpFixedPoints:
             return (c for i, c in enumerate(real(n, w)) if (n, w, i) != (6, 3, index))
 
         monkeypatch.setattr(csp, "cdp_necklaces", dropped)
-        monkeypatch.setattr(selftest, "cdp_necklaces", dropped)
         failing = [k for k in range(1, 7) if not check_cdp_fixed_points(6, 3, k)]
         assert failing == [k for k in range(1, 7) if gcd(6, k) % size == 0]
         passed, detail = selftest.crit_5_fixed_points(8)
