@@ -49,6 +49,7 @@ __all__ = [
     "rotation_census",
     "orbit_decompose",
     "fixed_count",
+    "census_spread",
     "orbit_poly",
 ]
 
@@ -293,18 +294,22 @@ def fixed_count(carrier: Sequence[Hashable], action: CyclicAction, k: int) -> in
     return sum(1 for x in carrier if action.apply_power(x, d) == x)
 
 
+def census_spread(census: dict[int, int], n: int) -> list[int]:
+    """c n/s at each multiple of n/s below n, for each orbit size s with c elements; OrbitError unless s | n."""
+    spread = [0] * n
+    for s, c in census.items():
+        if n % s != 0:
+            raise OrbitError(f"orbit size {s} does not divide {n}")
+        for ell in range(0, n, n // s):
+            spread[ell] += c * (n // s)
+    return spread
+
+
 def orbit_poly(dec: OrbitDecomposition) -> IntPolynomial:
     """Coefficient of q^l counts the orbits whose stabilizer order divides l.
 
     This is the canonical sieving polynomial of the action: evaluating it
     at a primitive (n/gcd(n,k))-th root of unity gives the number of fixed
-    points of the k-th generator power, n = dec.order.
+    points of the k-th generator power, n = dec.order; n times it is census_spread.
     """
-    n = dec.order
-    coeffs = [0] * n
-    for size in dec.sizes:
-        if n % size != 0:
-            raise OrbitError(f"orbit size {size} does not divide {n}")
-        for ell in range(0, n, n // size):
-            coeffs[ell] += 1
-    return IntPolynomial(coeffs)
+    return IntPolynomial(c // dec.order for c in census_spread(dec.census(), dec.order))

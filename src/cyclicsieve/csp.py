@@ -37,7 +37,7 @@ from typing import Callable, Hashable, Iterable, Sequence, Union
 from .actions import (
     CyclicAction,
     OrbitDecomposition,
-    OrbitError,
+    census_spread,
     mobius_shift,
     orbit_decompose,
     orbit_poly,
@@ -169,9 +169,9 @@ def _report(f: IntPolynomial, n: int, census: dict[int, int], warnings: Sequence
     Route one compares f at a primitive (n/d)-th root of unity with the
     elements fixed by g^d, once per d | n, for every k with gcd(k, n) = d.
     Route two: n times f folded mod q^n - 1 must equal the census spread
-    over the multiples of n/s, each element weighted n/s (for a whole
-    carrier, n times actions.orbit_poly).  The verdicts agree for every f
-    and census (Reiner, Stanton and White, Prop. 2.1), so a disagreement
+    over the multiples of n/s, each element weighted n/s (census_spread;
+    for a whole carrier, n times orbit_poly).  The verdicts agree for every
+    f and census (Reiner, Stanton and White, Prop. 2.1), so a disagreement
     raises DualRouteError; a size not dividing n raises OrbitError.
     """
     values = _values_at_unity(f, n)
@@ -186,14 +186,7 @@ def _report(f: IntPolynomial, n: int, census: dict[int, int], warnings: Sequence
             first_mismatch = k
         rows.append(CspRow(k, d, ev, fc, ok))
     report = CspReport(n, tuple(rows), first_mismatch is None, first_mismatch, tuple(warnings))
-
-    spread = [0] * n
-    for s, c in census.items():
-        if n % s != 0:
-            raise OrbitError(f"orbit size {s} does not divide {n}")
-        for ell in range(0, n, n // s):
-            spread[ell] += c * (n // s)
-    coefficient_route = [n * c for c in mod_cyclic(f, n)] == spread
+    coefficient_route = [n * c for c in mod_cyclic(f, n)] == census_spread(census, n)
     if coefficient_route != report.passed:
         raise DualRouteError(
             f"root-of-unity route says {report.passed}, coefficient route says {coefficient_route}"
@@ -205,15 +198,15 @@ def verify_csp(
     carrier: Union[Sequence[Hashable], OrbitDecomposition],
     action: CyclicAction,
     f: IntPolynomial,
-    warnings: Sequence[str] = (),
 ) -> CspReport:
     """Exact sieving check of (carrier, action, f), with the dual-route guard of _report.
 
     `carrier` is the elements, walked here by orbit_decompose, or their
     orbits already found (Target.orbits); only their orbit sizes are read.
+    Its report has no warnings; verify_subset_csp and verify_target pass theirs.
     """
     dec = carrier if isinstance(carrier, OrbitDecomposition) else orbit_decompose(list(carrier), action)
-    return _report(f, action.order, dec.census(), warnings)
+    return _report(f, action.order, dec.census())
 
 
 def verify_subset_csp(
@@ -254,14 +247,6 @@ class FeasibilityReport:
         if not self.feasible:
             raise ValueError("not feasible")
         return {k: s // k for k, s in self.s_values.items()}
-
-    def to_json(self) -> dict:
-        return {
-            "order": str(self.order),
-            "s_values": {str(k): str(v) for k, v in self.s_values.items()},
-            "feasible": self.feasible,
-            "diagnosis": self.diagnosis,
-        }
 
 
 def csp_feasibility(f: IntPolynomial, n: int) -> FeasibilityReport:

@@ -8,15 +8,25 @@ the closed formulas here into the q-count of CDP(n, w).
 
 Every closed formula has an independent exhaustive counterpart in this
 module (or in paths) so the two can be compared coefficient by coefficient.
+The closed q-counts of CDP(n, w), of the diagonal-avoiding paths and of
+the binary words (bw_q form A) are signed sums of shifted Gaussian
+binomials with one top row: each lists its terms (c, e, k), and one
+kernel, _binomial_sum, adds c q^e [top, k]_q into one dense coefficient
+list.  Each exhaustive q-count walks its own carrier and computes its own
+statistic; one histogram, _q_count, turns the exponents into a polynomial.
+cdp_q_wide (the oracle of cdp_q_closed for w >= n), h_closed and
+gen_q_ballot keep their own polynomial arithmetic on purpose, so that no
+closed form is checked against code it shares.
 Brute-force guards raise instead of truncating: a silently partial oracle
 is worse than none.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 from .paths import (
     area_to_path,
@@ -28,12 +38,41 @@ from .paths import (
     maj,
     transpose_word,
 )
-from .qpoly import ONE, ZERO, IntPolynomial, q_binomial, q_int
+from .qpoly import ONE, IntPolynomial, q_binomial, q_int
 
 Side = Literal["left", "right"]
 
 BRUTE_FORCE_TARGET_LIMIT = 14
 BRUTE_FORCE_CDP_LIMIT = 16
+
+
+def _binomial_sum(top: int, terms: Iterable[tuple[int, int, int]]) -> IntPolynomial:
+    """Sum of c q^e [top, k]_q over the terms (c, e, k), added into one dense list.
+
+    A k outside [0, top] gives a zero term and is skipped before q_binomial
+    is called, which is called once for each k in range.  A coefficient of
+    1 or -1 adds or subtracts the row as it is.
+    """
+    total: list[int] = []
+    rows: dict[int, tuple[int, ...]] = {}
+    for c, e, k in terms:
+        if not 0 <= k <= top:
+            continue
+        if k not in rows:
+            rows[k] = q_binomial(top, k).coeffs
+        coeffs = rows[k]
+        if c not in (1, -1):
+            coeffs = [c * x for x in coeffs]
+        end = e + len(coeffs)
+        total.extend([0] * (end - len(total)))
+        total[e:end] = map(sub if c == -1 else add, total[e:end], coeffs)
+    return IntPolynomial(total)
+
+
+def _q_count(exponents: Iterable[int]) -> IntPolynomial:
+    """The polynomial whose coefficient of q^e is the number of times e occurs."""
+    counts = Counter(exponents)
+    return IntPolynomial([counts[e] for e in range(max(counts, default=-1) + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +161,7 @@ def h_bruteforce(spec: DiagonalSpec) -> IntPolynomial:
     x, y = spec.target
     if x > BRUTE_FORCE_TARGET_LIMIT or y > BRUTE_FORCE_TARGET_LIMIT:
         raise ValueError(f"brute-force guard: target coordinates must be <= {BRUTE_FORCE_TARGET_LIMIT}")
-    coeffs = [0] * (x * y + max(x, y) + 1)
-    for word in enumerate_words(spec.target, "01"):
-        if _visits_in_order(word, spec.diagonals):
-            coeffs[maj(word)] += 1
-    return IntPolynomial(coeffs)
+    return _q_count(maj(word) for word in enumerate_words(spec.target, "01") if _visits_in_order(word, spec.diagonals))
 
 
 def alternating_list(first: int, second: int, ell: int) -> tuple[int, ...]:
@@ -204,37 +239,26 @@ def cdp_q_closed(n: int, w: int) -> IntPolynomial:
     range and vanishes.  The first column does not depend on j, and at
     s = 0 neither does the exponent, so that term is added once, times w.
     The second column is in range for an interval of j read off its
-    bounds, so no j outside it is visited.  The shifted binomials are
-    summed into one dense coefficient list.
+    bounds, so no j outside it is visited.  _binomial_sum adds the terms
+    of row 2n - 1; cdp_q_wide, its oracle for w >= n, does not call it.
     """
     if n < 1 or w < 1:
         raise ValueError("n and w must be positive")
     delta = w + 2
     top = 2 * n - 1
     s_max = (2 * n) // delta + 1
-    total: list[int] = []
-
-    def accumulate(exponent: int, coeffs, op) -> None:
-        end = exponent + len(coeffs)
-        if len(total) < end:
-            total.extend([0] * (end - len(total)))
-        total[exponent:end] = map(op, total[exponent:end], coeffs)
-
+    terms: list[tuple[int, int, int]] = []
     for s in range(-s_max, s_max + 1):
         # s^2 delta + s (j+1) >= 0 for every s since j + 1 < delta.
         col = n - 1 - delta * s
-        if 0 <= col <= top:
-            coeffs = q_binomial(top, col).coeffs
-            if s == 0:
-                accumulate(0, [w * c for c in coeffs], add)
-            else:
-                for j in range(1, w + 1):
-                    accumulate(s * s * delta + s * (j + 1), coeffs, add)
+        if s == 0:
+            terms.append((w, 0, col))
+        elif 0 <= col <= top:
+            terms += ((1, s * s * delta + s * (j + 1), col) for j in range(1, w + 1))
         # 0 <= n + j + delta s <= 2n - 1 for -n - delta s <= j <= n - 1 - delta s.
-        for j in range(max(1, -n - delta * s), min(w, n - 1 - delta * s) + 1):
-            coeffs = q_binomial(top, n + j + delta * s).coeffs
-            accumulate(s * s * delta + s * (j + 1), coeffs, sub)
-    return IntPolynomial(total)
+        j_range = range(max(1, -n - delta * s), min(w, n - 1 - delta * s) + 1)
+        terms += ((-1, s * s * delta + s * (j + 1), n + j + delta * s) for j in j_range)
+    return _binomial_sum(top, terms)
 
 
 def cdp_q_wide(n: int, w: int) -> IntPolynomial:
@@ -256,10 +280,7 @@ def cdp_q_bruteforce(n: int, w: int) -> IntPolynomial:
     """Sum of q^maj over all lattice words of CDP(n, w); the independent oracle."""
     if n + w > BRUTE_FORCE_CDP_LIMIT:
         raise ValueError(f"brute-force guard: need n + w <= {BRUTE_FORCE_CDP_LIMIT}")
-    coeffs = [0] * (2 * n * n + 1)
-    for a in enumerate_cdp(n, w):
-        coeffs[maj(area_to_path(a).bits)] += 1
-    return IntPolynomial(coeffs)
+    return _q_count(maj(area_to_path(a).bits) for a in enumerate_cdp(n, w))
 
 
 def _comb0(n: int, k: int) -> int:
@@ -286,27 +307,26 @@ def cdp_count(n: int, w: int) -> int:
 # ---------------------------------------------------------------------------
 
 def avl_q_closed(n: int, w: int) -> IntPolynomial:
-    """Closed maj q-count of 2n-step paths (0,0) -> (n,n) avoiding x - y = +-w."""
+    """Closed maj q-count of 2n-step paths (0,0) -> (n,n) avoiding x - y = +-w.
+
+    The sum over s of q^(2 s^2 w + s w) ([2n, n + 2sw]_q - [2n, n + w + 2sw]_q),
+    its terms added by _binomial_sum, which skips the columns out of range.
+    """
     if n < 1 or w < 1:
         raise ValueError("n and w must be positive")
     s_max = (2 * n + w) // (2 * w) + 1
-    total = ZERO
-    for s in range(-s_max, s_max + 1):
-        term = q_binomial(2 * n, n + 2 * s * w) - q_binomial(2 * n, n + w + 2 * s * w)
-        if term.is_zero():
-            continue
-        total = total + term.shift(2 * s * s * w + s * w)
-    return total
+    return _binomial_sum(2 * n, (
+        (c, 2 * s * s * w + s * w, k)
+        for s in range(-s_max, s_max + 1)
+        for c, k in ((1, n + 2 * s * w), (-1, n + w + 2 * s * w))
+    ))
 
 
 def avl_q_bruteforce(n: int, w: int) -> IntPolynomial:
     """Exhaustive maj q-count over enumerate_avl(n, w)."""
     if n > 8:
         raise ValueError("brute-force guard: need n <= 8")
-    coeffs = [0] * (n * n + 1)
-    for bits in enumerate_avl(n, w):
-        coeffs[maj(bits)] += 1
-    return IntPolynomial(coeffs)
+    return _q_count(maj(bits) for bits in enumerate_avl(n, w))
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +341,21 @@ def bw_q(n: int, form: Literal["A", "B", "C"] = "A") -> IntPolynomial:
     C: sum over all binary words b of q^(maj(b) + maj(complement(b)))
 
     The three forms are identical polynomials; keeping the code paths
-    separate makes them mutual oracles.
+    separate makes them mutual oracles.  Form A is summed by the closed
+    kernel _binomial_sum, form C by the brute-force histogram _q_count.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if form == "A":
-        total = ZERO
-        for k in range(n + 1):
-            total = total + q_binomial(n, k).shift(k * (k - 1) // 2)
-        return total
+        return _binomial_sum(n, ((1, k * (k - 1) // 2, k) for k in range(n + 1)))
     if form == "B":
         total = ONE
         for j in range(n):
             total = total * (IntPolynomial.monomial(1, j) + 1)
         return total
     if form == "C":
-        coeffs = [0] * (n * n + 1)
-        for v in range(2 ** n):
-            bits = format(v, f"0{n}b") if n else ""
-            coeffs[maj(bits) + maj(transpose_word(bits))] += 1
-        return IntPolynomial(coeffs)
+        words = (format(v, f"0{n}b") if n else "" for v in range(2 ** n))
+        return _q_count(maj(bits) + maj(transpose_word(bits)) for bits in words)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -348,10 +363,7 @@ def cmp_q(n: int) -> IntPolynomial:
     """Sum of q^maj over the full words of the circular Mobius paths of size n."""
     if n < 1:
         raise ValueError("n must be positive")
-    coeffs = [0] * (2 * n * n + 1)
-    for word in enumerate_cmp(n):
-        coeffs[maj(word.full_bits())] += 1
-    return IntPolynomial(coeffs)
+    return _q_count(maj(word.full_bits()) for word in enumerate_cmp(n))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +381,4 @@ def dyck_q_bruteforce(n: int) -> IntPolynomial:
     """Exhaustive maj q-count over Dyck paths of size n."""
     if n > 9:
         raise ValueError("brute-force guard: need n <= 9")
-    coeffs = [0] * (n * n + 1)
-    for p in enumerate_dyck(n):
-        coeffs[maj(p.bits)] += 1
-    return IntPolynomial(coeffs)
+    return _q_count(maj(p.bits) for p in enumerate_dyck(n))

@@ -148,9 +148,6 @@ class AreaSequence:
     def height(self) -> int:
         return len(self.values)
 
-    def to_json(self) -> list[int]:
-        return list(self.values)
-
 
 def cdp_values(n: int, w: int) -> Iterator[tuple[int, ...]]:
     """The area tuples of CDP(n, w), in lexicographic order.
@@ -277,9 +274,6 @@ class LatticeWord:
             else:
                 out.append(x)
         return out
-
-    def to_json(self) -> dict:
-        return {"start": self.start, "bits": self.bits, "width": self.width}
 
 
 def area_to_path(a: AreaSequence) -> LatticeWord:
@@ -511,9 +505,6 @@ class MobiusWord:
 
     def to_lattice_word(self) -> LatticeWord:
         return LatticeWord(self.start(), self.full_bits(), self.size)
-
-    def to_json(self) -> dict:
-        return {"half": self.half}
 
 
 def enumerate_cmp(n: int) -> Iterator[MobiusWord]:

@@ -186,26 +186,6 @@ class IntPolynomial:
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self._coeffs)!r})"
 
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                sign = "-" if c < 0 else ""
-                var = "q" if i == 1 else f"q^{i}"
-                term = f"{sign}{mag}{var}"
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
 
 def _as_poly(x: Union[IntPolynomial, int]) -> IntPolynomial:
     if isinstance(x, IntPolynomial):

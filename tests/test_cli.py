@@ -934,6 +934,8 @@ GOLDEN = [
     (["lyndon", "check", "--family", "cdp", "--w", "3", "--max-n", "6"], 0, "29bf5157e4eb05c024e9c410deb5f4140455accd2e92c16b44a2426b1457de37", ""),
     (["count", "--n", "5", "--w", "3"], 0, "44dd2217661a2dcf227ee9b851e0f44b0fcf73d6c67429724152ce8a71955155", ""),
     (["count", "--n", "6", "--w", "4", "--q"], 0, "df17e33366985918ca335171d6e158e68ef0f2a023aa37ec9c548f88ed214cfb", ""),
+    (["count", "--n", "40", "--w", "1000000", "--q"], 0, "e641ce735ffbe1255194019ca2f1f9de8185b0d1a850d36e8b37e7f6a03b2dce", ""),
+    (["count", "--n", "9", "--w", "1", "--q"], 0, "227f797dac7f8959af6441d5788fc9a5b10b41a9446e76142c48e8dffe89100a", ""),
     (["count", "--w", "3", "--max-n", "12"], 0, "e4e8bda88200c4cb68aa2c7583b607846e290a16348b5d5cad2a32b694eb8bea", ""),
     (["count", "--w", "3", "--max-n", "12", "--bfile"], 0, "d520501f8c2aa93f42f8e15334a1d4f8b1e96f92e275d453f14dd00daf815e37", ""),
     (["count", "--n", "0", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("count needs --n (positive) or --max-n")),
@@ -945,6 +947,7 @@ GOLDEN = [
     (["verify", "cmp", "--n", "6"], 0, "c91bc62c5711d47e3b9a2ffef859b2dab34ac09bb63e558c2f2cabf6a0834f27", ""),
     (["verify", "bw", "--n", "6"], 0, "be78729cc1999ef40b882cefacf4111426b47092cd75ecd1368605dfd40235e8", ""),
     (["verify", "avl", "--n", "5", "--w", "2"], 0, "9bd833dfcf6e1842fcebd4c49bf95fb0855a34b125bed342b9bf1279a4cd200d", ""),
+    (["verify", "avl", "--n", "8", "--w", "1"], 0, "f4c57fcbd41060f0831775c45ea8c944a9544cd50a97927048aae5a926801548", ""),
     (["verify", "words", "--content", "2,1,2"], 0, "b79ec365b56ec6334bd3c70ef51721785a58d6f12080adc34d7acdd32c59746a", ""),
     (["verify", "cmp", "--n", "5", "--table"], 0, "4844a3c9b3d8b3cb7da71b1e807038abcd4b979bb5856445f80255007838ebb3", ""),
     (["verify", "avl", "--n", "4", "--w", "2"], 1, "bfb85d7fdda159608744e2262626c323aa278e879c7c5326d50a8e968def1a50", reason("verification failed", 1, first_mismatch="1")),

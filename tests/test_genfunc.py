@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cyclicsieve import genfunc
 from cyclicsieve.genfunc import (
     DiagonalSpec,
     alternating_list,
@@ -59,7 +60,7 @@ class TestHBruteforce:
         assert h_bruteforce(DiagonalSpec((2, 1))) == poly(1, 1, 1)
 
     def test_leading_zero_diagonal_is_free(self):
-        for ds in [(), (1,), (-1, 2)]:
+        for ds in [(), (1,), (-1, 2), (4,)]:
             with_zero = h_bruteforce(DiagonalSpec((3, 2), (0,) + ds))
             without = h_bruteforce(DiagonalSpec((3, 2), ds))
             assert with_zero == without
@@ -292,6 +293,41 @@ class TestClosedFormVisitsOnlyInRangeColumns:
     def test_equals_double_sum_at_wide_width(self):
         assert cdp_q_closed(40, 500) == cdp_double_sum(40, 500)
 
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every (top, k) that genfunc passes to q_binomial, in order."""
+        log = []
+        real = genfunc.q_binomial
+        monkeypatch.setattr(genfunc, "q_binomial", lambda top, k: (log.append((top, k)), real(top, k))[1])
+        return log
+
+    def test_cdp_calls_nine_binomials_at_huge_width(self, calls):
+        # s = 0: [9, 4] and four j; s = -1: the last four j <= w.
+        cdp_q_closed(5, 10**6)
+        assert len(calls) == 9
+
+    def test_cdp_calls_each_binomial_once(self, calls):
+        for n, w in [(12, 3), (9, 1), (8, 8), (30, 4)]:
+            calls.clear()
+            cdp_q_closed(n, w)
+            assert calls and len(calls) == len(set(calls)), (n, w)
+
+    def test_cdp_sums_only_terms_in_range(self, monkeypatch):
+        real = genfunc._binomial_sum
+        seen = []
+        monkeypatch.setattr(genfunc, "_binomial_sum", lambda top, terms: real(top, seen.extend(terms) or seen))
+        for n, w in [(12, 3), (8, 8), (5, 1000)]:
+            seen.clear()
+            cdp_q_closed(n, w)
+            assert seen and all(0 <= k <= 2 * n - 1 for _, _, k in seen), (n, w)
+        # The s = 0 column is one term, times w; then four j at s = 0 and four at s = -1.
+        assert len(seen) == 9
+
+    def test_avl_calls_only_columns_in_range(self, calls):
+        avl_q_closed(9, 4)
+        assert calls and all(top == 18 and 0 <= k <= 18 for top, k in calls)
+        assert len(calls) == len(set(calls)) == 5
+
 
 def restated_cdp_sum(n: int, w: int) -> IntPolynomial:
     """The re-indexed double sum with first column n + delta*s."""
@@ -315,6 +351,7 @@ def test_restated_sum_equals_closed_form():
 class TestAvlPolynomials:
     def test_blocked_strip(self):
         assert avl_q_closed(2, 1) == ZERO
+        assert avl_q_bruteforce(2, 1) == ZERO
 
     def test_count_three_two(self):
         assert avl_q_closed(3, 2)(1) == 8
