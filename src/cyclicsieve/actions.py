@@ -17,6 +17,9 @@ OrbitDecomposition is the one orbit type: each orbit's least element and
 size, from a census that never walks the carrier (twisted_necklaces,
 paths.cdp_necklaces) or from orbit_decompose, which walks it and keeps
 the orbits; orbit_poly and every sieving check read only the sizes.
+It and CyclicAction are frozen records (record.record): the orbits walked
+on first read are cached in the instance dict, outside the field tuple
+that equality and hashing read.
 
 A generator that leaves its carrier, is not a bijection of it, or has an
 orbit whose size does not divide the order is a kernel bug, reported as
@@ -26,7 +29,6 @@ OrbitError and never as a verdict.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
@@ -34,6 +36,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .paths import AreaSequence, MobiusWord
 from .qpoly import IntPolynomial, divisors
+from .record import record
 
 __all__ = [
     "OrbitError",
@@ -169,7 +172,7 @@ def rotation_census(words: Iterable[Sequence], n: int, step: int = 1) -> dict[in
     return {period // step: count for period, count in census.items()}
 
 
-@dataclass(frozen=True)
+@record
 class CyclicAction:
     """A generator of a cyclic group of stated order acting on a finite carrier.
 
@@ -191,7 +194,7 @@ class CyclicAction:
         return x
 
 
-@dataclass(frozen=True)
+@record
 class OrbitDecomposition:
     """The orbits of a carrier under an action: each orbit's least element
     (its necklace) and its size, in increasing order of the necklace.

@@ -23,13 +23,15 @@ its carrier.  `avl` is subset sieving: it counts each avoiding word once
 by its least period under rotation by two (actions.rotation_census),
 never building the balanced words.  orbit_decompose and
 verify_subset_csp stay as the walking oracles of these censuses.
+
+Reports, targets and families are frozen records (record.record).
+Only homomesy_check and lyndon_params build a Fraction, so they alone
+import fractions, and a verify, orbits or count request never loads it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, prod
 from typing import Callable, Hashable, Iterable, Sequence, Union
@@ -60,6 +62,7 @@ from .paths import (
     zeros_run_vector,
 )
 from .qpoly import IntPolynomial, NonConstant, divisors, eval_at_unity, mod_cyclic, q_multinomial
+from .record import record
 
 __all__ = [
     "CspRow",
@@ -114,7 +117,7 @@ def _parts(totals: dict[int, int]) -> dict[int, int]:
 # Cyclic sieving reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CspRow:
     k: int
     gcd: int
@@ -136,7 +139,7 @@ class CspRow:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CspReport:
     order: int
     rows: tuple[CspRow, ...]
@@ -235,7 +238,7 @@ def verify_subset_csp(
 # Orbit-count feasibility (existence of some action with the given polynomial)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class FeasibilityReport:
     order: int
     s_values: dict[int, int]
@@ -278,7 +281,7 @@ def csp_feasibility(f: IntPolynomial, n: int) -> FeasibilityReport:
 # Lyndon-like families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class LyndonParameters:
     """Solution t_d of |X_n| = sum over d | n of d * t_d, with validity flag.
 
@@ -307,6 +310,8 @@ class LyndonParameters:
 
 def lyndon_params(sizes: Sequence[int]) -> LyndonParameters:
     """Recover t_1, ..., t_N from |X_1|, ..., |X_N|: d * t_d is _parts of the sizes."""
+    from fractions import Fraction
+
     if not sizes:
         raise ValueError("need at least one size")
     t: dict[int, int] = {}
@@ -363,7 +368,7 @@ def lyndon_construct(
 FamilyMember = tuple[Union[Sequence[Hashable], OrbitDecomposition], CyclicAction, IntPolynomial]
 
 
-@dataclass(frozen=True)
+@record
 class LyndonReport:
     max_n: int
     member_verdicts: tuple[bool, ...]
@@ -406,7 +411,7 @@ def lyndon_check(family: Sequence[FamilyMember]) -> LyndonReport:
 # Homomesy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class HomomesyReport:
     statistic: str
     global_average: Fraction
@@ -436,6 +441,8 @@ def homomesy_check(
     name: str = "statistic",
 ) -> HomomesyReport:
     """Exact-rational comparison of per-orbit averages with the global average."""
+    from fractions import Fraction
+
     carrier = list(carrier)
     if not carrier:
         raise ValueError("carrier must be non-empty")
@@ -474,7 +481,7 @@ def zrun_rotation_action(n: int) -> CyclicAction:
 # The target registry and ready-made families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Target:
     """How to build one sieving triple: carrier, C_n action, closed q-polynomial.
 
@@ -646,7 +653,7 @@ def _words_maj_poly(alphabet: int, n: int) -> IntPolynomial:
     return sum((q_multinomial(mu) for mu in contents), IntPolynomial())
 
 
-@dataclass(frozen=True)
+@record
 class Family:
     """A Lyndon-like family: the parameters it reads besides max_n, as in
     Target.params, and its members n = 1..max_n from (w, max_n)."""

@@ -16,7 +16,9 @@ list.  Each exhaustive q-count walks its own carrier and computes its own
 statistic; one histogram, _q_count, turns the exponents into a polynomial.
 cdp_q_wide (the oracle of cdp_q_closed for w >= n), h_closed and
 gen_q_ballot keep their own polynomial arithmetic on purpose, so that no
-closed form is checked against code it shares.
+closed form is checked against code it shares; cdp_q_wide and h_closed
+each skip a column outside [0, 2n - 1] themselves, so neither asks
+q_binomial for a zero row.
 Brute-force guards raise instead of truncating: a silently partial oracle
 is worse than none.
 """
@@ -24,7 +26,6 @@ is worse than none.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Iterator, Literal
 
@@ -38,7 +39,8 @@ from .paths import (
     maj,
     transpose_word,
 )
-from .qpoly import ONE, IntPolynomial, q_binomial, q_int
+from .qpoly import ONE, ZERO, IntPolynomial, q_binomial, q_int
+from .record import record
 
 Side = Literal["left", "right"]
 
@@ -79,7 +81,7 @@ def _q_count(exponents: Iterable[int]) -> IntPolynomial:
 # Paths visiting prescribed diagonals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DiagonalSpec:
     """Target point plus ordered list of diagonals that must be visited.
 
@@ -178,7 +180,8 @@ def h_closed(n: int, gamma: int, delta: int, ell: int, first_side: Side) -> IntP
     a single Gaussian binomial.  Each case is what repeated application of
     the one-step visit recursion produces; the even-visit columns are
     n-1 -+ delta*t (verified against the exhaustive count, which pins the
-    sign).
+    sign).  A column outside [0, 2n - 1] gives zero without a call to
+    q_binomial, so the memo holds no zero rows.
     """
     if not delta > gamma > 0:
         raise ValueError("need delta > gamma > 0")
@@ -187,15 +190,19 @@ def h_closed(n: int, gamma: int, delta: int, ell: int, first_side: Side) -> IntP
     if first_side == "right":
         t, odd = divmod(ell, 2)
         col = (n - 1 + gamma + delta * t) if odd else (n - 1 - delta * t)
-        return q_binomial(2 * n - 1, col).shift(t * t * delta + t * gamma)
-    if first_side == "left":
+        shift = t * t * delta + t * gamma
+    elif first_side == "left":
         t = (ell + 1) // 2
         if ell % 2 == 0:
             col = n - 1 + delta * t
         else:
             col = n - 1 + gamma - delta * t
-        return q_binomial(2 * n - 1, col).shift(t * t * delta - t * gamma)
-    raise ValueError(f"unknown side {first_side!r}")
+        shift = t * t * delta - t * gamma
+    else:
+        raise ValueError(f"unknown side {first_side!r}")
+    if not 0 <= col <= 2 * n - 1:
+        return ZERO
+    return q_binomial(2 * n - 1, col).shift(shift)
 
 
 def lr_count(n: int, w: int, ell: int, j: int, side: Side) -> IntPolynomial:
@@ -265,14 +272,19 @@ def cdp_q_wide(n: int, w: int) -> IntPolynomial:
     """Three-term q-count of CDP(n, w), valid when w >= n.
 
     For w >= n a walk cannot visit both forbidden diagonals, so the
-    inclusion-exclusion collapses to one subtraction per diagonal.
+    inclusion-exclusion collapses to one subtraction per diagonal, made
+    only for the j whose column is in range.
     """
     if not w >= n >= 1:
         raise ValueError("need w >= n >= 1")
-    total = w * q_binomial(2 * n - 1, n - 1)
-    for j in range(1, w + 1):
-        total = total - q_binomial(2 * n - 1, n + j).shift(j)
-        total = total - q_binomial(2 * n - 1, n + j - (w + 2))
+    top = 2 * n - 1
+    total = w * q_binomial(top, n - 1)
+    # Only columns in [0, top] are nonzero: n + j <= top needs j < n, and
+    # n + j - (w + 2) >= 0 needs j >= w + 2 - n; both ranges lie in [1, w].
+    for j in range(1, n):
+        total = total - q_binomial(top, n + j).shift(j)
+    for j in range(w + 2 - n, w + 1):
+        total = total - q_binomial(top, n + j - (w + 2))
     return total
 
 

@@ -16,13 +16,17 @@ Conventions used throughout:
   the bound a_i <= w - 1.
 * Classical Dyck paths are balanced 2n-step words whose every prefix has
   at least as many east steps as north steps ("east-first" storage).
+* AreaSequence, LatticeWord, DyckPath and MobiusWord are ordered frozen
+  records (record.record): compared, hashed and sorted by their field
+  tuple, and only against their own class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterator, Sequence
+
+from .record import record
 
 __all__ = [
     "AreaSequence",
@@ -118,7 +122,7 @@ def validate_area_sequence(values, w: int) -> bool:
     return all(vals[(i + 1) % n] <= vals[i] + 1 for i in range(n))
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class AreaSequence:
     """A circular Dyck path of height len(values) and width `width`.
 
@@ -232,7 +236,7 @@ def valley_count(a: AreaSequence) -> int:
 # Lattice word encoding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class LatticeWord:
     """Start abscissa plus step word for a circular Dyck path of width `width`.
 
@@ -303,7 +307,7 @@ def path_to_area(p: LatticeWord) -> AreaSequence:
 # Classical Dyck paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class DyckPath:
     """Balanced word whose every prefix has at least as many '0's as '1's."""
 
@@ -476,7 +480,7 @@ def dyck_pair_inverse(p: DyckPath, q: DyckPath) -> AreaSequence:
 # Circular Mobius paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class MobiusWord:
     """Half-word b_1 ... b_n with b_n = '0'; the full word appends the complement.
 

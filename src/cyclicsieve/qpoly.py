@@ -15,7 +15,9 @@ Gaussian binomials are built one row at a time, [n,k] from [n,k-1], by a
 multiplication by 1 - q^(n-k+1) and an exact division by 1 - q^k; each
 step is linear in the degree, and the memo holds only the entries of the
 rows that were asked for.  A root-of-unity evaluation of order m first
-folds f mod q^m - 1, then reduces that m-term polynomial mod Phi_m.
+folds f mod q^m - 1, then reduces that m-term polynomial mod Phi_m;
+a non-constant remainder comes back as NonConstant, a frozen record
+(record.record).
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Union
+
+from .record import record
 
 
 class ExactDivisionError(ArithmeticError):
@@ -197,7 +200,7 @@ ZERO = IntPolynomial()
 ONE = IntPolynomial([1])
 
 
-@dataclass(frozen=True)
+@record
 class NonConstant:
     """Marker returned by eval_at_unity when the reduction is not constant.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import Callable, Iterator
 
@@ -51,9 +50,10 @@ from .genfunc import (
 )
 from .paths import enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
 from .qpoly import IntPolynomial, NonConstant, eval_at_unity, mod_cyclic, q_binomial, q_lucas_eval
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class CriterionResult:
     id: int
     name: str

@@ -408,6 +408,25 @@ class TestWarmPath:
             assert "dataclasses" not in loaded["new"], argv
 
 
+class TestColdPath:
+    # A miss builds records and runs the kernels, without the import cost of
+    # dataclasses (which loads inspect, ast, dis and tokenize).  Only the
+    # homomesy averages and the Lyndon parameters read fractions.
+    MISSES = [
+        (["verify", "cdp", "--n", "6", "--w", "3"], {"dataclasses", "inspect", "fractions"}),
+        (["orbits", "cdp", "--n", "4", "--w", "3", "--poly"], {"dataclasses", "inspect", "fractions"}),
+        (["count", "--n", "5", "--w", "5", "--q"], {"dataclasses", "inspect", "fractions"}),
+        (["selftest", "--max-n", "4"], {"dataclasses", "inspect"}),
+    ]
+
+    @pytest.mark.parametrize("argv, absent", MISSES, ids=[argv[0] for argv, _ in MISSES])
+    def test_miss_loads_neither_dataclasses_nor_inspect(self, tmp_path, argv, absent):
+        result, loaded = run_module_probe("--cache-dir", str(tmp_path / "cache"), *argv)
+        assert result.returncode == 0, result.stderr
+        assert "cyclicsieve.genfunc" in loaded["package"]  # a miss computes, so the kernels load
+        assert not absent & set(loaded["new"])
+
+
 # Runs cli.main on its arguments; the last stderr line lists the cyclicsieve
 # modules loaded and every module the run added after interpreter start.
 MODULE_PROBE = """

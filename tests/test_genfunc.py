@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cyclicsieve import genfunc
+from cyclicsieve import genfunc, selftest
 from cyclicsieve.genfunc import (
     DiagonalSpec,
     alternating_list,
@@ -327,6 +327,16 @@ class TestClosedFormVisitsOnlyInRangeColumns:
         avl_q_closed(9, 4)
         assert calls and all(top == 18 and 0 <= k <= 18 for top, k in calls)
         assert len(calls) == len(set(calls)) == 5
+
+    def test_oracles_call_only_columns_in_range(self, calls):
+        # h_closed and cdp_q_wide keep their own arithmetic, and their own range check.
+        assert selftest.crit_6_h_machinery(12) == (True, "930 alternating configurations, closed == brute force")
+        assert calls and all(0 <= k <= top for top, k in calls)
+        calls.clear()
+        for n in range(1, 10):
+            for w in [*range(n, 2 * n + 3), 1000]:
+                cdp_q_wide(n, w)
+        assert calls and all(0 <= k <= top for top, k in calls)
 
 
 def restated_cdp_sum(n: int, w: int) -> IntPolynomial:
