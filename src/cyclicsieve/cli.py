@@ -4,13 +4,15 @@ Every command prints one canonical JSON payload to stdout (keys sorted,
 fixed separators, integer values as decimal strings) so runs with equal
 arguments are byte-identical.  Exit codes: 0 success / verification pass
 (for `orbits --poly`, the closed polynomial matches the orbit census), 1
-mathematical verification failure, 2 usage error, 3 internal fault (a bug
-in the program, such as the two sieving routes disagreeing or an action
-that is not a bijection of its carrier; it is never cached).  Non-zero
-exits also write a machine-readable JSON reason to stderr.  A --sizes-file
-that cannot be read, a --csv path that cannot be written, a count flag
-that would be ignored and a --n, --w or --content that the verify or
-orbits target or the lyndon check family does not read are usage errors.
+mathematical verification failure, 2 usage error (a UsageError from the
+argument checks), 3 internal fault (any other exception: a bug in the
+program, such as the two sieving routes disagreeing, an action that is
+not a bijection of its carrier or a kernel's ValueError; it is never
+cached).  Non-zero exits also write a machine-readable JSON reason to
+stderr.  A --sizes-file that cannot be read or decoded, a --csv path that
+cannot be written, a count flag that would be ignored, a --w below 1 and
+a --n, --w or --content that the verify or orbits target or the lyndon
+check family does not read are usage errors.
 
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
@@ -118,17 +120,18 @@ def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tupl
     from .csp import TARGETS
     from .qpoly import IntPolynomial, mod_cyclic
 
-    dec, action, closed = TARGETS[target].orbits(n, w, content)
+    spec = TARGETS[target]
+    dec = spec.decompose(n, w, content)
     poly = orbit_poly(dec)
     out = {
         "target": target,
         "params": _target_params(target, n, w, content),
         "order": str(n),
-        "orbits": dec.to_json(TARGETS[target].serialize),
+        "orbits": dec.to_json(spec.serialize),
         "orbit_poly": poly.to_json(),
     }
     if with_poly:
-        folded = mod_cyclic(closed, n)
+        folded = mod_cyclic(spec.closed(n, w, content), n)
         out["closed_poly_folded"] = [str(c) for c in folded]
         out["poly_match"] = IntPolynomial(folded) == poly
     return out
@@ -317,8 +320,10 @@ def _count_request(args: argparse.Namespace) -> Request:
 
 
 def _require_carrier(target: Target, what: str, n: int, w: Optional[int], content: Optional[tuple]) -> None:
+    """Refuse a --w below 1, then a carrier larger than MAX_CARRIER (n is positive here)."""
     from .csp import MAX_CARRIER
 
+    _require(w is None or w >= 1, "n and w must be positive")
     if target.carrier_size is not None:
         size = target.carrier_size(n, w, content)
         _require(size <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {target.unit}")
@@ -369,7 +374,7 @@ def _lyndon_params_request(args: argparse.Namespace) -> Request:
         try:
             with open(args.sizes_file) as fh:
                 text = fh.read().replace("\n", ",")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read --sizes-file: {exc}")
     else:
         _require(args.sizes is not None, "lyndon params needs --sizes or --sizes-file")
@@ -553,10 +558,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     cache = ResultCache(directory=args.cache_dir, enabled=not args.no_cache)
     try:
         return _dispatch(args, cache)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(dumps_canonical({"error": str(exc), "exit": 2}), file=sys.stderr)
         return 2
-    except Exception as exc:  # a kernel bug, e.g. DualRouteError: not a verdict
+    except Exception as exc:  # a kernel bug, e.g. DualRouteError or a ValueError: not a verdict
         print(dumps_canonical({"error": f"internal error: {type(exc).__name__}: {exc}", "exit": 3}), file=sys.stderr)
         return 3
 

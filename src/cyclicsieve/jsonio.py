@@ -17,8 +17,9 @@ with no raw newline, so the first newline splits the two.
 
 What is checked where: a new payload is checked against its schema
 before it is written (and, with the cache disabled, before it is
-returned), by the small checker below: each schemas/*.json is compiled
-once per process into nested closures that read exactly the keywords
+returned), by the small checker below: each schemas/*.json, read from
+the package directory that the source digest hashes, is compiled once
+per process into one closure per schema node, over exactly the keywords
 those schemas use, and a mismatch raises SchemaError with its JSON path.
 The runtime never imports jsonschema; the tests use it as the oracle the
 checker must agree with.  On read, an entry is trusted on its key, its
@@ -37,12 +38,11 @@ import json
 import os
 import re
 import sys
-import tempfile
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional
 
 ENV_CACHE_DIR = "CYCLIC_SIEVE_CACHE"
+_PACKAGE_DIR = Path(__file__).resolve().parent
 
 
 def dumps_canonical(payload: Any) -> str:
@@ -71,7 +71,7 @@ def source_digest(package_dir: Path) -> str:
 @functools.cache
 def package_digest() -> str:
     """source_digest of this cyclicsieve package, computed once per process."""
-    return source_digest(Path(__file__).resolve().parent)
+    return source_digest(_PACKAGE_DIR)
 
 
 def cache_key(command: str, params: dict, source: str) -> str:
@@ -122,96 +122,66 @@ def compile_schema(schema: dict) -> Callable[[Any], None]:
     It reads exactly the keywords the package's schemas use, with draft
     2020-12 meaning: type, pattern (re.search, strings only), enum (a bool
     equals only a bool), oneOf (exactly one alternative matches),
-    properties, required, additionalProperties (false or a schema) and
-    items.  Annotations are skipped; any other keyword raises here, so a
-    schema edit the checker would not enforce fails at once.
+    required, properties, additionalProperties (false or a schema) and
+    items.  Annotations are skipped; any other keyword, type or a
+    non-scalar enum option raises here, so a schema edit the checker would
+    not enforce fails at once.  Each schema node becomes one closure over
+    its keywords, read and compiled here once; the closure tests them in
+    the order above and prefixes the key or index of a failing member to
+    the error's path.
     """
     unknown = sorted(schema.keys() - _KEYWORDS - _ANNOTATIONS)
     if unknown:
         raise SchemaError(f"unsupported schema keyword {unknown[0]!r}")
-    checks = []
-    if "type" in schema:
-        type_name = schema["type"]
-        if type_name not in _TYPES:
-            raise SchemaError(f"unsupported schema type {type_name!r}")
-        is_type = _TYPES[type_name]
+    type_name = schema.get("type")
+    is_type = _TYPES.get(type_name)
+    if "type" in schema and is_type is None:
+        raise SchemaError(f"unsupported schema type {type_name!r}")
+    pattern = schema.get("pattern")
+    search = re.compile(pattern).search if "pattern" in schema else None
+    options = schema.get("enum")
+    if options is not None and not all(o is None or isinstance(o, (str, int, float)) for o in options):
+        raise SchemaError("unsupported non-scalar enum option")
+    alternatives = [_compile_at(f"oneOf[{i}]", s) for i, s in enumerate(schema.get("oneOf", ()))]
+    required = schema.get("required", ())
+    properties = {key: _compile_at(f"properties.{key}", s) for key, s in schema.get("properties", {}).items()}
+    additional = schema.get("additionalProperties", True)
+    if not isinstance(additional, bool):
+        additional = _compile_at("additionalProperties", additional)
+    check_item = _compile_at("items", schema["items"]) if "items" in schema else None
 
-        def check_type(value):
-            if not is_type(value):
-                raise SchemaError(f"{_brief(value)} is not of type {type_name!r}")
-
-        checks.append(check_type)
-    if "pattern" in schema:
-        search = re.compile(schema["pattern"]).search
-
-        def check_pattern(value):
-            if isinstance(value, str) and not search(value):
-                raise SchemaError(f"{_brief(value)} does not match {schema['pattern']!r}")
-
-        checks.append(check_pattern)
-    if "enum" in schema:
-        options = schema["enum"]
-        if not all(o is None or isinstance(o, (str, int, float)) for o in options):
-            raise SchemaError("unsupported non-scalar enum option")
-
-        def check_enum(value):
-            if not any(value == o and isinstance(value, bool) == isinstance(o, bool) for o in options):
-                raise SchemaError(f"{_brief(value)} is not one of {options}")
-
-        checks.append(check_enum)
-    if "oneOf" in schema:
-        alternatives = [_compile_at(f"oneOf[{i}]", s) for i, s in enumerate(schema["oneOf"])]
-
-        def check_one_of(value):
+    def check(value):
+        if is_type is not None and not is_type(value):
+            raise SchemaError(f"{_brief(value)} is not of type {type_name!r}")
+        if search is not None and isinstance(value, str) and not search(value):
+            raise SchemaError(f"{_brief(value)} does not match {pattern!r}")
+        if options is not None and not any(value == o and isinstance(value, bool) == isinstance(o, bool) for o in options):
+            raise SchemaError(f"{_brief(value)} is not one of {options}")
+        if alternatives:
             matched = 0
             for alternative in alternatives:
                 try:
                     alternative(value)
+                    matched += 1
                 except SchemaError:
-                    continue
-                matched += 1
+                    pass
             if matched != 1:
                 raise SchemaError(f"{_brief(value)} matches {matched} of the {len(alternatives)} oneOf alternatives")
-
-        checks.append(check_one_of)
-    if "required" in schema:
-        required = schema["required"]
-
-        def check_required(value):
-            if isinstance(value, dict):
-                missing = [key for key in required if key not in value]
-                if missing:
-                    raise SchemaError(f"missing required property {missing[0]!r}")
-
-        checks.append(check_required)
-    if "properties" in schema or "additionalProperties" in schema:
-        properties = {key: _compile_at(f"properties.{key}", s) for key, s in schema.get("properties", {}).items()}
-        additional = schema.get("additionalProperties", True)
-        if not isinstance(additional, bool):
-            additional = _compile_at("additionalProperties", additional)
-
-        def check_properties(value):
-            if not isinstance(value, dict):
-                return
-            for key, item in value.items():
-                check = properties.get(key, additional)
-                if check is False:
+        if isinstance(value, dict):
+            for key in required:
+                if key not in value:
+                    raise SchemaError(f"missing required property {key!r}")
+            for key, member in value.items():
+                member_check = properties.get(key, additional)
+                if member_check is False:
                     raise SchemaError(f"unexpected property {key!r}")
-                if check is not True:
+                if member_check is not True:
                     try:
-                        check(item)
+                        member_check(member)
                     except SchemaError as exc:
                         exc.path.insert(0, key)
                         raise
-
-        checks.append(check_properties)
-    if "items" in schema:
-        check_item = _compile_at("items", schema["items"])
-
-        def check_items(value):
-            if not isinstance(value, list):
-                return
-            index = 0
+        elif check_item is not None and isinstance(value, list):
             try:
                 for index, item in enumerate(value):
                     check_item(item)
@@ -219,13 +189,7 @@ def compile_schema(schema: dict) -> Callable[[Any], None]:
                 exc.path.insert(0, index)
                 raise
 
-        checks.append(check_items)
-
-    def check(value):
-        for one in checks:
-            one(value)
-
-    return checks[0] if len(checks) == 1 else check
+    return check
 
 
 def _compile_at(where: str, schema: dict) -> Callable[[Any], None]:
@@ -240,8 +204,7 @@ def _compile_at(where: str, schema: dict) -> Callable[[Any], None]:
 @functools.cache
 def _schema_check(name: str) -> Callable[[Any], None]:
     """The compiled check of schemas/<name>.schema.json, built once per process."""
-    schema = resources.files("cyclicsieve").joinpath(f"schemas/{name}.schema.json").read_text()
-    return compile_schema(json.loads(schema))
+    return compile_schema(json.loads((_PACKAGE_DIR / "schemas" / f"{name}.schema.json").read_bytes()))
 
 
 def validate_payload(name: str, payload: Any) -> None:
@@ -325,6 +288,8 @@ class ResultCache:
 
     def _write(self, path: Path, entry: str) -> None:
         """Write through a temp file of this writer's own, then rename it into place."""
+        import tempfile  # only a miss writes, so a hit never loads it
+
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:

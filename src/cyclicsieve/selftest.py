@@ -285,13 +285,12 @@ def crit_13_construction(max_n: int) -> tuple[bool, str]:
     rng = random.Random(20_24)
     for trial in range(20):
         t = {d: rng.randint(0, 3) for d in range(1, bound + 1)}
-        family = []
-        for n in range(1, bound + 1):
-            orbits, action, f = lyndon_construct(t, n)
-            if orbits.orbits and not verify_csp(orbits, action, f).passed:
+        family = [lyndon_construct(t, n) for n in range(1, bound + 1)]
+        report = lyndon_check(family)  # verifies each member once; an empty one is not a construction failure
+        for n, ((orbits, _, _), passed) in enumerate(zip(family, report.member_verdicts), start=1):
+            if orbits.orbits and not passed:
                 return False, f"trial {trial}: construction fails CSP at n={n}"
-            family.append((orbits, action, f))
-        if not lyndon_check(family).passed:
+        if not report.passed:
             return False, f"trial {trial}: constructed family is not Lyndon-like"
     return True, f"20 random parameter vectors, all constructions pass to n={bound}"
 

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from functools import partial
 
 import jsonschema
 import pytest
@@ -138,6 +139,15 @@ class TestOrbits:
         payload = payload_of(out)
         assert payload["poly_match"] is True
         assert sum(o["size"] for o in payload["orbits"]) == 6
+
+    @pytest.mark.parametrize("poly, closed_calls", [([], 0), (["--poly"], 1)])
+    def test_closed_polynomial_is_built_only_for_poly(self, capsys, cache_dir, monkeypatch, poly, closed_calls):
+        calls = []
+        real = csp.cdp_q_closed
+        monkeypatch.setattr(csp, "cdp_q_closed", lambda n, w: (calls.append((n, w)), real(n, w))[1])
+        code, _, _ = run_cli(capsys, cache_dir, "--no-cache", "orbits", "cdp", "--n", "4", "--w", "3", *poly)
+        assert code == 0
+        assert len(calls) == closed_calls
 
 
 class TestLyndon:
@@ -407,6 +417,15 @@ class TestWarmPath:
             assert loaded["package"] == ["cyclicsieve", "cyclicsieve.cli", "cyclicsieve.jsonio"], argv
             assert "dataclasses" not in loaded["new"], argv
 
+    def test_only_a_miss_loads_tempfile_or_importlib_resources(self, tmp_path):
+        # -S skips site, whose .pth files may import either module before the probe starts.
+        argv = ["--cache-dir", str(tmp_path / "cache"), *self.COUNT]
+        _, cold = run_module_probe(*argv, flags=("-S",))
+        result, warm = run_module_probe(*argv, flags=("-S",))
+        assert result.returncode == 0, result.stderr
+        assert "tempfile" in cold["new"]  # the miss writes its entry through a temp file
+        assert not {"tempfile", "importlib.resources"} & set(warm["new"])
+
 
 class TestColdPath:
     # A miss builds records and runs the kernels, without the import cost of
@@ -440,8 +459,9 @@ sys.exit(code)
 """
 
 
-def run_module_probe(*argv: str):
-    result = subprocess.run(**child_kwargs("-c", MODULE_PROBE, *argv), capture_output=True, text=True)
+def run_module_probe(*argv: str, flags: tuple = ()):
+    """MODULE_PROBE run on `argv` by an interpreter started with `flags`."""
+    result = subprocess.run(**child_kwargs(*flags, "-c", MODULE_PROBE, *argv), capture_output=True, text=True)
     return result, json.loads(result.stderr.splitlines()[-1])
 
 
@@ -614,6 +634,16 @@ class TestExitCodes:
         reason = json.loads(line)
         assert reason["exit"] == 3
         assert reason["error"].startswith("internal error: DualRouteError: ")
+        assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
+
+    def test_a_kernel_value_error_is_an_internal_fault_not_a_usage_error(self, capsys, cache_dir, monkeypatch):
+        def broken(n):
+            raise ValueError("kernel bug")
+
+        monkeypatch.setattr(csp, "cmp_q", broken)
+        code, out, err = run_cli(capsys, cache_dir, "verify", "cmp", "--n", "5")
+        assert (code, out) == (3, "")
+        assert [json.loads(line) for line in err.splitlines()] == [{"error": "internal error: ValueError: kernel bug", "exit": 3}]
         assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
 
     def test_a_subset_sieving_fault_exits_three(self, capsys, cache_dir, monkeypatch):
@@ -798,6 +828,15 @@ class TestFileErrors:
         assert reason["exit"] == 2
         assert reason["error"].startswith("cannot read --sizes-file: ")
 
+    def test_undecodable_sizes_file_is_usage_error(self, capsys, cache_dir, tmp_path):
+        sizes = tmp_path / "sizes.txt"
+        sizes.write_bytes(b"2,4,\xff\xfe")
+        code, out, err = run_cli(capsys, cache_dir, "lyndon", "params", "--sizes-file", str(sizes))
+        assert (code, out) == (2, "")
+        [reason] = [json.loads(line) for line in err.splitlines()]
+        assert reason["exit"] == 2
+        assert reason["error"].startswith("cannot read --sizes-file: ")
+
     @pytest.mark.parametrize(
         "argv", [["verify", "cmp", "--n", "4"], ["count", "--w", "3", "--max-n", "4"]], ids=["verify", "count"]
     )
@@ -821,6 +860,9 @@ PAST_GUARDS = [
     (["verify", "cdp", "--n", "9", "--w", "19"], "verify cdp is limited to 362880 area sequences"),
     (["orbits", "cdp", "--n", "9", "--w", "19"], "orbits cdp is limited to 362880 area sequences"),
     (["lyndon", "check", "--family", "cdp", "--w", "19", "--max-n", "9"], "lyndon check --family cdp is limited to 362880 area sequences"),
+    # A width below 1 is refused before the carrier is sized.
+    (["verify", "cdp", "--n", "3", "--w", "0"], "n and w must be positive"),
+    (["lyndon", "check", "--family", "cdp", "--w", "0", "--max-n", "3"], "n and w must be positive"),
     # The carrier of lyndon construct has sum over d | n of d * t_d elements.
     (["lyndon", "construct", "--t", "30001", "--n", "1"], "lyndon construct is limited to 30000 elements"),
     (["lyndon", "construct", "--t", "0,15001", "--n", "2"], "lyndon construct is limited to 30000 elements"),
@@ -1099,6 +1141,52 @@ def trimmed(value, keep=3):
     return value
 
 
+COUNT_PAYLOAD = {"n": "3", "w": "3", "count": "18"}
+VERIFY_ROW = {"k": "1", "gcd": "1", "evaluation": "0", "fixed_count": "0", "match": True}
+
+
+def verify_payload(**report):
+    """A valid two-row verify payload, with `report`'s members replaced."""
+    rows = {"order": "2", "rows": [VERIFY_ROW, VERIFY_ROW], "verdict": "pass", "first_mismatch": None, "warnings": []}
+    return {"target": "cdp", "params": {}, "report": {**rows, **report}}
+
+
+# A payload (for a schema name, or for an inline schema) with one fault, or
+# two where the order in which they are found matters, and the error text.
+BROKEN_PAYLOADS = [
+    ("count", [], "$: [] is not of type 'object'"),
+    ("verify", verify_payload(rows=[VERIFY_ROW, {**VERIFY_ROW, "match": "yes"}]), "$.report.rows[1].match: 'yes' is not of type 'boolean'"),
+    ("lyndon_construct", {"n": "1", "t": {}, "carrier": [[1], [2, True]], "orbit_poly": [], "csp_verdict": "pass"}, "$.carrier[1][1]: True is not of type 'integer'"),
+    ("lyndon_construct", {"n": "1", "t": {}, "carrier": [[2.0, 2.5]], "orbit_poly": [], "csp_verdict": "pass"}, "$.carrier[0][1]: 2.5 is not of type 'integer'"),
+    ("count", {**COUNT_PAYLOAD, "count": "1.5"}, "$.count: '1.5' does not match '^-?[0-9]+$'"),
+    ("count", {**COUNT_PAYLOAD, "n": "x" * 100}, "$.n: 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... does not match '^-?[0-9]+$'"),
+    ("lyndon_params", {"sizes": ["2"], "t": {"1": "x"}, "valid": True}, "$.t.1: 'x' does not match '^-?[0-9]+$'"),
+    ("verify", verify_payload(verdict=True), "$.report.verdict: True is not one of ['pass', 'fail']"),
+    ({"enum": [True]}, 1, "$: 1 is not one of [True]"),
+    ("verify", verify_payload(first_mismatch=3), "$.report.first_mismatch: 3 matches 0 of the 2 oneOf alternatives"),
+    ("verify", verify_payload(rows=[{**VERIFY_ROW, "evaluation": {"nonconstant": "1"}}]), "$.report.rows[0].evaluation: {'nonconstant': '1'} matches 0 of the 2 oneOf alternatives"),
+    ({"oneOf": [{"type": "integer"}, {"enum": [1, 2]}]}, 1, "$: 1 matches 2 of the 2 oneOf alternatives"),
+    ("count", {"n": "3", "w": "3"}, "$: missing required property 'count'"),
+    ("lyndon_params", {"sizes": ["2"], "t": {}, "valid": False, "failure_value": {"num": "1"}}, "$.failure_value: missing required property 'den'"),
+    ("count", {**COUNT_PAYLOAD, "extra": "1"}, "$: unexpected property 'extra'"),
+    ("count", {"extra": "1", **COUNT_PAYLOAD, "n": 3}, "$: unexpected property 'extra'"),
+    ("count", {**COUNT_PAYLOAD, "n": 3, "extra": "1"}, "$.n: 3 is not of type 'string'"),
+    ("lyndon_check", {"family": "cmp", "params": {}, "max_n": "2", "member_verdicts": [True], "relation_failures": [["1"], ["2", 3]], "verdict": "pass"}, "$.relation_failures[1][1]: 3 is not of type 'string'"),
+]
+
+# A schema the checker refuses to compile, and the refusal text.
+REFUSED_SCHEMAS = [
+    ({"type": "integer", "minimum": 0}, "$: unsupported schema keyword 'minimum'"),
+    ({"type": "number"}, "$: unsupported schema type 'number'"),
+    ({"enum": [[1]]}, "$: unsupported non-scalar enum option"),
+    ({"oneOf": [{"type": "null"}, {"minimum": 0}]}, "$.oneOf[1]: unsupported schema keyword 'minimum'"),
+    ({"properties": {"n": {"type": "integer", "minimum": 0}}}, "$.properties.n: unsupported schema keyword 'minimum'"),
+    ({"additionalProperties": {"format": "date"}}, "$.additionalProperties: unsupported schema keyword 'format'"),
+    ({"items": {"oneOf": [{"type": "null"}, {"type": "number"}]}}, "$.items.oneOf[1]: unsupported schema type 'number'"),
+    ({"items": {"properties": {"a": {"enum": [{}]}}}}, "$.items.properties.a: unsupported non-scalar enum option"),
+]
+
+
 class TestSchemaChecker:
     def test_the_nine_schemas_compile(self):
         assert len(SCHEMAS) == 9
@@ -1149,6 +1237,20 @@ class TestSchemaChecker:
             jsonio.validate_payload("count", payload)
         assert str(exc.value) == "$.q_poly[2]: 3 is not of type 'string'"
         assert not isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("name, payload, text", BROKEN_PAYLOADS, ids=[text for _, _, text in BROKEN_PAYLOADS])
+    def test_error_text_of_each_keyword(self, name, payload, text):
+        check = jsonio.compile_schema(name) if isinstance(name, dict) else partial(jsonio.validate_payload, name)
+        with pytest.raises(jsonio.SchemaError) as exc:
+            check(payload)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("schema, text", REFUSED_SCHEMAS, ids=[text for _, text in REFUSED_SCHEMAS])
+    def test_refusal_text_gives_the_schema_path(self, schema, text):
+        with pytest.raises(jsonio.SchemaError) as exc:
+            jsonio.compile_schema(schema)
+        assert str(exc.value) == text
+
 
 
 def opt(flag, values):

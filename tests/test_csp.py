@@ -513,6 +513,23 @@ class TestLyndonConstruct:
         assert lyndon_check(family).passed
         assert len(calls) == size
 
+    def test_selftest_verifies_each_construction_once(self, monkeypatch):
+        reports = []
+        real = csp._report
+        monkeypatch.setattr(csp, "_report", lambda *args: (reports.append(args[1]), real(*args))[1])
+        assert selftest.crit_13_construction(8) == (True, "20 random parameter vectors, all constructions pass to n=8")
+        assert len(reports) == 20 * 8  # one report per member n = 1..8 of each of the 20 families
+
+    def test_selftest_names_the_first_failing_construction(self, monkeypatch):
+        real = selftest.lyndon_construct
+
+        def perturbed(t, n):
+            orbits, action, f = real(t, n)
+            return orbits, action, f + IntPolynomial([0, 1]) if n in (3, 5) else f
+
+        monkeypatch.setattr(selftest, "lyndon_construct", perturbed)
+        assert selftest.crit_13_construction(8) == (False, "trial 0: construction fails CSP at n=3")
+
 
 def direct_relation_failures(family):
     """The Lyndon-like relation evaluated afresh per (n, m), apart from the sieving rows."""
