@@ -9,10 +9,10 @@ argument checks), 3 internal fault (any other exception: a bug in the
 program, such as the two sieving routes disagreeing, an action that is
 not a bijection of its carrier or a kernel's ValueError; it is never
 cached).  Non-zero exits also write a machine-readable JSON reason to
-stderr.  A --sizes-file that cannot be read or decoded, a --csv path that
-cannot be written, a count flag that would be ignored, a --w below 1 and
-a --n, --w or --content that the verify or orbits target or the lyndon
-check family does not read are usage errors.
+stderr.  A --sizes-file that cannot be read or decoded (or given with
+--sizes), a --csv path that cannot be written, a count flag that would be
+ignored, a --w below 1 and a --n, --w or --content that the verify or
+orbits target or the lyndon check family does not read are usage errors.
 
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
@@ -101,21 +101,15 @@ def payload_count_table(w: int, max_n: int) -> dict:
     return {"w": str(w), "max_n": str(max_n), "rows": rows}
 
 
-def _target_params(target: str, n: int, w: Optional[int], content: Optional[tuple]) -> dict:
-    from .csp import TARGETS
-
-    values = {"n": n, "w": w, "content": ",".join(str(m) for m in content) if content else None}
-    return {p: str(values[p]) for p in TARGETS[target].params}
-
-
 def payload_verify(target: str, n: int, w: Optional[int], content: Optional[tuple]) -> dict:
+    """The verify payload less its params, which _target_request adds."""
     from .csp import verify_target
 
-    report = verify_target(target, n, w, content)
-    return {"target": target, "params": _target_params(target, n, w, content), "report": report.to_json()}
+    return {"target": target, "report": verify_target(target, n, w, content).to_json()}
 
 
 def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tuple], with_poly: bool) -> dict:
+    """The orbits payload less its params, which _target_request adds."""
     from .actions import orbit_poly
     from .csp import TARGETS
     from .qpoly import IntPolynomial, mod_cyclic
@@ -125,7 +119,6 @@ def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tupl
     poly = orbit_poly(dec)
     out = {
         "target": target,
-        "params": _target_params(target, n, w, content),
         "order": str(n),
         "orbits": dec.to_json(spec.serialize),
         "orbit_poly": poly.to_json(),
@@ -169,19 +162,10 @@ def payload_lyndon_construct(t_values: list[int], n: int) -> dict:
     }
 
 
-def payload_homomesy(n: int, action_name: str) -> dict:
-    from .actions import CyclicAction, word_shift_two
-    from .csp import balanced_words_ending_in_one, homomesy_check, zrun_rotation_action
-    from .paths import enumerate_balanced, inv_zero_one
+def payload_homomesy(n: int, action: str) -> dict:
+    from .csp import inv_homomesy
 
-    if action_name == "alpha":
-        carrier = balanced_words_ending_in_one(n)
-        action = zrun_rotation_action(n)
-    else:
-        carrier = list(enumerate_balanced(n))
-        action = CyclicAction(n, word_shift_two)
-    report = homomesy_check(carrier, action, inv_zero_one, "inv")
-    return {"n": str(n), "action": action_name, **report.to_json()}
+    return {"n": str(n), "action": action, **inv_homomesy(n, action).to_json()}
 
 
 def payload_selftest(max_n: int) -> dict:
@@ -341,7 +325,7 @@ def _target_request(args: argparse.Namespace) -> Request:
     They are n, w and the parsed content re-joined, as strings (an empty
     --content stays in as "").  A flag the target does not read is refused
     on a miss, so for every accepted request they are exactly the target's
-    parameters.
+    parameters, and they are the payload's params.
     """
     content = _parse_content(args.content) if args.content else None
     given = {"n": args.n, "w": args.w, "content": ",".join(str(m) for m in content) if content else args.content}
@@ -349,8 +333,10 @@ def _target_request(args: argparse.Namespace) -> Request:
     n = sum(content) if (args.target == "words" and content) else args.n
     check = partial(_check_target, args, n, content)
     if args.command == "verify":
-        return params, check, lambda: payload_verify(args.target, n, args.w, content)
-    return {**params, "poly": args.poly}, check, lambda: payload_orbits(args.target, n, args.w, content, args.poly)
+        key, payload = params, partial(payload_verify, args.target, n, args.w, content)
+    else:
+        key, payload = {**params, "poly": args.poly}, partial(payload_orbits, args.target, n, args.w, content, args.poly)
+    return key, check, lambda: {"params": params, **payload()}
 
 
 def _check_target(args: argparse.Namespace, n: Optional[int], content: Optional[tuple]) -> None:
@@ -370,6 +356,7 @@ def _check_target(args: argparse.Namespace, n: Optional[int], content: Optional[
 
 
 def _lyndon_params_request(args: argparse.Namespace) -> Request:
+    _require(args.sizes is None or args.sizes_file is None, "give --sizes or --sizes-file, not both")
     if args.sizes_file:
         try:
             with open(args.sizes_file) as fh:

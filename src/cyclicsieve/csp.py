@@ -58,6 +58,7 @@ from .paths import (
     enumerate_balanced,
     enumerate_cmp,
     enumerate_words,
+    inv_zero_one,
     word_from_zeros_runs,
     zeros_run_vector,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "lyndon_check",
     "HomomesyReport",
     "homomesy_check",
+    "inv_homomesy",
     "Target",
     "TARGETS",
     "MAX_CARRIER",
@@ -447,15 +449,26 @@ def homomesy_check(
     if not carrier:
         raise ValueError("carrier must be non-empty")
     dec = orbit_decompose(carrier, action)
-    total = Fraction(sum(statistic(x) for x in carrier), len(carrier))
-    averages = []
-    witness = None
-    for orbit in dec.orbits:
-        avg = Fraction(sum(statistic(x) for x in orbit), len(orbit))
-        averages.append(avg)
-        if avg != total and witness is None:
-            witness = orbit
-    return HomomesyReport(name, total, tuple(averages), witness is None, witness)
+    # The orbits partition the carrier's elements, so their sums and sizes
+    # also give the global average.
+    sums = [sum(statistic(x) for x in orbit) for orbit in dec.orbits]
+    total = Fraction(sum(sums), sum(dec.sizes))
+    averages = tuple(Fraction(s, len(orbit)) for s, orbit in zip(sums, dec.orbits))
+    witness = next((orbit for orbit, avg in zip(dec.orbits, averages) if avg != total), None)
+    return HomomesyReport(name, total, averages, witness is None, witness)
+
+
+def inv_homomesy(n: int, action: str) -> HomomesyReport:
+    """homomesy_check of the inversion statistic under action "alpha" or "beta".
+
+    alpha is zrun_rotation_action(n) on balanced_words_ending_in_one(n);
+    beta is word_shift_two on every balanced word of length 2n.
+    """
+    if action == "alpha":
+        carrier, act = balanced_words_ending_in_one(n), zrun_rotation_action(n)
+    else:
+        carrier, act = list(enumerate_balanced(n)), CyclicAction(n, word_shift_two)
+    return homomesy_check(carrier, act, inv_zero_one, "inv")
 
 
 def balanced_words_ending_in_one(n: int) -> list[str]:

@@ -16,6 +16,10 @@ Conventions used throughout:
   the bound a_i <= w - 1.
 * Classical Dyck paths are balanced 2n-step words whose every prefix has
   at least as many east steps as north steps ("east-first" storage).
+* The balanced words, the Dyck paths and the diagonal-avoiding words are
+  built by one height-bounded walk, _bounded_walks, where the height of a
+  prefix is its number of '0's less its number of '1's.  enumerate_words
+  builds the words of any content, and is the walk's independent route.
 * AreaSequence, LatticeWord, DyckPath and MobiusWord are ordered frozen
   records (record.record): compared, hashed and sorted by their field
   tuple, and only against their own class.
@@ -23,7 +27,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .record import record
@@ -341,11 +345,10 @@ def last_peak_height(p: DyckPath) -> int:
 def enumerate_dyck(n: int) -> Iterator[DyckPath]:
     """All Dyck paths of size n, lexicographically by word.
 
-    They are the balanced words whose walk never goes below its start.
+    They are the balanced words whose walk never goes below its start: the
+    walks of _bounded_walks(n, 0, n).
     """
-    for bits in enumerate_balanced(n):
-        if min(accumulate(1 if b == "0" else -1 for b in bits), default=0) >= 0:
-            yield DyckPath(bits)
+    yield from map(DyckPath, _bounded_walks(n, 0, n))
 
 
 # ---------------------------------------------------------------------------
@@ -364,32 +367,6 @@ def enumerate_dyck(n: int) -> Iterator[DyckPath]:
 # the peak conditions h_l(P_j) + h_f(P_{j+1}) >= m, taken cyclically, are
 # precisely the condition that a tuple can be stripped and reglued.
 
-def _cut_steps(word: LatticeWord, m: int, k: int) -> list[int]:
-    """Step indices after which the walk first reaches each cut line."""
-    cuts = []
-    x, y = word.start, 0
-    want_x = m + 1  # next vertical cut line
-    want_y = m      # next horizontal cut line
-    vertical_next = True
-    for t, b in enumerate(word.bits, start=1):
-        if b == "0":
-            x += 1
-        else:
-            y += 1
-        while len(cuts) < 2 * k - 1:
-            if vertical_next and x == want_x:
-                cuts.append(t)
-                want_x += m
-                vertical_next = False
-            elif not vertical_next and y == want_y:
-                cuts.append(t)
-                want_y += m
-                vertical_next = True
-            else:
-                break
-    return cuts
-
-
 def dyck_tuple(a: AreaSequence) -> tuple[DyckPath, ...]:
     """Map CDP(k*m, m) to the 2k-tuple of constrained Dyck paths of size m."""
     m = a.width
@@ -398,22 +375,25 @@ def dyck_tuple(a: AreaSequence) -> tuple[DyckPath, ...]:
         raise ValueError("height must be a multiple of the width")
     k = n // m
     word = area_to_path(a)
-    cuts = [0] + _cut_steps(word, m, k) + [2 * n]
+
+    # One walk finds the step and position at which it first reaches each
+    # cut line in turn: x = i*m + 1 for odd cuts, y = i*m for even ones.
+    x, y = word.start, 0
+    cuts = [(0, x, y)]
+    for t, b in enumerate(word.bits, start=1):
+        x, y = (x + 1, y) if b == "0" else (x, y + 1)
+        while len(cuts) < 2 * k:
+            i, vertical = (len(cuts) + 1) // 2, len(cuts) % 2
+            if (x if vertical else y) != i * m + vertical:
+                break
+            cuts.append((t, x, y))
+    cuts.append((2 * n, x, y))
     if len(cuts) != 2 * k + 1:
         raise AssertionError("walk missed a cut line")
 
-    # Entry coordinates of each arc.
     paths = []
-    x, y = word.start, 0
-    pos = [(x, y)]
-    for b in word.bits:
-        x, y = (x + 1, y) if b == "0" else (x, y + 1)
-        pos.append((x, y))
-
-    for j in range(1, 2 * k + 1):
-        arc = word.bits[cuts[j - 1]:cuts[j]]
-        ex, ey = pos[cuts[j - 1]]
-        fx, fy = pos[cuts[j]]
+    for j, ((s, ex, ey), (t, fx, fy)) in enumerate(zip(cuts, cuts[1:]), start=1):
+        arc = word.bits[s:t]
         i = (j + 1) // 2
         if j % 2 == 1:
             lead = ex - ((i - 1) * m + 1)      # east run along the bottom leg
@@ -433,32 +413,22 @@ def dyck_tuple_inverse(paths: tuple[DyckPath, ...], width: int) -> AreaSequence:
         raise ValueError("need a non-empty tuple of even length")
     if any(p.size != m for p in paths):
         raise ValueError(f"all paths must have size {m}")
-    twok = len(paths)
-    k = twok // 2
-
-    oriented = [
-        p.bits if j % 2 == 0 else transpose_word(p.bits)
-        for j, p in enumerate(paths)
-    ]
-    lead_char = ["0" if j % 2 == 0 else "1" for j in range(twok)]
-    trail_char = ["1" if j % 2 == 0 else "0" for j in range(twok)]
-
-    trail_run = [
-        len(w) - len(w.rstrip(trail_char[j])) for j, w in enumerate(oriented)
-    ]
-    lead_need = [m - trail_run[j - 1] for j in range(twok)]  # j-1 wraps to last
-
+    # P_j (transposed back for even j) is its arc padded with m - h_l(P_{j-1})
+    # leading steps and h_l(P_j) trailing ones; the leading pad fits in the
+    # first run, of length h_f(P_j), exactly when the peak inequality holds.
+    heads = [first_peak_height(p) for p in paths]
+    tails = [last_peak_height(p) for p in paths]
     arcs = []
-    for j, w in enumerate(oriented):
-        lead_run = len(w) - len(w.lstrip(lead_char[j]))
-        if lead_need[j] > lead_run:
-            jj = (j - 1) % twok
+    for j, p in enumerate(paths):
+        lead = m - tails[j - 1]  # j - 1 wraps to the last path
+        if lead > heads[j]:
             raise ValueError(
-                f"peak inequality h_l(P_{jj + 1}) + h_f(P_{j + 1}) >= {m} fails"
+                f"peak inequality h_l(P_{(j - 1) % len(paths) + 1}) + h_f(P_{j + 1}) >= {m} fails"
             )
-        arcs.append(w[lead_need[j]:len(w) - trail_run[j]])
+        bits = p.bits if j % 2 == 0 else transpose_word(p.bits)
+        arcs.append(bits[lead:len(bits) - tails[j]])
 
-    x0 = lead_need[0] + 1
+    x0 = m - tails[-1] + 1
     return path_to_area(LatticeWord(x0, "".join(arcs), m))
 
 
@@ -527,8 +497,30 @@ def enumerate_cmp(n: int) -> Iterator[MobiusWord]:
 
 
 # ---------------------------------------------------------------------------
-# Diagonal-avoiding lattice paths
+# Balanced words: one height-bounded walk
 # ---------------------------------------------------------------------------
+
+def _bounded_walks(n: int, low: int, high: int) -> Iterator[str]:
+    """Balanced 2n-step words whose height stays in [low, high], in lexicographic order.
+
+    The bounds hold 0.  The prefixes are built level by level, '0' before
+    '1'.  A prefix of length i is kept when its height h has low <= h <=
+    high and |h| <= 2n - i, so it can still return to height 0 and no
+    prefix is a dead end.  The last step, back from height +-1 to 0, is
+    added lazily; at n = 0 there is none.
+    """
+    level = [("", 0)]
+    for i in range(1, 2 * n):
+        lo, hi = max(low, i - 2 * n), min(high, 2 * n - i)
+        level = [(p + b, h + s) for p, h in level for b, s in (("0", 1), ("1", -1)) if lo <= h + s <= hi]
+    for p, h in level:
+        yield p + "1" * h + "0" * -h
+
+
+def enumerate_balanced(n: int) -> Iterator[str]:
+    """All balanced words of length 2n (n east, n north steps), in lexicographic order."""
+    yield from _bounded_walks(n, -n, n)
+
 
 def enumerate_words(content: Sequence[int], letters: Sequence) -> Iterator:
     """Every word with content[i] copies of letters[i], each exactly once.
@@ -555,11 +547,6 @@ def enumerate_words(content: Sequence[int], letters: Sequence) -> Iterator:
     return place(0, word, range(len(word))) if last else iter([build(word)])
 
 
-def enumerate_balanced(n: int) -> Iterator[str]:
-    """All balanced words of length 2n (n east, n north steps), in lexicographic order."""
-    return enumerate_words((n, n), "01")
-
-
 def avoids_diagonals(bits: str, w: int) -> bool:
     """True iff the walk from (0, 0) never touches the diagonals x - y = +-w."""
     d = 0
@@ -573,20 +560,9 @@ def avoids_diagonals(bits: str, w: int) -> bool:
 def enumerate_avl(n: int, w: int) -> Iterator[str]:
     """Balanced 2n-step words from (0,0) to (n,n) avoiding x - y = +-w, in lexicographic order.
 
-    A height-bounded walk: the prefixes are built level by level, '0'
-    before '1', and a '0' raises the height x - y by one and a '1' lowers
-    it.  A prefix of length i is kept when its height h has |h| < w and
-    |h| <= 2n - i; then it still returns to height 0 without touching a
-    diagonal, so no prefix is a dead end.  The last step, which brings the
-    height +-1 back to 0, is added lazily.  These are the balanced words
-    that avoids_diagonals(bits, w) keeps, and no other balanced word is
-    built.
+    The walks of _bounded_walks(n, 1 - w, w - 1): the balanced words that
+    avoids_diagonals(bits, w) keeps, and no other balanced word is built.
     """
     if n < 1 or w < 1:
         raise ValueError("n and w must be positive")
-    level = [("", 0)]
-    for i in range(1, 2 * n):
-        bound = min(w - 1, 2 * n - i)
-        level = [(p + b, h + s) for p, h in level for b, s in (("0", 1), ("1", -1)) if -bound <= h + s <= bound]
-    for p, h in level:
-        yield p + ("1" if h == 1 else "0")
+    yield from _bounded_walks(n, 1 - w, w - 1)

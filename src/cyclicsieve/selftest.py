@@ -17,21 +17,18 @@ import time
 from math import comb, gcd
 from typing import Callable, Iterator
 
-from .actions import CyclicAction, word_shift_two
 from .csp import (
     FAMILIES,
     TARGETS,
     _fixed_points,
-    balanced_words_ending_in_one,
     csp_feasibility,
-    homomesy_check,
+    inv_homomesy,
     lyndon_check,
     lyndon_construct,
     lyndon_params,
     verify_csp,
     verify_target,
     words_family,
-    zrun_rotation_action,
 )
 from .genfunc import (
     DiagonalSpec,
@@ -48,7 +45,7 @@ from .genfunc import (
     h_bruteforce,
     h_closed,
 )
-from .paths import enumerate_balanced, enumerate_cdp, enumerate_cmp, inv_zero_one
+from .paths import enumerate_cdp, enumerate_cmp
 from .qpoly import IntPolynomial, NonConstant, eval_at_unity, mod_cyclic, q_binomial, q_lucas_eval
 from .record import record
 
@@ -297,8 +294,7 @@ def crit_13_construction(max_n: int) -> tuple[bool, str]:
 
 def crit_14_homomesy(max_n: int) -> tuple[bool, str]:
     for n in range(1, min(7, max_n) + 1):
-        carrier = balanced_words_ending_in_one(n)
-        report = homomesy_check(carrier, zrun_rotation_action(n), inv_zero_one, "inv")
+        report = inv_homomesy(n, "alpha")
         if not report.homomesic or report.global_average != comb(n + 1, 2):
             return False, f"zero-run rotation not homomesic with average C(n+1,2) at n={n}"
         if n == 2 and set(report.orbit_averages) != {3}:
@@ -307,9 +303,7 @@ def crit_14_homomesy(max_n: int) -> tuple[bool, str]:
     # n = 1 is excluded: there the two-step shift is the identity map and
     # any non-constant statistic fails homomesy vacuously.
     for n in range(2, min(6, max_n) + 1):
-        carrier = list(enumerate_balanced(n))
-        report = homomesy_check(carrier, CyclicAction(n, word_shift_two), inv_zero_one, "inv")
-        if not report.homomesic:
+        if not inv_homomesy(n, "beta").homomesic:
             witness_at = n
             break
     detail = (

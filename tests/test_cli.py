@@ -837,6 +837,17 @@ class TestFileErrors:
         assert reason["exit"] == 2
         assert reason["error"].startswith("cannot read --sizes-file: ")
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["file", "missing file"])
+    def test_sizes_with_sizes_file_is_usage_error(self, capsys, cache_dir, tmp_path, exists):
+        # Refused before the file is opened, so a missing file gives the same error.
+        sizes = tmp_path / "sizes.txt"
+        if exists:
+            sizes.write_text("1,2,5\n")
+        code, out, err = run_cli(capsys, cache_dir, "lyndon", "params", "--sizes", "2,4,8", "--sizes-file", str(sizes))
+        assert (code, out) == (2, "")
+        assert err == reason("give --sizes or --sizes-file, not both")
+        assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv", [["verify", "cmp", "--n", "4"], ["count", "--w", "3", "--max-n", "4"]], ids=["verify", "count"]
     )

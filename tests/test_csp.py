@@ -27,6 +27,7 @@ from cyclicsieve.csp import (
     check_cdp_fixed_points,
     csp_feasibility,
     homomesy_check,
+    inv_homomesy,
     lyndon_check,
     lyndon_construct,
     lyndon_params,
@@ -625,6 +626,22 @@ class TestHomomesy:
             carrier = balanced_words_ending_in_one(n)
             assert homomesy_check(carrier, action, inv_zero_one, "inv").homomesic
             assert sorted(calls) == sorted(carrier), n
+
+    def test_statistic_is_called_once_per_element(self):
+        # The global average is taken from the orbit sums, not from a second pass.
+        for n in range(1, 7):
+            calls = []
+            carrier = list(enumerate_balanced(n))
+            counted = lambda x: (calls.append(x), inv_zero_one(x))[1]
+            homomesy_check(carrier, CyclicAction(n, word_shift_two), counted, "inv")
+            assert sorted(calls) == sorted(carrier), n
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_inv_homomesy_builds_both_actions(self, n):
+        alpha = homomesy_check(balanced_words_ending_in_one(n), zrun_rotation_action(n), inv_zero_one, "inv")
+        beta = homomesy_check(list(enumerate_balanced(n)), CyclicAction(n, word_shift_two), inv_zero_one, "inv")
+        assert inv_homomesy(n, "alpha") == alpha
+        assert inv_homomesy(n, "beta") == beta
 
 
 class TestWordCsp:

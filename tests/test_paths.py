@@ -1,7 +1,8 @@
 """Path objects: area sequences, lattice words, bijections, statistics."""
 
+import hashlib
 import inspect
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +27,7 @@ from cyclicsieve.paths import (
     enumerate_cdp,
     enumerate_cmp,
     enumerate_dyck,
+    enumerate_words,
     first_peak_height,
     inv_zero_one,
     last_peak_height,
@@ -330,6 +332,35 @@ class TestDyckTuples:
         with pytest.raises(ValueError):
             dyck_tuple(AreaSequence((0, 0, 0), 2))
 
+    def test_every_tuple_up_to_height_eight_is_pinned(self):
+        # sha256 over repr(dyck_tuple(a)) for every a in CDP(k*m, m) with
+        # k*m <= 8, cells in increasing (k*m, m): it pins every tuple the map
+        # gives, not only the properties the other tests check.
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(1, 9):
+            for m in (m for m in range(1, n + 1) if n % m == 0):
+                for a in enumerate_cdp(n, m):
+                    t = dyck_tuple(a)
+                    assert dyck_tuple_inverse(t, m) == a
+                    digest.update(repr(t).encode())
+                    count += 1
+        assert count == 48184
+        assert digest.hexdigest() == "57432f48e350bd24bf02078e545509c18683667d4a2b920e04f3eca82f94defe"
+
+    @pytest.mark.parametrize(
+        "words, error",
+        [
+            (("010101", "010101"), "peak inequality h_l(P_2) + h_f(P_1) >= 3 fails"),
+            (("000111", "001101", "010011", "000111"), "peak inequality h_l(P_2) + h_f(P_3) >= 3 fails"),
+            (("010011", "000111", "000111", "001101"), "peak inequality h_l(P_4) + h_f(P_1) >= 3 fails"),
+        ],
+    )
+    def test_inverse_names_the_first_failing_peak_inequality(self, words, error):
+        with pytest.raises(ValueError) as exc:
+            dyck_tuple_inverse(tuple(DyckPath(b) for b in words), 3)
+        assert str(exc.value) == error
+
 
 class TestMobius:
     def test_size_one(self):
@@ -364,17 +395,46 @@ class TestMobius:
             MobiusWord("01")
 
 
+@pytest.fixture(scope="module")
+def balanced_words():
+    """enumerate_words((n, n), "01") for n = 0..10: the balanced words by another route."""
+    return [list(enumerate_words((n, n), "01")) for n in range(11)]
+
+
+class TestBoundedWalk:
+    """enumerate_balanced, enumerate_dyck and enumerate_avl are one height-bounded walk."""
+
+    def test_size_zero(self):
+        assert list(enumerate_balanced(0)) == [""]
+        assert list(enumerate_dyck(0)) == [DyckPath("")]
+
+    @pytest.mark.parametrize("enumerator", [enumerate_balanced, enumerate_dyck, enumerate_avl])
+    def test_is_a_generator(self, enumerator):
+        assert inspect.isgeneratorfunction(enumerator)
+
+    def test_balanced_equals_the_word_enumerator_in_order(self, balanced_words):
+        for n, balanced in enumerate(balanced_words):
+            assert list(enumerate_balanced(n)) == balanced, n
+
+    def test_dyck_equals_the_balanced_words_never_below_the_start_in_order(self, balanced_words):
+        for n, balanced in enumerate(balanced_words):
+            never_below = [b for b in balanced if min(accumulate(1 if c == "0" else -1 for c in b), default=0) >= 0]
+            assert [p.bits for p in enumerate_dyck(n)] == never_below, n
+
+
 class TestAvoidingPaths:
     def test_counts(self):
         assert sum(1 for _ in enumerate_avl(3, 2)) == 8
         assert sum(1 for _ in enumerate_avl(2, 1)) == 0
         assert sum(1 for _ in enumerate_avl(2, 3)) == 6
 
-    def test_equals_the_filtered_balanced_words_in_order(self):
-        for n in range(1, 9):
-            balanced = list(enumerate_balanced(n))
+    def test_equals_the_filtered_balanced_words_in_order(self, balanced_words):
+        for n, balanced in enumerate(balanced_words[1:], start=1):
+            # A word that avoids the diagonals +-w avoids every wider pair, so
+            # the filter for w keeps the words whose least avoided width is <= w.
+            least = [next(w for w in range(1, n + 2) if avoids_diagonals(b, w)) for b in balanced]
             for w in range(1, n + 3):
-                assert list(enumerate_avl(n, w)) == [b for b in balanced if avoids_diagonals(b, w)], (n, w)
+                assert list(enumerate_avl(n, w)) == [b for b, v in zip(balanced, least) if v <= w], (n, w)
 
     @pytest.mark.parametrize("n, w", [(0, 3), (3, 0), (2, -1)])
     def test_rejects_a_size_below_one(self, n, w):
