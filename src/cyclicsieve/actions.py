@@ -239,16 +239,6 @@ class OrbitDecomposition:
         """Number of elements in orbits of each size."""
         return {s: s * count for s, count in Counter(self.sizes).items()}
 
-    def to_json(self, serialize=lambda x: x) -> list[dict]:
-        return [
-            {
-                "size": len(o),
-                "stabilizer_order": self.order // len(o),
-                "elements": [serialize(x) for x in o],
-            }
-            for o in self.orbits
-        ]
-
 
 def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitDecomposition:
     """Orbits under the action, each listed from its minimal element.

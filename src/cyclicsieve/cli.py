@@ -1,16 +1,18 @@
-"""Command-line interface.
+"""Command-line interface: the flags, the guards and every payload's JSON.
 
 Every command prints one canonical JSON payload to stdout (keys sorted,
-fixed separators, integer values as decimal strings) so runs with equal
-arguments are byte-identical.  Exit codes: 0 success / verification pass
-(for `orbits --poly`, the closed polynomial matches the orbit census), 1
-mathematical verification failure, 2 usage error (a UsageError from the
-argument checks), 3 internal fault (any other exception: a bug in the
-program, such as the two sieving routes disagreeing, an action that is
-not a bijection of its carrier or a kernel's ValueError; it is never
-cached).  Non-zero exits also write a machine-readable JSON reason to
-stderr.  A --sizes-file that cannot be read or decoded (or given with
---sizes), a --csv path that cannot be written, a count flag that would be
+fixed separators) so runs with equal arguments are byte-identical.  Its
+integers are decimal strings, so consumers limited to 64-bit (or 53-bit)
+integers never silently corrupt a count.  Exit codes: 0 success /
+verification pass (for `orbits --poly`, the closed polynomial matches the
+orbit census), 1 mathematical verification failure, 2 usage error (a
+UsageError from the argument checks), 3 internal fault (any other
+exception: a bug in the program, such as the two sieving routes
+disagreeing, an action that is not a bijection of its carrier or a
+kernel's ValueError; it is never cached).  Non-zero exits also write a
+machine-readable JSON reason to stderr.  A --sizes-file that cannot be
+read or decoded (or given with --sizes), a --csv path that cannot be
+written (or given with verify --table), a count flag that would be
 ignored, a --w below 1 and a --n, --w or --content that the verify or
 orbits target or the lyndon check family does not read are usage errors.
 
@@ -30,12 +32,12 @@ exit code and stderr reason of a hit come from the verdict stored with it.
 
 A request's cache parameters are read off the parsed flags alone, so a hit
 imports only this module and jsonio, never the math kernels.  The checks
-that need the target and family registries or a kernel (required and
-unread flags, n bounds, carrier sizes, an unknown family), and then the
-size guard, run on a miss, before anything is computed.  A hit skips them
-safely: every flag they read is in the key, and the key holds the source
-digest, so an entry exists only for a request that passed the same checks
-under the same code.
+against the tables below or a kernel (required and unread flags, n
+bounds, carrier sizes, an unknown family), and then the size guard, run
+on a miss, before anything is computed.  A hit skips them safely: every
+flag they read is in the key, and the key holds the source digest, so an
+entry exists only for a request that passed the same checks under the
+same code.
 """
 
 from __future__ import annotations
@@ -45,13 +47,14 @@ import json
 import os
 import sys
 from functools import partial
+from math import factorial, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import __version__
 from .jsonio import ResultCache, dumps_canonical
 
 if TYPE_CHECKING:
-    from .csp import Target
+    from .csp import CspReport, CspRow
 
 
 class UsageError(Exception):
@@ -85,6 +88,32 @@ def _require(cond: bool, message: str) -> None:
 # Command payloads; each imports the kernels it calls, so only a miss loads them
 # ---------------------------------------------------------------------------
 
+def encode_report(report: CspReport) -> dict:
+    """A sieving report; a non-constant evaluation gives its remainder mod the cyclotomic polynomial."""
+    return {
+        "order": str(report.order),
+        "rows": [_encode_row(r) for r in report.rows],
+        "verdict": report.verdict,
+        "first_mismatch": None if report.first_mismatch is None else str(report.first_mismatch),
+        "warnings": list(report.warnings),
+    }
+
+
+def _encode_row(r: CspRow) -> dict:
+    ev = str(r.evaluation) if isinstance(r.evaluation, int) else {"nonconstant": r.evaluation.remainder.to_json()}
+    return {"k": str(r.k), "gcd": str(r.gcd), "evaluation": ev, "fixed_count": str(r.fixed), "match": r.match}
+
+
+def _fraction(x) -> dict:
+    """A Fraction as {num, den}."""
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _element(x) -> object:
+    """A carrier element: a tuple as a list, a string as it is, a MobiusWord as its half-word."""
+    return list(x) if isinstance(x, tuple) else x if isinstance(x, str) else x.half
+
+
 def payload_count(n: int, w: int, with_poly: bool) -> dict:
     from .genfunc import cdp_count, cdp_q_closed
 
@@ -105,7 +134,7 @@ def payload_verify(target: str, n: int, w: Optional[int], content: Optional[tupl
     """The verify payload less its params, which _target_request adds."""
     from .csp import verify_target
 
-    return {"target": target, "report": verify_target(target, n, w, content).to_json()}
+    return {"target": target, "report": encode_report(verify_target(target, n, w, content))}
 
 
 def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tuple], with_poly: bool) -> dict:
@@ -120,7 +149,9 @@ def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tupl
     out = {
         "target": target,
         "order": str(n),
-        "orbits": dec.to_json(spec.serialize),
+        "orbits": [
+            {"size": len(o), "stabilizer_order": n // len(o), "elements": [_element(x) for x in o]} for o in dec.orbits
+        ],
         "orbit_poly": poly.to_json(),
     }
     if with_poly:
@@ -133,18 +164,28 @@ def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tupl
 def payload_lyndon_params(sizes: list[int]) -> dict:
     from .csp import lyndon_params
 
-    return {"sizes": [str(s) for s in sizes], **lyndon_params(sizes).to_json()}
+    params = lyndon_params(sizes)
+    out = {"sizes": [str(s) for s in sizes], "t": {str(d): str(v) for d, v in params.t.items()}, "valid": params.valid}
+    if not params.valid:
+        out["failure_index"] = str(params.failure_index)
+        out["failure_value"] = _fraction(params.failure_value)
+    return out
 
 
 def payload_lyndon_check(family: str, w: Optional[int], max_n: int) -> dict:
-    from .csp import FAMILIES, TARGETS, lyndon_check
+    from .csp import FAMILIES, lyndon_check
 
-    if family in TARGETS:
-        # The largest member, n = max_n, bounds the work of the family.
-        _require_carrier(TARGETS[family], f"lyndon check --family {family}", max_n, w, None)
-    report = lyndon_check(FAMILIES[family].members(w, max_n))
-    params = {name: str(w) for name in FAMILIES[family].params}
-    return {"family": family, "params": params, **report.to_json()}
+    # The largest member, n = max_n, bounds the work of the family.
+    _require_carrier(family, f"lyndon check --family {family}", max_n, w, None)
+    report = lyndon_check(FAMILIES[family](w, max_n))
+    return {
+        "family": family,
+        "params": {name: str(w) for name in FAMILY_ARGS[family]},
+        "max_n": str(report.max_n),
+        "member_verdicts": list(report.member_verdicts),
+        "relation_failures": [[str(n), str(m)] for n, m in report.relation_failures],
+        "verdict": "pass" if report.passed else "fail",
+    }
 
 
 def payload_lyndon_construct(t_values: list[int], n: int) -> dict:
@@ -156,7 +197,7 @@ def payload_lyndon_construct(t_values: list[int], n: int) -> dict:
     return {
         "n": str(n),
         "t": {str(d): str(v) for d, v in t.items()},
-        "carrier": [list(x) for orbit in orbits.orbits for x in orbit],
+        "carrier": [_element(x) for orbit in orbits.orbits for x in orbit],
         "orbit_poly": poly.to_json(),
         "csp_verdict": report.verdict,
     }
@@ -165,16 +206,27 @@ def payload_lyndon_construct(t_values: list[int], n: int) -> dict:
 def payload_homomesy(n: int, action: str) -> dict:
     from .csp import inv_homomesy
 
-    return {"n": str(n), "action": action, **inv_homomesy(n, action).to_json()}
+    report = inv_homomesy(n, action)
+    return {
+        "n": str(n),
+        "action": action,
+        "statistic": report.statistic,
+        "global_average": _fraction(report.global_average),
+        "orbit_averages": [_fraction(a) for a in report.orbit_averages],
+        "homomesic": report.homomesic,
+        "witness_orbit": None if report.witness_orbit is None else [_element(x) for x in report.witness_orbit],
+    }
 
 
 def payload_selftest(max_n: int) -> dict:
     from .selftest import run_all
 
     results = run_all(max_n, echo=lambda line: print(line, file=sys.stderr))
+    # A criterion's time is left out, so payloads with equal arguments are
+    # byte-identical; its log line on stderr carries it.
     return {
         "max_n": str(max_n),
-        "criteria": [r.to_json() for r in results],
+        "criteria": [{"id": r.id, "name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
         "passed": all(r.passed for r in results),
     }
 
@@ -246,7 +298,7 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("--csv", metavar="PATH")
 
     p = sub.add_parser("verify", help="verify a sieving instance")
-    p.add_argument("target", choices=["cdp", "cmp", "bw", "avl", "words"])
+    p.add_argument("target", choices=list(TARGET_ARGS))
     p.add_argument("--n", type=int)
     p.add_argument("--w", type=int)
     p.add_argument("--content", type=str)
@@ -303,20 +355,67 @@ def _count_request(args: argparse.Namespace) -> Request:
     return {"n": args.n, "w": args.w, "q": args.q}, None, lambda: payload_count(args.n, args.w, args.q)
 
 
-def _require_carrier(target: Target, what: str, n: int, w: Optional[int], content: Optional[tuple]) -> None:
-    """Refuse a --w below 1, then a carrier larger than MAX_CARRIER (n is positive here)."""
-    from .csp import MAX_CARRIER
+# Per target of csp.TARGETS: the flags it reads, and the least and greatest n
+# that verify and orbits admit (n is sum(content) for a target reading --content).
+TARGET_ARGS = {
+    "cdp": (("n", "w"), 1, 9),
+    "cmp": (("n",), 1, 12),
+    "bw": (("n",), 2, 16),
+    "avl": (("n", "w"), 1, 9),
+    "words": (("content",), 1, 10),
+}
 
+# Per family of csp.FAMILIES: the flags lyndon check reads besides --max-n.
+FAMILY_ARGS = {"cdp": ("w",), "binary-words": (), "ternary-words": (), "cmp": ()}
+
+
+def _cdp_size(n: int, w: int, _) -> int:
+    from .genfunc import cdp_count
+
+    return cdp_count(n, w)
+
+
+# The carriers that can pass MAX_CARRIER at an admitted n: the size of each,
+# known from (n, w, content) before anything is built, and what its elements are called.
+CARRIER_SIZE = {
+    "cdp": (_cdp_size, "area sequences"),
+    "words": (lambda n, w, mu: factorial(n) // prod(factorial(m) for m in mu), "words"),
+}
+
+# The carrier bound of `cdp` and `words`, 9! elements, admits at most about
+# 3.5 s of cold work on a 2-core host at every n.  At the bound, cold `verify`
+# takes 0.25-0.66 s for CDP(n, w), n = 9..2 (its necklaces, never the carrier),
+# and 2.3 s for the content 1^9; `orbits`, printing every element, 1.4-3.5 s
+# and 3.2 s.  The content 1^10 is ten times the bound.  `bw`, `cmp` and `avl`
+# are bounded by n alone: at their bounds cold `verify` takes 0.17 s (bw 16),
+# 0.13 s (cmp 12) and 0.11-0.21 s (avl 9, every w), none building a carrier,
+# and `orbits bw --n 16` walks and prints all 2^16 words in 0.31 s.
+MAX_CARRIER = 362_880
+
+# Each new guard admits about 2 s of cold work on a 2-core host: count at
+# n = 4000 (w = 3); count --q at n = 150 (2.0 s, 188 MB; 4.5 s at 200);
+# count --max-n 500 (1.3 s; 12.6 s at 1000); lyndon construct at a carrier
+# of 30000 elements (1.3 s at n = 1, 1.4 s at n = 2520) and at n = 2520
+# (0.23 s for one element, whole process; building and checking one element
+# takes 0.02 s at n = 5040 and 0.26 s at 27720, one cyclotomic polynomial
+# per divisor order, so the n bound is now looser than the carrier bound).
+MAX_CONSTRUCT = 30_000
+
+
+def _require_carrier(name: str, what: str, n: int, w: Optional[int], content: Optional[tuple]) -> None:
+    """Refuse a --w below 1, then a carrier of `name` larger than MAX_CARRIER (n is positive here)."""
     _require(w is None or w >= 1, "n and w must be positive")
-    if target.carrier_size is not None:
-        size = target.carrier_size(n, w, content)
-        _require(size <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {target.unit}")
+    if name in CARRIER_SIZE:
+        size, unit = CARRIER_SIZE[name]
+        _require(size(n, w, content) <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {unit}")
 
 
-def _require_read(what: str, params: tuple[str, ...], args: argparse.Namespace, flags: tuple[str, ...]) -> None:
-    """A usage error for each of `flags` given on the command line that `params` does not name."""
-    for flag in flags:
-        _require(flag in params or getattr(args, flag) is None, f"{what} does not read --{flag}")
+def _require_flags(what: str, reads: tuple[str, ...], values: dict, args: argparse.Namespace) -> None:
+    """Refuse each flag in `reads` without a value, then each other flag of `values` given in args."""
+    for name in reads:
+        _require(values[name] is not None, f"{what} needs --{name}")
+    for flag in values:
+        _require(flag in reads or getattr(args, flag) is None, f"{what} does not read --{flag}")
 
 
 def _target_request(args: argparse.Namespace) -> Request:
@@ -325,14 +424,17 @@ def _target_request(args: argparse.Namespace) -> Request:
     They are n, w and the parsed content re-joined, as strings (an empty
     --content stays in as "").  A flag the target does not read is refused
     on a miss, so for every accepted request they are exactly the target's
-    parameters, and they are the payload's params.
+    parameters, and they are the payload's params.  verify --table with
+    --csv is refused here, before the cache is read.
     """
     content = _parse_content(args.content) if args.content else None
     given = {"n": args.n, "w": args.w, "content": ",".join(str(m) for m in content) if content else args.content}
     params = {name: str(value) for name, value in given.items() if value is not None}
-    n = sum(content) if (args.target == "words" and content) else args.n
+    reads, _, _ = TARGET_ARGS[args.target]
+    n = sum(content) if ("content" in reads and content) else args.n
     check = partial(_check_target, args, n, content)
     if args.command == "verify":
+        _require(not (args.table and args.csv), "give --table or --csv, not both")
         key, payload = params, partial(payload_verify, args.target, n, args.w, content)
     else:
         key, payload = {**params, "poly": args.poly}, partial(payload_orbits, args.target, n, args.w, content, args.poly)
@@ -340,19 +442,14 @@ def _target_request(args: argparse.Namespace) -> Request:
 
 
 def _check_target(args: argparse.Namespace, n: Optional[int], content: Optional[tuple]) -> None:
-    """Check a verify or orbits target's arguments against its registry entry."""
-    from .csp import TARGETS
-
-    target = TARGETS[args.target]
+    """Check a verify or orbits target's arguments against its row of TARGET_ARGS."""
+    reads, min_n, max_n = TARGET_ARGS[args.target]
     what = f"{args.command} {args.target}"
-    values = {"n": n, "w": args.w, "content": content}
-    for name in target.params:
-        _require(values[name] is not None, f"{what} needs --{name}")
-    _require_read(what, target.params, args, ("n", "w", "content"))
+    _require_flags(what, reads, {"n": n, "w": args.w, "content": content}, args)
     _require(n >= 1, f"{args.command} needs --n (positive)")
-    _require(n <= target.max_n, f"{what} is limited to n <= {target.max_n}")
-    _require(n >= target.min_n, f"{what} needs --n at least {target.min_n}")
-    _require_carrier(target, what, n, args.w, content)
+    _require(n <= max_n, f"{what} is limited to n <= {max_n}")
+    _require(n >= min_n, f"{what} needs --n at least {min_n}")
+    _require_carrier(args.target, what, n, args.w, content)
 
 
 def _lyndon_params_request(args: argparse.Namespace) -> Request:
@@ -387,15 +484,10 @@ def _lyndon_check_request(args: argparse.Namespace) -> Request:
 
 
 def _check_family(args: argparse.Namespace) -> None:
-    """Check the family's arguments against its registry entry."""
-    from .csp import FAMILIES
-
-    _require(args.family in FAMILIES, f"unknown family {args.family!r}; choose from {sorted(FAMILIES)}")
+    """Check the family's arguments against its row of FAMILY_ARGS."""
+    _require(args.family in FAMILY_ARGS, f"unknown family {args.family!r}; choose from {sorted(FAMILY_ARGS)}")
     what = f"lyndon check --family {args.family}"
-    params = FAMILIES[args.family].params
-    for name in params:
-        _require(getattr(args, name) is not None, f"{what} needs --{name}")
-    _require_read(what, params, args, ("w",))
+    _require_flags(what, FAMILY_ARGS[args.family], {"w": args.w}, args)
 
 
 def _lyndon_construct_request(args: argparse.Namespace) -> Request:
@@ -434,15 +526,6 @@ class Command(NamedTuple):
     text: Optional[Callable[[argparse.Namespace], Optional[Callable[[dict], str]]]] = None
     failure: Optional[Callable[[dict], Optional[dict]]] = None
 
-
-# Each new guard admits about 2 s of cold work on a 2-core host: count at
-# n = 4000 (w = 3); count --q at n = 150 (2.0 s, 188 MB; 4.5 s at 200);
-# count --max-n 500 (1.3 s; 12.6 s at 1000); lyndon construct at a carrier
-# of 30000 elements (1.3 s at n = 1, 1.4 s at n = 2520) and at n = 2520
-# (0.23 s for one element, whole process; building and checking one element
-# takes 0.02 s at n = 5040 and 0.26 s at 27720, one cyclotomic polynomial
-# per divisor order, so the n bound is now looser than the carrier bound).
-MAX_CONSTRUCT = 30_000
 
 COMMANDS = {
     "count": Command("count", _count_request, guard=("n", 4000)),

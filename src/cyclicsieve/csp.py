@@ -14,6 +14,9 @@ disagreement between the routes is an internal error, never a result.
 Feasibility and Lyndon parameters invert the divisor sum F(d) = sum over
 j | d of S(j) (_parts).
 
+TARGETS and FAMILIES hold the mathematics alone; the flags, bounds,
+carrier-size guard and JSON encodings of the command line are in cli.
+
 Target.counted gives each registry target's census.  `cdp` reads it off
 its rotation classes (paths.cdp_necklaces), never building CDP(n, w);
 `bw` and `cmp` off one pass over the n-bit ints (actions.twisted_necklaces,
@@ -24,7 +27,7 @@ by its least period under rotation by two (actions.rotation_census),
 never building the balanced words.  orbit_decompose and
 verify_subset_csp stay as the walking oracles of these censuses.
 
-Reports, targets and families are frozen records (record.record).
+Reports and targets are frozen records (record.record).
 Only homomesy_check and lyndon_params build a Fraction, so they alone
 import fractions, and a verify, orbits or count request never loads it.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from math import factorial, gcd, prod
+from math import gcd
 from typing import Callable, Hashable, Iterable, Sequence, Union
 
 from .actions import (
@@ -49,7 +52,7 @@ from .actions import (
     word_rotate,
     word_shift_two,
 )
-from .genfunc import avl_q_closed, bw_q, cdp_count, cdp_q_closed, cmp_q
+from .genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
 from .paths import (
     MobiusWord,
     cdp_necklaces,
@@ -83,12 +86,10 @@ __all__ = [
     "inv_homomesy",
     "Target",
     "TARGETS",
-    "MAX_CARRIER",
     "verify_target",
     "check_cdp_fixed_points",
     "words_family",
     "FAMILIES",
-    "Family",
     "balanced_words_ending_in_one",
     "zrun_rotation_action",
 ]
@@ -127,19 +128,6 @@ class CspRow:
     fixed: int
     match: bool
 
-    def to_json(self) -> dict:
-        if isinstance(self.evaluation, NonConstant):
-            ev: Union[str, dict] = {"nonconstant": self.evaluation.remainder.to_json()}
-        else:
-            ev = str(self.evaluation)
-        return {
-            "k": str(self.k),
-            "gcd": str(self.gcd),
-            "evaluation": ev,
-            "fixed_count": str(self.fixed),
-            "match": self.match,
-        }
-
 
 @record
 class CspReport:
@@ -152,15 +140,6 @@ class CspReport:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-    def to_json(self) -> dict:
-        return {
-            "order": str(self.order),
-            "rows": [r.to_json() for r in self.rows],
-            "verdict": self.verdict,
-            "first_mismatch": None if self.first_mismatch is None else str(self.first_mismatch),
-            "warnings": list(self.warnings),
-        }
 
 
 def _fixed_points(census: dict[int, int], n: int) -> dict[int, int]:
@@ -296,19 +275,6 @@ class LyndonParameters:
     failure_index: Union[int, None] = None
     failure_value: Union[Fraction, None] = None
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "t": {str(d): str(v) for d, v in self.t.items()},
-            "valid": self.valid,
-        }
-        if not self.valid:
-            out["failure_index"] = str(self.failure_index)
-            out["failure_value"] = {
-                "num": str(self.failure_value.numerator),
-                "den": str(self.failure_value.denominator),
-            }
-        return out
-
 
 def lyndon_params(sizes: Sequence[int]) -> LyndonParameters:
     """Recover t_1, ..., t_N from |X_1|, ..., |X_N|: d * t_d is _parts of the sizes."""
@@ -377,14 +343,6 @@ class LyndonReport:
     relation_failures: tuple[tuple[int, int], ...]  # (n, m) with m | n
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "max_n": str(self.max_n),
-            "member_verdicts": list(self.member_verdicts),
-            "relation_failures": [[str(n), str(m)] for n, m in self.relation_failures],
-            "verdict": "pass" if self.passed else "fail",
-        }
-
 
 def lyndon_check(family: Sequence[FamilyMember]) -> LyndonReport:
     """Check a family (X_n, C_n, f_n), n = 1..N, for the Lyndon-like relation.
@@ -420,20 +378,6 @@ class HomomesyReport:
     orbit_averages: tuple[Fraction, ...]
     homomesic: bool
     witness_orbit: Union[tuple[Hashable, ...], None]
-
-    def to_json(self) -> dict:
-        def frac(x: Fraction) -> dict:
-            return {"num": str(x.numerator), "den": str(x.denominator)}
-
-        return {
-            "statistic": self.statistic,
-            "global_average": frac(self.global_average),
-            "orbit_averages": [frac(a) for a in self.orbit_averages],
-            "homomesic": self.homomesic,
-            "witness_orbit": None
-            if self.witness_orbit is None
-            else list(self.witness_orbit),
-        }
 
 
 def homomesy_check(
@@ -498,31 +442,21 @@ def zrun_rotation_action(n: int) -> CyclicAction:
 class Target:
     """How to build one sieving triple: carrier, C_n action, closed q-polynomial.
 
-    Each callable takes (n, w, content), of which the target reads the
-    ones named in `params`; n is the order of the action, and for `words`
-    it is the word length sum(content).  The callables reach the layer
-    functions through this module's globals, so a wrapper installed on a
-    module attribute sees every call.  `max_n` bounds n for the commands
-    that build the carrier or its orbits.  A target whose carrier can exceed
-    MAX_CARRIER at an admitted n also has `carrier_size`, the size of its
-    carrier known before anything is built, which those commands bound by
-    MAX_CARRIER; its elements are called `unit` in the error past that bound.
-    A target with `necklaces` lists its orbits without its carrier: the
-    callable yields (least element, orbit size) for each orbit, in
-    increasing order of the least element.  A target with `census` is
-    subset sieving: its carrier need not be closed under the action, and
-    census(n, w, content) gives its census and the instance's warnings.
+    Each callable takes (n, w, content) and reads what its object needs: n
+    is the order of the action, and for `words` it is the word length
+    sum(content).  The callables reach the layer functions through this
+    module's globals, so a wrapper installed on a module attribute sees
+    every call.  A target with `necklaces` lists its orbits without its
+    carrier: the callable yields (least element, orbit size) for each
+    orbit, in increasing order of the least element.  A target with
+    `census` is subset sieving: its carrier need not be closed under the
+    action, and census(n, w, content) gives its census and the instance's
+    warnings.
     """
 
-    params: tuple[str, ...]
-    max_n: int
     carrier: Callable[..., Iterable[Hashable]]
     generator: Callable[[Hashable], Hashable]
     closed: Callable[..., IntPolynomial]
-    serialize: Callable[[Hashable], object] = lambda x: x
-    min_n: int = 1
-    carrier_size: Union[Callable[..., int], None] = None
-    unit: str = ""
     necklaces: Union[Callable[..., Iterable[tuple[Hashable, int]]], None] = None
     census: Union[Callable[..., tuple[dict[int, int], tuple[str, ...]]], None] = None
 
@@ -563,68 +497,38 @@ def _avoiding_census(n: int, w: int, _) -> tuple[dict[int, int], tuple[str, ...]
     return rotation_census(enumerate_avl(n, w), n, 2), warnings
 
 
-# The carrier bound of `cdp` and `words`, 9! elements, admits at most about
-# 3.5 s of cold work on a 2-core host at every n.  Cold `verify` takes 0.25-
-# 0.66 s for CDP(n, w) with n = 9..2 at the bound (its necklaces, never the
-# carrier) and 2.3 s for the content 1^9; `orbits`, which prints every
-# element, takes 1.4-3.5 s for CDP(n, w) and 3.2 s for 1^9.  The content 1^10
-# is ten times the bound.  `bw`, `cmp` and `avl` are bounded by n alone; at
-# their bounds cold `verify` takes 0.17 s for bw n = 16, 0.13 s for cmp
-# n = 12 and 0.11-0.21 s for avl n = 9 at every w, none of them building a
-# carrier, and `orbits bw --n 16`, which walks and prints all 2^16 words,
-# takes 0.31 s.
-MAX_CARRIER = 362_880
-
 TARGETS = {
     "cdp": Target(
-        params=("n", "w"),
-        max_n=9,
         carrier=lambda n, w, _: cdp_values(n, w),
         generator=_rotate,
         closed=lambda n, w, _: cdp_q_closed(n, w),
-        serialize=list,
-        carrier_size=lambda n, w, _: cdp_count(n, w),
-        unit="area sequences",
         necklaces=lambda n, w, _: cdp_necklaces(n, w),
     ),
     "cmp": Target(
-        params=("n",),
-        max_n=12,
         carrier=lambda n, w, _: enumerate_cmp(n),
         generator=mobius_shift,
         closed=lambda n, w, _: cmp_q(n),
-        serialize=lambda m: m.half,
         # The half-word of an odd-parity word is the word with its last bit set to 0.
         necklaces=lambda n, w, _: (
             (MobiusWord(format(v, f"0{n}b")[:-1] + "0"), size) for v, size in twisted_necklaces(n, odd=True)
         ),
     ),
     "bw": Target(
-        params=("n",),
-        max_n=16,
-        min_n=2,
         carrier=lambda n, w, _: (format(v, f"0{n}b") for v in range(2 ** n)),
         generator=twisted_shift,
         closed=lambda n, w, _: bw_q(n),
         necklaces=lambda n, w, _: ((format(v, f"0{n}b"), size) for v, size in twisted_necklaces(n)),
     ),
     "avl": Target(
-        params=("n", "w"),
-        max_n=9,
         carrier=lambda n, w, _: enumerate_avl(n, w),
         generator=word_shift_two,
         closed=lambda n, w, _: avl_q_closed(n, w),
         census=_avoiding_census,
     ),
     "words": Target(
-        params=("content",),
-        max_n=10,
         carrier=lambda n, w, mu: enumerate_words(mu, range(1, len(mu) + 1)),
         generator=_rotate,
         closed=lambda n, w, mu: q_multinomial(mu),
-        serialize=list,
-        carrier_size=lambda n, w, mu: factorial(n) // prod(factorial(m) for m in mu),
-        unit="words",
     ),
 }
 
@@ -666,18 +570,10 @@ def _words_maj_poly(alphabet: int, n: int) -> IntPolynomial:
     return sum((q_multinomial(mu) for mu in contents), IntPolynomial())
 
 
-@record
-class Family:
-    """A Lyndon-like family: the parameters it reads besides max_n, as in
-    Target.params, and its members n = 1..max_n from (w, max_n)."""
-
-    params: tuple[str, ...]
-    members: Callable[[Union[int, None], int], list[FamilyMember]]
-
-
-FAMILIES = {
-    "cdp": Family(("w",), lambda w, max_n: [TARGETS["cdp"].orbits(n, w) for n in range(1, max_n + 1)]),
-    "binary-words": Family((), lambda w, max_n: words_family(2, max_n)),
-    "ternary-words": Family((), lambda w, max_n: words_family(3, max_n)),
-    "cmp": Family((), lambda w, max_n: [TARGETS["cmp"].orbits(n) for n in range(1, max_n + 1)]),
+# Each Lyndon-like family's members n = 1..max_n, from (w, max_n).
+FAMILIES: dict[str, Callable[[Union[int, None], int], list[FamilyMember]]] = {
+    "cdp": lambda w, max_n: [TARGETS["cdp"].orbits(n, w) for n in range(1, max_n + 1)],
+    "binary-words": lambda w, max_n: words_family(2, max_n),
+    "ternary-words": lambda w, max_n: words_family(3, max_n),
+    "cmp": lambda w, max_n: [TARGETS["cmp"].orbits(n) for n in range(1, max_n + 1)],
 }

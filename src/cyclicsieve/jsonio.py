@@ -1,7 +1,5 @@
 """Canonical JSON output, payload schemas, and the result cache.
 
-All numeric results are serialized as decimal strings so that consumers
-limited to 64-bit (or 53-bit) integers never silently corrupt a count.
 Output is canonical: keys sorted, fixed separators, so equal inputs give
 byte-identical bytes.  A payload becomes text in one place, in
 ResultCache.fetch, and that text is what is stored, hashed and printed.

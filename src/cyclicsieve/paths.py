@@ -484,16 +484,13 @@ class MobiusWord:
 def enumerate_cmp(n: int) -> Iterator[MobiusWord]:
     """All circular Mobius paths of size n: 2^(n-1) half-words ending in '0'.
 
-    Every half-word with b_n = 0 expands to a valid element of CDP(n);
-    to_lattice_word would raise otherwise.
+    Every half-word with b_n = 0 expands to a valid element of CDP(n), so
+    none is walked here; the tests check each one's to_lattice_word.
     """
     if n < 1:
         raise ValueError("n must be positive")
     for v in range(2 ** (n - 1)):
-        half = format(v, f"0{n - 1}b") + "0" if n > 1 else "0"
-        word = MobiusWord(half)
-        word.to_lattice_word()  # validity check: CMP(n) is a subset of CDP(n)
-        yield word
+        yield MobiusWord(format(v, f"0{n - 1}b") + "0" if n > 1 else "0")
 
 
 # ---------------------------------------------------------------------------

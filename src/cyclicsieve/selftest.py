@@ -62,16 +62,6 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion {self.id:2d} [{self.seconds:7.2f}s] {self.name}: {self.detail}"
 
-    def to_json(self) -> dict:
-        # Timing is deliberately excluded: payloads must be byte-identical
-        # across runs with equal arguments.  The human log line carries it.
-        return {
-            "id": self.id,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 def _criterion(cid: int, name: str, fn: Callable[[], tuple[bool, str]]) -> CriterionResult:
     start = time.monotonic()
@@ -263,7 +253,7 @@ def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
 def crit_12_lyndon_families(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     for w in (1, 2, 3):
-        if not lyndon_check(FAMILIES["cdp"].members(w, bound)).passed:
+        if not lyndon_check(FAMILIES["cdp"](w, bound)).passed:
             return False, f"circular Dyck family at width {w} is not Lyndon-like"
     for alphabet in (2, 3):
         if not lyndon_check(words_family(alphabet, bound)).passed:

@@ -465,6 +465,29 @@ def run_module_probe(*argv: str, flags: tuple = ()):
     return result, json.loads(result.stderr.splitlines()[-1])
 
 
+class TestRegistryTables:
+    """cli's tables of flags, bounds and carrier sizes name exactly the registries' targets and families."""
+
+    def test_tables_have_the_registries_keys(self):
+        subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+        verify_choices = next(a for a in subcommands["verify"]._actions if a.dest == "target").choices
+        orbits_choices = next(a for a in subcommands["orbits"]._actions if a.dest == "target").choices
+        assert list(cli.TARGET_ARGS) == list(csp.TARGETS) == list(verify_choices)
+        assert set(orbits_choices) <= set(csp.TARGETS)
+        assert set(cli.FAMILY_ARGS) == set(csp.FAMILIES)
+        assert set(cli.CARRIER_SIZE) <= set(csp.TARGETS)
+        assert tuple(csp.Target.__annotations__) == ("carrier", "generator", "closed", "necklaces", "census")
+
+    def test_carrier_sizes_count_the_carriers(self):
+        for n in range(1, 6):
+            for w in range(1, n + 2):
+                size, _ = cli.CARRIER_SIZE["cdp"]
+                assert size(n, w, None) == sum(1 for _ in csp.TARGETS["cdp"].carrier(n, w, None)), (n, w)
+        for mu in [(1,), (2, 1), (2, 1, 2), (1, 1, 1, 1), (3, 0, 2)]:
+            size, _ = cli.CARRIER_SIZE["words"]
+            assert size(sum(mu), None, mu) == sum(1 for _ in csp.TARGETS["words"].carrier(sum(mu), None, mu)), mu
+
+
 class TestLazyExports:
     def test_every_name_resolves_to_its_submodule_attribute(self):
         names = cyclicsieve.__all__
@@ -858,6 +881,15 @@ class TestFileErrors:
         assert reason["exit"] == 2
         assert reason["error"].startswith("cannot write --csv: ")
 
+    def test_table_with_csv_is_usage_error(self, capsys, cache_dir, tmp_path):
+        # Refused before the cache is read: no CSV file is written and nothing is cached.
+        csv = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, cache_dir, "verify", "cdp", "--n", "4", "--w", "2", "--table", "--csv", str(csv))
+        assert (code, out) == (2, "")
+        assert err == reason("give --table or --csv, not both")
+        assert not csv.exists()
+        assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
+
 
 # The first value past each size guard.
 PAST_GUARDS = [
@@ -1022,6 +1054,7 @@ GOLDEN = [
     (["verify", "avl", "--n", "8", "--w", "1"], 0, "f4c57fcbd41060f0831775c45ea8c944a9544cd50a97927048aae5a926801548", ""),
     (["verify", "words", "--content", "2,1,2"], 0, "b79ec365b56ec6334bd3c70ef51721785a58d6f12080adc34d7acdd32c59746a", ""),
     (["verify", "cmp", "--n", "5", "--table"], 0, "4844a3c9b3d8b3cb7da71b1e807038abcd4b979bb5856445f80255007838ebb3", ""),
+    (["verify", "cdp", "--n", "4", "--w", "2", "--table", "--csv", "t.csv"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("give --table or --csv, not both")),
     (["verify", "avl", "--n", "4", "--w", "2"], 1, "bfb85d7fdda159608744e2262626c323aa278e879c7c5326d50a8e968def1a50", reason("verification failed", 1, first_mismatch="1")),
     (["verify", "cdp", "--n", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify cdp needs --w")),
     (["verify", "bw", "--n", "1"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("verify bw needs --n at least 2")),

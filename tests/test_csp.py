@@ -6,7 +6,7 @@ from math import comb, gcd
 
 import pytest
 
-from cyclicsieve import actions, csp, paths, selftest
+from cyclicsieve import actions, cli, csp, paths, selftest
 from cyclicsieve.actions import (
     CyclicAction,
     OrbitDecomposition,
@@ -38,6 +38,7 @@ from cyclicsieve.csp import (
     zrun_rotation_action,
 )
 from cyclicsieve.genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
+from cyclicsieve.jsonio import dumps_canonical
 from cyclicsieve.paths import cdp_values, enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, enumerate_words, inv_zero_one
 from cyclicsieve.qpoly import IntPolynomial, NonConstant, divisors, eval_at_unity, q_factorial, q_multinomial
 
@@ -65,6 +66,20 @@ class TestVerifyCsp:
         assert report.first_mismatch is not None
         assert report.verdict == "fail"
 
+    def test_nonconstant_evaluation_encoding(self):
+        # No admitted CLI request prints a non-constant evaluation, so its JSON and --table text are pinned here.
+        report = verify_csp(bw(4), CyclicAction(4, twisted_shift), bw_q(4) + IntPolynomial([0, 1]))
+        payload = {"report": cli.encode_report(report)}
+        assert dumps_canonical(payload["report"]) == (
+            '{"first_mismatch":"1","order":"4","rows":['
+            '{"evaluation":{"nonconstant":["0","1"]},"fixed_count":"0","gcd":"1","k":"1","match":false},'
+            '{"evaluation":"-1","fixed_count":"0","gcd":"2","k":"2","match":false},'
+            '{"evaluation":{"nonconstant":["0","1"]},"fixed_count":"0","gcd":"1","k":"3","match":false},'
+            '{"evaluation":"17","fixed_count":"16","gcd":"4","k":"4","match":false}],'
+            '"verdict":"fail","warnings":[]}'
+        )
+        assert cli.format_verify_table(payload) == "k,evaluation,fixed_count\n1,nonconstant,0\n2,-1,0\n3,nonconstant,0\n4,17,16\n"
+
     def test_rows_constant_on_gcd_classes_when_passing(self):
         carrier = list(enumerate_cdp(6, 3))
         report = verify_csp(carrier, CyclicAction(6, area_shift), cdp_q_closed(6, 3))
@@ -75,7 +90,7 @@ class TestVerifyCsp:
 
     def test_report_serialization(self):
         report = verify_csp(bw(3), CyclicAction(3, twisted_shift), bw_q(3))
-        data = report.to_json()
+        data = cli.encode_report(report)
         assert data["verdict"] == "pass"
         assert data["rows"][0]["evaluation"] == "2"
         assert data["first_mismatch"] is None
@@ -283,7 +298,6 @@ class TestNecklaceRoute:
         assert orbits == dec
         assert orbits.sizes == dec.sizes
         assert orbits.orbits == dec.orbits
-        assert orbits.to_json(list) == dec.to_json(list)
 
     def test_other_targets_walk_their_carrier(self):
         walked = [name for name, target in TARGETS.items() if target.necklaces is None and target.census is None]
@@ -300,7 +314,7 @@ class TestNecklaceRoute:
         monkeypatch.setattr(csp, "orbit_decompose", forbidden)
         for (n, w), report in walked.items():
             assert verify_target("cdp", n, w) == report
-        assert lyndon_check(FAMILIES["cdp"].members(3, 8)).passed
+        assert lyndon_check(FAMILIES["cdp"](3, 8)).passed
 
     def test_reports_equal_the_walked_carrier(self):
         for n in range(1, 8):
@@ -350,7 +364,7 @@ class TestTwistedCensus:
             monkeypatch.setitem(TARGETS, name, Target(**{**vars(TARGETS[name]), "generator": forbidden}))
         for (name, n), report in walked.items():
             assert verify_target(name, n) == report
-        assert lyndon_check(FAMILIES["cmp"].members(None, 8)) == family
+        assert lyndon_check(FAMILIES["cmp"](None, 8)) == family
 
     def test_bw_below_two_bits_is_refused(self):
         for build in (lambda: verify_target("bw", 1), lambda: TARGETS["bw"].orbits(1)):
@@ -546,7 +560,7 @@ def direct_relation_failures(family):
 
 def perturbed_cdp_family():
     """The width-2 CDP family to n = 6 with 1 + q added to f_4."""
-    family = list(FAMILIES["cdp"].members(2, 6))
+    family = list(FAMILIES["cdp"](2, 6))
     carrier, action, f = family[3]
     family[3] = (carrier, action, f + IntPolynomial([1, 1]))
     return family
@@ -554,7 +568,7 @@ def perturbed_cdp_family():
 
 class TestLyndonCheck:
     def test_cdp_fixed_width_family(self):
-        assert lyndon_check(FAMILIES["cdp"].members(2, 8)).passed
+        assert lyndon_check(FAMILIES["cdp"](2, 8)).passed
 
     def test_word_families(self):
         assert lyndon_check(words_family(2, 8)).passed
@@ -570,7 +584,7 @@ class TestLyndonCheck:
         assert lyndon_check(family).passed
 
     def test_mobius_family_is_not_lyndon_like(self):
-        report = lyndon_check(FAMILIES["cmp"].members(None, 4))
+        report = lyndon_check(FAMILIES["cmp"](None, 4))
         assert not report.passed
         assert (2, 2) in report.relation_failures
 
@@ -578,11 +592,11 @@ class TestLyndonCheck:
         calls = []
         real = csp.eval_at_unity
         monkeypatch.setattr(csp, "eval_at_unity", lambda f, m: calls.append(m) or real(f, m))
-        assert lyndon_check(FAMILIES["cdp"].members(3, 10)).passed
+        assert lyndon_check(FAMILIES["cdp"](3, 10)).passed
         assert len(calls) == sum(len(divisors(n)) for n in range(1, 11)) == 27
 
     @pytest.mark.parametrize(
-        "family", [FAMILIES["cmp"].members(None, 6), perturbed_cdp_family()], ids=["cmp", "cdp-perturbed"]
+        "family", [FAMILIES["cmp"](None, 6), perturbed_cdp_family()], ids=["cmp", "cdp-perturbed"]
     )
     def test_relation_failures_match_direct_evaluation(self, family):
         report = lyndon_check(family)

@@ -390,6 +390,13 @@ class TestMobius:
             for word in enumerate_cmp(n):
                 assert path_to_area(word.to_lattice_word()) in area_set
 
+    def test_every_element_is_a_valid_lattice_word_to_the_cli_bound(self):
+        # enumerate_cmp no longer walks its elements; LatticeWord raises on an invalid one.
+        for n in range(1, 13):
+            words = [word.to_lattice_word() for word in enumerate_cmp(n)]
+            assert len(words) == 2 ** (n - 1)
+            assert all(isinstance(x, LatticeWord) and x.width == n and len(x.bits) == 2 * n for x in words)
+
     def test_rejects_bad_half(self):
         with pytest.raises(ValueError):
             MobiusWord("01")
