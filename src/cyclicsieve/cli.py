@@ -31,13 +31,14 @@ JSON printed is the payload text the cache stores, byte for byte, and the
 exit code and stderr reason of a hit come from the verdict stored with it.
 
 A request's cache parameters are read off the parsed flags alone, so a hit
-imports only this module and jsonio, never the math kernels.  The checks
-against the tables below or a kernel (required and unread flags, n
-bounds, carrier sizes, an unknown family), and then the size guard, run
-on a miss, before anything is computed.  A hit skips them safely: every
-flag they read is in the key, and the key holds the source digest, so an
-entry exists only for a request that passed the same checks under the
-same code.
+imports only this module and jsonio, never the math kernels.  A request
+is refused in one of two places, both before any payload is computed: the
+checks that read the flags alone run before the cache is read, and the
+check against the tables below or a kernel (required and unread flags, an
+unknown family, n bounds, the size guard, carrier sizes) runs on a miss.
+A hit skips the second safely: every flag it reads is in the key, and the
+key holds the source digest, so an entry exists only for a request that
+passed the same checks under the same code.
 """
 
 from __future__ import annotations
@@ -131,14 +132,14 @@ def payload_count_table(w: int, max_n: int) -> dict:
 
 
 def payload_verify(target: str, n: int, w: Optional[int], content: Optional[tuple]) -> dict:
-    """The verify payload less its params, which _target_request adds."""
+    """The verify payload less its params, which _verify_request adds."""
     from .csp import verify_target
 
     return {"target": target, "report": encode_report(verify_target(target, n, w, content))}
 
 
 def payload_orbits(target: str, n: int, w: Optional[int], content: Optional[tuple], with_poly: bool) -> dict:
-    """The orbits payload less its params, which _target_request adds."""
+    """The orbits payload less its params, which _orbits_request adds."""
     from .actions import orbit_poly
     from .csp import TARGETS
     from .qpoly import IntPolynomial, mod_cyclic
@@ -175,8 +176,6 @@ def payload_lyndon_params(sizes: list[int]) -> dict:
 def payload_lyndon_check(family: str, w: Optional[int], max_n: int) -> dict:
     from .csp import FAMILIES, lyndon_check
 
-    # The largest member, n = max_n, bounds the work of the family.
-    _require_carrier(family, f"lyndon check --family {family}", max_n, w, None)
     report = lyndon_check(FAMILIES[family](w, max_n))
     return {
         "family": family,
@@ -252,7 +251,7 @@ def _print(text: str, end: str = "\n") -> None:
 
 
 def _emit(text: str, csv_path: Optional[str]) -> None:
-    if not csv_path:
+    if csv_path is None:
         _print(text, end="")
         return
     try:
@@ -290,6 +289,7 @@ def build_parser() -> JsonArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count circular Dyck paths")
+    p.set_defaults(request=_count_request)
     p.add_argument("--n", type=int)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--q", action="store_true", help="include the q-polynomial")
@@ -298,6 +298,7 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("--csv", metavar="PATH")
 
     p = sub.add_parser("verify", help="verify a sieving instance")
+    p.set_defaults(request=_verify_request)
     p.add_argument("target", choices=list(TARGET_ARGS))
     p.add_argument("--n", type=int)
     p.add_argument("--w", type=int)
@@ -306,7 +307,9 @@ def build_parser() -> JsonArgumentParser:
     p.add_argument("--csv", metavar="PATH")
 
     p = sub.add_parser("orbits", help="orbit decomposition and orbit polynomial")
-    p.add_argument("target", choices=["cdp", "cmp", "bw", "words"])
+    p.set_defaults(request=_orbits_request)
+    # avl is subset sieving: its carrier is not closed under the action, so it has no orbits.
+    p.add_argument("target", choices=[t for t in TARGET_ARGS if t != "avl"])
     p.add_argument("--n", type=int)
     p.add_argument("--w", type=int)
     p.add_argument("--content", type=str)
@@ -315,31 +318,52 @@ def build_parser() -> JsonArgumentParser:
     p = sub.add_parser("lyndon", help="Lyndon parameters, family checks, construction")
     lsub = p.add_subparsers(dest="subcommand", required=True)
     lp = lsub.add_parser("params")
+    lp.set_defaults(request=_lyndon_params_request)
     lp.add_argument("--sizes", type=str)
     lp.add_argument("--sizes-file", metavar="PATH")
     lc = lsub.add_parser("check")
+    lc.set_defaults(request=_lyndon_check_request)
     lc.add_argument("--family", required=True)
     lc.add_argument("--w", type=int)
     lc.add_argument("--max-n", type=int, default=6)
     lx = lsub.add_parser("construct")
+    lx.set_defaults(request=_lyndon_construct_request)
     lx.add_argument("--t", required=True, help="comma-separated t_1,t_2,...")
     lx.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("homomesy", help="orbit averages of the inversion statistic")
+    p.set_defaults(request=_homomesy_request)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--action", choices=["alpha", "beta"], default="alpha")
 
     p = sub.add_parser("selftest", help="run the full acceptance grid")
+    p.set_defaults(request=_selftest_request)
     p.add_argument("--max-n", type=int, default=8)
 
     return parser
 
 
-# Each request reads the parsed flags alone.  It makes the checks that need
-# no registry or kernel (each comes before every check that does), and
-# returns the cache parameters, the checks that run on a miss (or None) and
-# the computation of the payload.
-Request = tuple[dict, Optional[Callable[[], None]], Callable[[], dict]]
+class Request(NamedTuple):
+    """What the parsed flags ask for, read off them alone by the function each subparser names: the
+    payload schema (also the cache entry name; verify and orbits add the target), the cache parameters,
+    the payload, the check run on a miss before it, the text rendering and the exit-1 failure rule."""
+
+    schema: str
+    params: dict
+    compute: Callable[[], dict]
+    check: Optional[Callable[[], None]] = None
+    text: Optional[Callable[[dict], str]] = None
+    failure: Optional[Callable[[dict], Optional[dict]]] = None
+
+
+def _unless(passed: bool, error: str, **extra) -> Optional[dict]:
+    """A failure rule's result: no reason if the payload passed, else the exit-1 reason `error`."""
+    return None if passed else {"error": error, **extra}
+
+
+def _require_bound(name: str, arg: str, value: int, limit: int) -> None:
+    """A size guard: refuse a value of --`arg` outside 1..limit."""
+    _require(1 <= value <= limit, f"{name} is limited to 1 <= {arg} <= {limit}")
 
 
 def _count_request(args: argparse.Namespace) -> Request:
@@ -348,11 +372,16 @@ def _count_request(args: argparse.Namespace) -> Request:
         _require(args.n is None, "--n cannot be used with --max-n")
         _require(not args.q, "--q cannot be used with --max-n")
         _require(args.max_n >= 1, "--max-n must be positive")
-        return {"w": args.w, "max_n": args.max_n}, None, lambda: payload_count_table(args.w, args.max_n)
+        text = partial(format_count_table, bfile=args.bfile) if args.bfile or args.csv is not None else None
+        compute = partial(payload_count_table, args.w, args.max_n)
+        check = partial(_require_bound, "count --max-n", "max-n", args.max_n, 500)
+        return Request("count_table", {"w": args.w, "max_n": args.max_n}, compute, check, text)
     _require(args.n is not None and args.n >= 1, "count needs --n (positive) or --max-n")
     _require(not args.bfile, "--bfile needs --max-n")
-    _require(not args.csv, "--csv needs --max-n")
-    return {"n": args.n, "w": args.w, "q": args.q}, None, lambda: payload_count(args.n, args.w, args.q)
+    _require(args.csv is None, "--csv needs --max-n")
+    name, limit = ("count --q", 150) if args.q else ("count", 4000)
+    compute, check = partial(payload_count, args.n, args.w, args.q), partial(_require_bound, name, "n", args.n, limit)
+    return Request("count", {"n": args.n, "w": args.w, "q": args.q}, compute, check)
 
 
 # Per target of csp.TARGETS: the flags it reads, and the least and greatest n
@@ -418,27 +447,42 @@ def _require_flags(what: str, reads: tuple[str, ...], values: dict, args: argpar
         _require(flag in reads or getattr(args, flag) is None, f"{what} does not read --{flag}")
 
 
-def _target_request(args: argparse.Namespace) -> Request:
-    """A verify or orbits request; its cache parameters are the flags given.
+def _target_args(args: argparse.Namespace) -> tuple[dict, Optional[int], Optional[tuple], Callable[[], None]]:
+    """A verify or orbits target's params, its n, the parsed content and the check run on a miss.
 
-    They are n, w and the parsed content re-joined, as strings (an empty
-    --content stays in as "").  A flag the target does not read is refused
-    on a miss, so for every accepted request they are exactly the target's
-    parameters, and they are the payload's params.  verify --table with
-    --csv is refused here, before the cache is read.
+    The params are the flags given: n, w and the parsed content re-joined,
+    as strings (an empty --content stays in as "").  A flag the target does
+    not read is refused on a miss, so for every accepted request they are
+    exactly the target's parameters, and they are the payload's params.
     """
     content = _parse_content(args.content) if args.content else None
     given = {"n": args.n, "w": args.w, "content": ",".join(str(m) for m in content) if content else args.content}
     params = {name: str(value) for name, value in given.items() if value is not None}
     reads, _, _ = TARGET_ARGS[args.target]
     n = sum(content) if ("content" in reads and content) else args.n
-    check = partial(_check_target, args, n, content)
-    if args.command == "verify":
-        _require(not (args.table and args.csv), "give --table or --csv, not both")
-        key, payload = params, partial(payload_verify, args.target, n, args.w, content)
-    else:
-        key, payload = {**params, "poly": args.poly}, partial(payload_orbits, args.target, n, args.w, content, args.poly)
-    return key, check, lambda: {"params": params, **payload()}
+    return params, n, content, partial(_check_target, args, n, content)
+
+
+def _verify_request(args: argparse.Namespace) -> Request:
+    """A verify request; --table with --csv is refused here, before the cache is read."""
+    params, n, content, check = _target_args(args)
+    _require(not args.table or args.csv is None, "give --table or --csv, not both")
+    text = format_verify_table if args.table or args.csv is not None else None
+    return Request(
+        "verify", params, lambda: {"params": params, **payload_verify(args.target, n, args.w, content)}, check, text,
+        lambda p: _unless(
+            p["report"]["verdict"] == "pass", "verification failed", first_mismatch=p["report"]["first_mismatch"]
+        ),
+    )
+
+
+def _orbits_request(args: argparse.Namespace) -> Request:
+    params, n, content, check = _target_args(args)
+    compute = partial(payload_orbits, args.target, n, args.w, content, args.poly)
+    return Request(
+        "orbits", {**params, "poly": args.poly}, lambda: {"params": params, **compute()}, check,
+        failure=lambda p: _unless(p.get("poly_match", True), "closed polynomial does not match the orbit polynomial"),
+    )
 
 
 def _check_target(args: argparse.Namespace, n: Optional[int], content: Optional[tuple]) -> None:
@@ -454,7 +498,7 @@ def _check_target(args: argparse.Namespace, n: Optional[int], content: Optional[
 
 def _lyndon_params_request(args: argparse.Namespace) -> Request:
     _require(args.sizes is None or args.sizes_file is None, "give --sizes or --sizes-file, not both")
-    if args.sizes_file:
+    if args.sizes_file is not None:
         try:
             with open(args.sizes_file) as fh:
                 text = fh.read().replace("\n", ",")
@@ -468,7 +512,10 @@ def _lyndon_params_request(args: argparse.Namespace) -> Request:
     except ValueError:
         raise UsageError("sizes must be integers")
     _require(bool(sizes), "need at least one size")
-    return {"sizes": sizes}, None, lambda: payload_lyndon_params(sizes)
+    return Request(
+        "lyndon_params", {"sizes": sizes}, partial(payload_lyndon_params, sizes),
+        failure=lambda p: _unless(p["valid"], "sizes admit no Lyndon parameters"),
+    )
 
 
 def _lyndon_check_request(args: argparse.Namespace) -> Request:
@@ -480,14 +527,20 @@ def _lyndon_check_request(args: argparse.Namespace) -> Request:
     key = {"family": args.family, "max_n": args.max_n}
     if args.w is not None:
         key["w"] = args.w
-    return key, partial(_check_family, args), lambda: payload_lyndon_check(args.family, args.w, args.max_n)
+    return Request(
+        "lyndon_check", key, partial(payload_lyndon_check, args.family, args.w, args.max_n),
+        partial(_check_family, args), failure=lambda p: _unless(p["verdict"] == "pass", "family is not Lyndon-like"),
+    )
 
 
 def _check_family(args: argparse.Namespace) -> None:
-    """Check the family's arguments against its row of FAMILY_ARGS."""
+    """Check the family's arguments against its row of FAMILY_ARGS, then max-n, then the carrier."""
     _require(args.family in FAMILY_ARGS, f"unknown family {args.family!r}; choose from {sorted(FAMILY_ARGS)}")
     what = f"lyndon check --family {args.family}"
     _require_flags(what, FAMILY_ARGS[args.family], {"w": args.w}, args)
+    _require_bound("lyndon check", "max-n", args.max_n, 10)
+    # The largest member, n = max_n, bounds the work of the family.
+    _require_carrier(args.family, what, args.max_n, args.w, None)
 
 
 def _lyndon_construct_request(args: argparse.Namespace) -> Request:
@@ -498,124 +551,56 @@ def _lyndon_construct_request(args: argparse.Namespace) -> Request:
     _require(args.n >= 1, "--n must be positive")
     _require(all(v >= 0 for v in t_values), "Lyndon parameters must be non-negative")
     _require(len(t_values) >= args.n, "--t must define t_d for every divisor d of n")
-    check = partial(_check_construct_size, t_values, args.n)
-    return {"t": t_values, "n": args.n}, check, lambda: payload_lyndon_construct(t_values, args.n)
+    return Request(
+        "lyndon_construct", {"t": t_values, "n": args.n},
+        partial(payload_lyndon_construct, t_values, args.n), partial(_check_construct, t_values, args.n),
+        failure=lambda p: _unless(p["csp_verdict"] == "pass", "constructed instance failed verification"),
+    )
 
 
-def _check_construct_size(t_values: list[int], n: int) -> None:
-    """The construction's carrier has sum over d | n of d * t_d elements."""
+def _check_construct(t_values: list[int], n: int) -> None:
+    """The construction's carrier has sum over d | n of d * t_d elements; then n is bounded."""
     from .qpoly import divisors
 
     size = sum(d * t_values[d - 1] for d in divisors(n))
     _require(size <= MAX_CONSTRUCT, f"lyndon construct is limited to {MAX_CONSTRUCT} elements")
+    _require_bound("lyndon construct", "n", n, 2520)
 
 
-class Command(NamedTuple):
-    """One command: payload schema (also the cache entry name; verify and
-    orbits add the target), the request reading the flags (see Request),
-    size guard (argument, limit) bounding the argument to 1..limit, checked
-    on a miss after the request's own checks, the text rendering the flags
-    ask for (a function of the payload, else None), and the stderr reason
-    of a mathematical failure (exit 1; else None), which the cache stores
-    as the entry's verdict.  A payload is decoded only to be rendered.
-    """
-
-    schema: str
-    request: Callable[[argparse.Namespace], Request]
-    guard: Optional[tuple[str, int]] = None
-    text: Optional[Callable[[argparse.Namespace], Optional[Callable[[dict], str]]]] = None
-    failure: Optional[Callable[[dict], Optional[dict]]] = None
+def _homomesy_request(args: argparse.Namespace) -> Request:
+    return Request(
+        "homomesy", {"n": args.n, "action": args.action},
+        partial(payload_homomesy, args.n, args.action), partial(_require_bound, "homomesy", "n", args.n, 7),
+        failure=lambda p: _unless(p["homomesic"] or p["action"] == "beta", "expected homomesic case failed"),
+    )
 
 
-COMMANDS = {
-    "count": Command("count", _count_request, guard=("n", 4000)),
-    "count --q": Command("count", _count_request, guard=("n", 150)),
-    "count --max-n": Command(
-        "count_table",
-        _count_request,
-        guard=("max-n", 500),
-        text=lambda args: partial(format_count_table, bfile=args.bfile) if args.bfile or args.csv else None,
-    ),
-    "verify": Command(
-        "verify",
-        _target_request,
-        text=lambda args: format_verify_table if args.table or args.csv else None,
-        failure=lambda p: None
-        if p["report"]["verdict"] == "pass"
-        else {"error": "verification failed", "first_mismatch": p["report"]["first_mismatch"]},
-    ),
-    "orbits": Command("orbits", _target_request),
-    "orbits --poly": Command(
-        "orbits",
-        _target_request,
-        failure=lambda p: None if p["poly_match"] else {"error": "closed polynomial does not match the orbit polynomial"},
-    ),
-    "lyndon params": Command(
-        "lyndon_params",
-        _lyndon_params_request,
-        failure=lambda p: None if p["valid"] else {"error": "sizes admit no Lyndon parameters"},
-    ),
-    "lyndon check": Command(
-        "lyndon_check",
-        _lyndon_check_request,
-        guard=("max-n", 10),
-        failure=lambda p: None if p["verdict"] == "pass" else {"error": "family is not Lyndon-like"},
-    ),
-    "lyndon construct": Command(
-        "lyndon_construct",
-        _lyndon_construct_request,
-        guard=("n", 2520),
-        failure=lambda p: None if p["csp_verdict"] == "pass" else {"error": "constructed instance failed verification"},
-    ),
-    "homomesy": Command(
-        "homomesy",
-        lambda args: ({"n": args.n, "action": args.action}, None, lambda: payload_homomesy(args.n, args.action)),
-        guard=("n", 7),
-        failure=lambda p: None if p["homomesic"] or p["action"] == "beta" else {"error": "expected homomesic case failed"},
-    ),
-    "selftest": Command(
-        "selftest",
-        lambda args: ({"max_n": args.max_n}, None, lambda: payload_selftest(args.max_n)),
-        guard=("max-n", 12),
-        failure=lambda p: None
-        if p["passed"]
-        else {"error": f"criteria failed: {[c['id'] for c in p['criteria'] if not c['passed']]}"},
-    ),
-}
-
-
-def _command_name(args: argparse.Namespace) -> str:
-    if args.command == "lyndon":
-        return f"lyndon {args.subcommand}"
-    if args.command == "count":
-        return "count --max-n" if args.max_n is not None else "count --q" if args.q else "count"
-    if args.command == "orbits" and args.poly:
-        return "orbits --poly"
-    return args.command
+def _selftest_request(args: argparse.Namespace) -> Request:
+    return Request(
+        "selftest", {"max_n": args.max_n},
+        partial(payload_selftest, args.max_n), partial(_require_bound, "selftest", "max-n", args.max_n, 12),
+        failure=lambda p: _unless(
+            p["passed"], f"criteria failed: {[c['id'] for c in p['criteria'] if not c['passed']]}"
+        ),
+    )
 
 
 def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
-    name = _command_name(args)
-    command = COMMANDS[name]
-    params, check, compute = command.request(args)
+    request = args.request(args)
 
     def checked_compute() -> tuple[dict, Optional[dict]]:
-        # Run on a miss only; the module docstring says why a hit may skip the checks.
-        if check is not None:
-            check()
-        if command.guard is not None:
-            arg, limit = command.guard
-            _require(1 <= getattr(args, arg.replace("-", "_")) <= limit, f"{name} is limited to 1 <= {arg} <= {limit}")
-        payload = compute()
-        return payload, command.failure(payload) if command.failure else None
+        # Run on a miss only; the module docstring says why a hit may skip the check.
+        if request.check is not None:
+            request.check()
+        payload = request.compute()
+        return payload, request.failure(payload) if request.failure else None
 
-    entry = f"{command.schema}_{args.target}" if hasattr(args, "target") else command.schema
-    payload_text, reason = cache.fetch(entry, params, command.schema, checked_compute)
-    render = command.text(args) if command.text else None
-    if render is None:
+    entry = f"{request.schema}_{args.target}" if hasattr(args, "target") else request.schema
+    payload_text, reason = cache.fetch(entry, request.params, request.schema, checked_compute)
+    if request.text is None:
         _print(payload_text)
     else:
-        _emit(render(json.loads(payload_text)), args.csv)
+        _emit(request.text(json.loads(payload_text)), args.csv)
     if reason is None:
         return 0
     print(dumps_canonical({**reason, "exit": 1}), file=sys.stderr)
@@ -623,11 +608,11 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cache = ResultCache(directory=args.cache_dir, enabled=not args.no_cache)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args, cache)
+        # jsonio reads an empty directory as none given, so it is refused before the cache is built.
+        _require(args.cache_dir != "", "--cache-dir must not be empty")
+        return _dispatch(args, ResultCache(directory=args.cache_dir, enabled=not args.no_cache))
     except UsageError as exc:
         print(dumps_canonical({"error": str(exc), "exit": 2}), file=sys.stderr)
         return 2

@@ -473,7 +473,8 @@ class TestRegistryTables:
         verify_choices = next(a for a in subcommands["verify"]._actions if a.dest == "target").choices
         orbits_choices = next(a for a in subcommands["orbits"]._actions if a.dest == "target").choices
         assert list(cli.TARGET_ARGS) == list(csp.TARGETS) == list(verify_choices)
-        assert set(orbits_choices) <= set(csp.TARGETS)
+        # avl is subset sieving: its carrier is not closed under the action, so orbits does not take it.
+        assert list(orbits_choices) == [t for t in cli.TARGET_ARGS if t != "avl"]
         assert set(cli.FAMILY_ARGS) == set(csp.FAMILIES)
         assert set(cli.CARRIER_SIZE) <= set(csp.TARGETS)
         assert tuple(csp.Target.__annotations__) == ("carrier", "generator", "closed", "necklaces", "census")
@@ -912,6 +913,10 @@ PAST_GUARDS = [
     (["lyndon", "construct", "--t", ",".join(["1"] * 2521), "--n", "2521"], "lyndon construct is limited to 1 <= n <= 2520"),
     (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
     (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
+    # Invalid twice over: the refusal that comes first wins.
+    (["lyndon", "construct", "--t", ",".join(["30001"] + ["0"] * 2599), "--n", "2600"], "lyndon construct is limited to 30000 elements"),
+    (["lyndon", "check", "--family", "cdp", "--w", "0", "--max-n", "11"], "lyndon check is limited to 1 <= max-n <= 10"),
+    (["count", "--n", "4001", "--w", "0"], "--w must be positive"),
 ]
 
 
@@ -1047,6 +1052,13 @@ GOLDEN = [
     (["count", "--n", "3", "--w", "3", "--csv", "out.csv"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--csv needs --max-n")),
     (["count", "--w", "3", "--max-n", "4", "--q"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--q cannot be used with --max-n")),
     (["count", "--n", "3", "--w", "3", "--max-n", "4"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--n cannot be used with --max-n")),
+    # An empty path is a path, not an absent flag.
+    (["count", "--n", "3", "--w", "3", "--csv", ""], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--csv needs --max-n")),
+    (["count", "--w", "3", "--max-n", "3", "--csv", ""], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("cannot write --csv: [Errno 2] No such file or directory: ''")),
+    (["verify", "cmp", "--n", "3", "--csv", ""], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("cannot write --csv: [Errno 2] No such file or directory: ''")),
+    (["verify", "cmp", "--n", "3", "--table", "--csv", ""], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("give --table or --csv, not both")),
+    (["lyndon", "params", "--sizes-file", ""], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("cannot read --sizes-file: [Errno 2] No such file or directory: ''")),
+    (["--cache-dir", "", "count", "--n", "3", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--cache-dir must not be empty")),
     (["verify", "cdp", "--n", "6", "--w", "4"], 0, "34da8cdb009b23d6ec9404d63bbea941a1a56aa200ad44fd4136219f77501122", ""),
     (["verify", "cmp", "--n", "6"], 0, "c91bc62c5711d47e3b9a2ffef859b2dab34ac09bb63e558c2f2cabf6a0834f27", ""),
     (["verify", "bw", "--n", "6"], 0, "be78729cc1999ef40b882cefacf4111426b47092cd75ecd1368605dfd40235e8", ""),
@@ -1114,6 +1126,43 @@ class TestGoldenOutput:
             if run == "warm" and stderr is SELFTEST_4_LOG:
                 stderr = ""
             assert masked(err) == stderr
+
+
+def raising(name, *args):
+    raise AssertionError(f"{name} ran for a refused request")
+
+
+# Every exit-2 row above.  A --csv file is written once its payload exists,
+# so a path that cannot be written is an output failure, not a refusal.
+REFUSED = [(argv, err) for argv, code, _, err in GOLDEN if code == 2 and "cannot write --csv" not in err]
+REFUSED += [(argv, reason(error)) for argv, error in PAST_GUARDS]
+
+
+class TestRefusalsPrecedePayloads:
+    @pytest.mark.parametrize("argv, stderr", REFUSED, ids=[" ".join(r[0])[:80] for r in REFUSED])
+    def test_refused_with_every_payload_function_raising(self, capsys, cache_dir, monkeypatch, argv, stderr):
+        names = [name for name in vars(cli) if name.startswith("payload_")]
+        assert len(names) == 9
+        for name in names:
+            monkeypatch.setattr(cli, name, partial(raising, name))
+        assert run_cli(capsys, cache_dir, *argv) == (2, "", stderr)
+
+
+class TestEmptyCacheDir:
+    def run_child(self, home, *argv, **env):
+        kwargs = child_kwargs("-m", "cyclicsieve.cli", *argv)
+        kwargs["env"].update(HOME=str(home), **env)
+        return subprocess.run(**kwargs, capture_output=True, text=True)
+
+    def test_empty_cache_dir_is_refused_before_the_cache_is_built(self, tmp_path):
+        result = self.run_child(tmp_path, "--cache-dir", "", "count", "--n", "3", "--w", "3")
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", reason("--cache-dir must not be empty"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_environment_variable_is_the_default_directory(self, tmp_path):
+        result = self.run_child(tmp_path, "count", "--n", "3", "--w", "3", CYCLIC_SIEVE_CACHE="")
+        assert result.returncode == 0, result.stderr
+        assert list((tmp_path / ".cache" / "cyclicsieve").glob("*.json"))
 
 
 SCHEMAS = sorted(p.name.split(".")[0] for p in pathlib.Path(jsonio.__file__).parent.glob("schemas/*.schema.json"))
