@@ -33,9 +33,10 @@ exit code and stderr reason of a hit come from the verdict stored with it.
 A request's cache parameters are read off the parsed flags alone, so a hit
 imports only this module and jsonio, never the math kernels.  A request
 is refused in one of two places, both before any payload is computed: the
-checks that read the flags alone run before the cache is read, and the
-check against the tables below or a kernel (required and unread flags, an
-unknown family, n bounds, the size guard, carrier sizes) runs on a miss.
+checks that read the flags alone, and the look at whether a --csv path
+can be written, run before the cache is read, and the check against the
+tables below or a kernel (required and unread flags, an unknown family,
+n bounds, the size guard, carrier sizes) runs on a miss.
 A hit skips the second safely: every flag it reads is in the key, and the
 key holds the source digest, so an entry exists only for a request that
 passed the same checks under the same code.
@@ -250,6 +251,29 @@ def _print(text: str, end: str = "\n") -> None:
         os.close(devnull)
 
 
+def _require_writable(csv_path: str) -> None:
+    """Refuse a --csv path that open(csv_path, "w") would refuse, with the error it would raise.
+
+    The path is only looked at, so the file is neither made nor truncated;
+    _emit still reports a failure that shows only when the file is written.
+    """
+    import errno
+
+    parent = os.path.dirname(csv_path) or os.curdir
+    if os.path.isdir(csv_path):
+        code = errno.EISDIR
+    elif os.path.exists(csv_path):
+        code = 0 if os.access(csv_path, os.W_OK) else errno.EACCES
+    elif not csv_path or not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise UsageError(f"cannot write --csv: {OSError(code, os.strerror(code), csv_path)}")
+
+
 def _emit(text: str, csv_path: Optional[str]) -> None:
     if csv_path is None:
         _print(text, end="")
@@ -372,6 +396,8 @@ def _count_request(args: argparse.Namespace) -> Request:
         _require(args.n is None, "--n cannot be used with --max-n")
         _require(not args.q, "--q cannot be used with --max-n")
         _require(args.max_n >= 1, "--max-n must be positive")
+        if args.csv is not None:
+            _require_writable(args.csv)
         text = partial(format_count_table, bfile=args.bfile) if args.bfile or args.csv is not None else None
         compute = partial(payload_count_table, args.w, args.max_n)
         check = partial(_require_bound, "count --max-n", "max-n", args.max_n, 500)
@@ -422,7 +448,9 @@ CARRIER_SIZE = {
 MAX_CARRIER = 362_880
 
 # Each new guard admits about 2 s of cold work on a 2-core host: count at
-# n = 4000 (w = 3); count --q at n = 150 (2.0 s, 188 MB; 4.5 s at 200);
+# n = 4000 (w = 3); count --q at n = 150 (0.9 s and 28 MB, median of five at
+# w = 8; 3.0 s and 38 MB for the payload at n = 200), where the bound now
+# rests on the payload's bytes, 1.3 MB at w = 8 and 1.7 MB at w = 3000000;
 # count --max-n 500 (1.3 s; 12.6 s at 1000); lyndon construct at a carrier
 # of 30000 elements (1.3 s at n = 1, 1.4 s at n = 2520) and at n = 2520
 # (0.23 s for one element, whole process; building and checking one element
@@ -464,9 +492,12 @@ def _target_args(args: argparse.Namespace) -> tuple[dict, Optional[int], Optiona
 
 
 def _verify_request(args: argparse.Namespace) -> Request:
-    """A verify request; --table with --csv is refused here, before the cache is read."""
+    """A verify request; --table with --csv, and a --csv path that cannot be written, are refused here,
+    before the cache is read."""
     params, n, content, check = _target_args(args)
     _require(not args.table or args.csv is None, "give --table or --csv, not both")
+    if args.csv is not None:
+        _require_writable(args.csv)
     text = format_verify_table if args.table or args.csv is not None else None
     return Request(
         "verify", params, lambda: {"params": params, **payload_verify(args.target, n, args.w, content)}, check, text,

@@ -11,14 +11,17 @@ module (or in paths) so the two can be compared coefficient by coefficient.
 The closed q-counts of CDP(n, w), of the diagonal-avoiding paths and of
 the binary words (bw_q form A) are signed sums of shifted Gaussian
 binomials with one top row: each lists its terms (c, e, k), and one
-kernel, _binomial_sum, adds c q^e [top, k]_q into one dense coefficient
-list.  Each exhaustive q-count walks its own carrier and computes its own
-statistic; one histogram, _q_count, turns the exponents into a polynomial.
-cdp_q_wide (the oracle of cdp_q_closed for w >= n), h_closed and
-gen_q_ballot keep their own polynomial arithmetic on purpose, so that no
-closed form is checked against code it shares; cdp_q_wide and h_closed
-each skip a column outside [0, 2n - 1] themselves, so neither asks
-q_binomial for a zero row.
+kernel, _binomial_sum, adds c q^e [top, k]_q into one packed integer.  It
+walks the rows of its top itself, one live row at a time, each packed as
+one integer's bytes, and never calls q_binomial, so it neither reads nor
+fills that memo.  Each exhaustive q-count walks its own carrier and
+computes its own statistic; one histogram, _q_count, turns the exponents
+into a polynomial.  cdp_q_wide (the oracle of cdp_q_closed for w >= n),
+h_closed, gen_q_ballot and carlitz_q_catalan take their rows from
+q_binomial and keep their own polynomial arithmetic, so no closed form
+is checked against code it shares; cdp_q_wide and h_closed each skip a
+column outside [0, 2n - 1] themselves, so neither asks q_binomial for a
+zero row.
 Brute-force guards raise instead of truncating: a silently partial oracle
 is worse than none.
 """
@@ -26,7 +29,7 @@ is worse than none.
 from __future__ import annotations
 
 from collections import Counter
-from operator import add, sub
+from math import comb
 from typing import Iterable, Iterator, Literal
 
 from .paths import (
@@ -39,7 +42,7 @@ from .paths import (
     maj,
     transpose_word,
 )
-from .qpoly import ONE, ZERO, IntPolynomial, q_binomial, q_int
+from .qpoly import ONE, ZERO, ExactDivisionError, IntPolynomial, q_binomial, q_int
 from .record import record
 
 Side = Literal["left", "right"]
@@ -49,26 +52,82 @@ BRUTE_FORCE_CDP_LIMIT = 16
 
 
 def _binomial_sum(top: int, terms: Iterable[tuple[int, int, int]]) -> IntPolynomial:
-    """Sum of c q^e [top, k]_q over the terms (c, e, k), added into one dense list.
+    """Sum of c q^e [top, k]_q over the terms (c, e, k), in packed integers.
 
-    A k outside [0, top] gives a zero term and is skipped before q_binomial
-    is called, which is called once for each k in range.  A coefficient of
-    1 or -1 adds or subtracts the row as it is.
+    A packed polynomial holds coefficient i in bits [i B, (i + 1) B) of one
+    int, or of its little-endian bytes (Kronecker substitution).  B is
+    fixed before any row is built: the bits of Sum |c| C(top, top // 2),
+    which bounds every coefficient of the sum and of each row, and a sign
+    bit, rounded up to whole bytes.  A k outside [0, top] gives a zero
+    term and is skipped, and since [top, k] = [top, top - k] the terms are
+    grouped by min(k, top - k).  One row is live at a time, walked from
+    [top, 0] = 1 up to the largest group by _packed_ratio.  Each term is
+    added into one packed total as +-(row << e B), multiplied only when
+    |c| != 1, and the total is unpacked once.  No row comes from
+    q_binomial, so no oracle shares this arithmetic.
     """
-    total: list[int] = []
-    rows: dict[int, tuple[int, ...]] = {}
+    groups: dict[int, list[tuple[int, int]]] = {}
     for c, e, k in terms:
-        if not 0 <= k <= top:
-            continue
-        if k not in rows:
-            rows[k] = q_binomial(top, k).coeffs
-        coeffs = rows[k]
-        if c not in (1, -1):
-            coeffs = [c * x for x in coeffs]
-        end = e + len(coeffs)
-        total.extend([0] * (end - len(total)))
-        total[e:end] = map(sub if c == -1 else add, total[e:end], coeffs)
-    return IntPolynomial(total)
+        if 0 <= k <= top:
+            groups.setdefault(min(k, top - k), []).append((c, e))
+    weight = max(1, sum(abs(c) for group in groups.values() for c, _ in group))
+    width = ((weight * comb(top, top // 2)).bit_length() + 8) // 8
+    bits = 8 * width
+    row, total, end = (1).to_bytes(width, "little"), 0, 0
+    for k in range(max(groups, default=-1) + 1):
+        if k:
+            row = _packed_ratio(row, top - k + 1, k, width)
+        if k in groups:
+            value = int.from_bytes(row, "little")
+            for c, e in groups[k]:
+                total += (value if c == 1 else -value if c == -1 else c * value) << e * bits
+            end = max(end, max(e for _, e in groups[k]) + len(row) // width)
+    return IntPolynomial(_unpack(total, end, width))
+
+
+def _packed_ratio(row: bytes, shift: int, k: int, width: int) -> bytes:
+    """row (1 - q^shift) / (1 - q^k), each packed as little-endian bytes, `width` a coefficient.
+
+    With shift = top - k + 1 this takes [top, k-1] to [top, k].  The
+    product f is never built: its block of k coefficients at i is the
+    block of row at i less the block at i - shift, each read unsigned by
+    from_bytes.  The prefix sum g_i = f_i + g_(i-k) then runs one block at
+    a time, in time linear in the row's size, and each block of g is
+    written back as unsigned bytes.  Raises ExactDivisionError on a block
+    of g below zero or past its bytes, which no quotient with coefficients
+    in [0, 2^(8 width - 1)) gives, and on a nonzero byte above the
+    quotient's degree, which is a remainder.
+    """
+    step = k * width
+    shifted = bytes(shift * width) + row
+    read = int.from_bytes
+    blocks: list[bytes] = []
+    append = blocks.append
+    g = 0
+    try:
+        for start in range(0, len(shifted), step):
+            stop = start + step
+            g += read(row[start:stop], "little") - read(shifted[start:stop], "little")
+            append(g.to_bytes(step, "little"))
+    except OverflowError:
+        raise ExactDivisionError(f"1 - q^{k} does not divide the polynomial") from None
+    quotient = b"".join(blocks)
+    end = len(shifted) - step
+    if int.from_bytes(quotient[end:], "little"):
+        raise ExactDivisionError(f"1 - q^{k} does not divide the polynomial")
+    return quotient[:end]
+
+
+def _unpack(packed: int, size: int, width: int) -> list[int]:
+    """The `size` signed coefficients of a packed polynomial, `width` bytes each.
+
+    Adding 2^(8 width - 1) to every coefficient makes each one a whole
+    unsigned slot, so the bytes are read without a borrow.
+    """
+    half = 1 << 8 * width - 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    data = (packed + bias).to_bytes(size * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, size * width, width)]
 
 
 def _q_count(exponents: Iterable[int]) -> IntPolynomial:
@@ -299,8 +358,6 @@ def _comb0(n: int, k: int) -> int:
     """Binomial coefficient with the out-of-range convention C(n, k) = 0."""
     if not 0 <= k <= n:
         return 0
-    from math import comb
-
     return comb(n, k)
 
 

@@ -881,6 +881,24 @@ class TestFileErrors:
         [reason] = [json.loads(line) for line in err.splitlines()]
         assert reason["exit"] == 2
         assert reason["error"].startswith("cannot write --csv: ")
+        # Refused before the cache is read: nothing is computed or cached.
+        assert not pathlib.Path(cache_dir).exists() or list(pathlib.Path(cache_dir).iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [(["verify", "cdp", "--n", "10", "--w", "2"], "verify cdp is limited to n <= 9"),
+         (["count", "--w", "3", "--max-n", "501"], "count --max-n is limited to 1 <= max-n <= 500")],
+        ids=["verify", "count"],
+    )
+    def test_csv_check_neither_makes_nor_truncates_the_file(self, capsys, cache_dir, tmp_path, argv, error):
+        # The path passes the look before the cache is read, and the request is refused
+        # on the miss: an existing file keeps its text and a new one is not made.
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+        kept.write_text("old\n")
+        for target in (kept, new):
+            assert run_cli(capsys, cache_dir, *argv, "--csv", str(target)) == (2, "", reason(error))
+        assert kept.read_text() == "old\n"
+        assert not new.exists()
 
     def test_table_with_csv_is_usage_error(self, capsys, cache_dir, tmp_path):
         # Refused before the cache is read: no CSV file is written and nothing is cached.
@@ -1132,9 +1150,8 @@ def raising(name, *args):
     raise AssertionError(f"{name} ran for a refused request")
 
 
-# Every exit-2 row above.  A --csv file is written once its payload exists,
-# so a path that cannot be written is an output failure, not a refusal.
-REFUSED = [(argv, err) for argv, code, _, err in GOLDEN if code == 2 and "cannot write --csv" not in err]
+# Every exit-2 row above, a --csv path that cannot be written included.
+REFUSED = [(argv, err) for argv, code, _, err in GOLDEN if code == 2]
 REFUSED += [(argv, reason(error)) for argv, error in PAST_GUARDS]
 
 

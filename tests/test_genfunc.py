@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclicsieve import genfunc, selftest
 from cyclicsieve.genfunc import (
@@ -24,7 +26,16 @@ from cyclicsieve.genfunc import (
     lr_count,
 )
 from cyclicsieve.paths import enumerate_cdp
-from cyclicsieve.qpoly import ONE, ZERO, IntPolynomial, divisors, eval_at_unity, mod_cyclic, q_binomial
+from cyclicsieve.qpoly import (
+    ONE,
+    ZERO,
+    ExactDivisionError,
+    IntPolynomial,
+    divisors,
+    eval_at_unity,
+    mod_cyclic,
+    q_binomial,
+)
 
 
 def poly(*coeffs):
@@ -301,16 +312,16 @@ class TestClosedFormVisitsOnlyInRangeColumns:
         monkeypatch.setattr(genfunc, "q_binomial", lambda top, k: (log.append((top, k)), real(top, k))[1])
         return log
 
-    def test_cdp_calls_nine_binomials_at_huge_width(self, calls):
-        # s = 0: [9, 4] and four j; s = -1: the last four j <= w.
-        cdp_q_closed(5, 10**6)
-        assert len(calls) == 9
-
-    def test_cdp_calls_each_binomial_once(self, calls):
-        for n, w in [(12, 3), (9, 1), (8, 8), (30, 4)]:
-            calls.clear()
+    def test_closed_counts_leave_the_q_binomial_memo_alone(self):
+        q_binomial.cache_clear()
+        q_binomial(9, 4)
+        before = q_binomial.cache_info().currsize
+        for n, w in [(12, 3), (9, 1), (8, 8), (30, 4), (5, 10**6)]:
             cdp_q_closed(n, w)
-            assert calls and len(calls) == len(set(calls)), (n, w)
+            avl_q_closed(n, w)
+        for n in range(12):
+            bw_q(n)
+        assert q_binomial.cache_info().currsize == before
 
     def test_cdp_sums_only_terms_in_range(self, monkeypatch):
         real = genfunc._binomial_sum
@@ -323,11 +334,6 @@ class TestClosedFormVisitsOnlyInRangeColumns:
         # The s = 0 column is one term, times w; then four j at s = 0 and four at s = -1.
         assert len(seen) == 9
 
-    def test_avl_calls_only_columns_in_range(self, calls):
-        avl_q_closed(9, 4)
-        assert calls and all(top == 18 and 0 <= k <= 18 for top, k in calls)
-        assert len(calls) == len(set(calls)) == 5
-
     def test_oracles_call_only_columns_in_range(self, calls):
         # h_closed and cdp_q_wide keep their own arithmetic, and their own range check.
         assert selftest.crit_6_h_machinery(12) == (True, "930 alternating configurations, closed == brute force")
@@ -337,6 +343,63 @@ class TestClosedFormVisitsOnlyInRangeColumns:
             for w in [*range(n, 2 * n + 3), 1000]:
                 cdp_q_wide(n, w)
         assert calls and all(0 <= k <= top for top, k in calls)
+
+
+def reference_binomial_sum(top: int, terms: list[tuple[int, int, int]]) -> IntPolynomial:
+    """Sum of c q^e [top, k]_q, one q_binomial row and one polynomial addition per term."""
+    total = ZERO
+    for c, e, k in terms:
+        total = total + c * q_binomial(top, k).shift(e)
+    return total
+
+
+@st.composite
+def binomial_sums(draw):
+    top = draw(st.integers(0, 40))
+    term = st.tuples(st.integers(-5, 5), st.integers(0, 60), st.integers(-3, top + 3))
+    return top, draw(st.lists(term, max_size=8))
+
+
+def packed(coeffs, width):
+    return b"".join(c.to_bytes(width, "little") for c in coeffs)
+
+
+class TestBinomialSum:
+    @given(binomial_sums())
+    @example((0, []))
+    @example((40, []))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_sum_of_q_binomial_rows(self, case):
+        top, terms = case
+        assert genfunc._binomial_sum(top, terms) == reference_binomial_sum(top, terms)
+
+    def test_single_rows_and_cancellation(self):
+        for top in range(12):
+            for k in range(top + 1):
+                assert genfunc._binomial_sum(top, [(1, 0, k)]) == q_binomial(top, k)
+                assert genfunc._binomial_sum(top, [(3, 2, k), (-3, 2, top - k)]) == ZERO
+
+    @pytest.mark.parametrize("c", [5, -5])
+    def test_coefficient_at_the_width_bound(self, c):
+        # [1, 0] = [1, 1] = 1 = C(1, 0), so 26 terms reach the bound 130 itself: eight
+        # bits, and the slot needs a ninth for the sign.
+        assert genfunc._binomial_sum(1, [(c, 0, 0), (c, 0, 1)] * 13) == IntPolynomial([26 * c])
+
+    def test_ratio_walks_a_row(self):
+        # [7, 2] from [7, 1] = 1 + q + ... + q^6: times 1 - q^6, over 1 - q^2.
+        row = genfunc._packed_ratio(packed([1] * 7, 2), 6, 2, 2)
+        assert row == packed(q_binomial(7, 2).coeffs, 2)
+
+    @pytest.mark.parametrize("coeffs, shift, k", [([1], 1, 2), ([0, 1], 1, 2), ([2, 0, 1], 2, 3), ([1] * 7, 5, 2)])
+    def test_ratio_refuses_a_product_it_does_not_divide(self, coeffs, shift, k):
+        # coeffs (1 - q^shift) leaves a remainder mod 1 - q^k in each case.  For 1 - q
+        # a block of the prefix sum falls below zero; for q - q^2 every block stays
+        # at or above zero, and the remainder shows in the bytes above the degree.
+        product = IntPolynomial(coeffs) * (ONE - IntPolynomial.monomial(1, shift))
+        with pytest.raises(ExactDivisionError):
+            product.exact_div(ONE - IntPolynomial.monomial(1, k))
+        with pytest.raises(ExactDivisionError):
+            genfunc._packed_ratio(packed(coeffs, 2), shift, k, 2)
 
 
 def restated_cdp_sum(n: int, w: int) -> IntPolynomial:
