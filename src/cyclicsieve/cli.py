@@ -22,8 +22,8 @@ n <= 9, cmp n <= 12, bw n <= 16, words n <= 10), with at most 9! = 362880
 elements in a cdp or words carrier (|CDP(n, w)| is known before anything
 is built), `lyndon check` max-n <= 10 (for cdp also |CDP(max-n, w)| <= 9!),
 `lyndon construct` n <= 2520 with at most 30000 carrier elements (the sum
-of d * t_d over d | n, known from the arguments), `homomesy` n <= 7,
-`selftest` max-n <= 12.
+of d * t_d over d | n, known from the arguments), `lyndon params` at most
+80000 sizes, `homomesy` n <= 7, `selftest` max-n <= 12.
 
 Results are cached under --cache-dir, the CYCLIC_SIEVE_CACHE environment
 variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.  The
@@ -192,8 +192,8 @@ def payload_lyndon_construct(t_values: list[int], n: int) -> dict:
     from .csp import lyndon_construct, verify_csp
 
     t = {d: v for d, v in enumerate(t_values, start=1)}
-    orbits, action, poly = lyndon_construct(t, n)
-    report = verify_csp(orbits, action, poly)
+    orbits, poly = lyndon_construct(t, n)
+    report = verify_csp(orbits, poly)
     return {
         "n": str(n),
         "t": {str(d): str(v) for d, v in t.items()},
@@ -440,11 +440,12 @@ CARRIER_SIZE = {
 # The carrier bound of `cdp` and `words`, 9! elements, admits at most about
 # 3.5 s of cold work on a 2-core host at every n.  At the bound, cold `verify`
 # takes 0.25-0.66 s for CDP(n, w), n = 9..2 (its necklaces, never the carrier),
-# and 2.3 s for the content 1^9; `orbits`, printing every element, 1.4-3.5 s
-# and 3.2 s.  The content 1^10 is ten times the bound.  `bw`, `cmp` and `avl`
-# are bounded by n alone: at their bounds cold `verify` takes 0.17 s (bw 16),
-# 0.13 s (cmp 12) and 0.11-0.21 s (avl 9, every w), none building a carrier,
-# and `orbits bw --n 16` walks and prints all 2^16 words in 0.31 s.
+# and 1.3 s for the content 1^9 (by least period, never walking an orbit);
+# `orbits`, printing every element, 1.4-3.5 s and 3.2 s.  The content 1^10
+# is ten times the bound.  `bw`, `cmp` and `avl` are bounded by n alone: at
+# their bounds cold `verify` takes 0.17 s (bw 16), 0.13 s (cmp 12) and
+# 0.11-0.21 s (avl 9, every w), none building a carrier, and `orbits bw
+# --n 16` walks and prints all 2^16 words in 0.31 s.
 MAX_CARRIER = 362_880
 
 # Each new guard admits about 2 s of cold work on a 2-core host: count at
@@ -457,6 +458,10 @@ MAX_CARRIER = 362_880
 # takes 0.02 s at n = 5040 and 0.26 s at 27720, one cyclotomic polynomial
 # per divisor order, so the n bound is now looser than the carrier bound).
 MAX_CONSTRUCT = 30_000
+
+# lyndon params trial-divides every index: cold on a 2-core host, 1.3 s at 80000 sizes (median
+# of five, all ones or each 2^(i mod 200)), 2.2 s at 100000 and 4.2 s at 200000.
+MAX_SIZES = 80_000
 
 
 def _require_carrier(name: str, what: str, n: int, w: Optional[int], content: Optional[tuple]) -> None:
@@ -543,6 +548,7 @@ def _lyndon_params_request(args: argparse.Namespace) -> Request:
     except ValueError:
         raise UsageError("sizes must be integers")
     _require(bool(sizes), "need at least one size")
+    _require(len(sizes) <= MAX_SIZES, f"lyndon params is limited to {MAX_SIZES} sizes")
     return Request(
         "lyndon_params", {"sizes": sizes}, partial(payload_lyndon_params, sizes),
         failure=lambda p: _unless(p["valid"], "sizes admit no Lyndon parameters"),

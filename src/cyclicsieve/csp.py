@@ -1,12 +1,12 @@
 """Verification engines: cyclic sieving, subset sieving, Lyndon-like families,
 orbit-count feasibility, and homomesy.
 
-A triple (carrier, action, f) exhibits cyclic sieving when f evaluated at
-the k-th power of a primitive n-th root of unity equals the number of
-fixed points of the k-th power of the generator, for every k; subset
-sieving counts those fixed points inside a subset of the carrier.  Both
-read one census, the number of counted elements in orbits of each size
-s | n, and one builder, _report, turns f and a census into every
+A carrier under a C_n action and a polynomial f exhibit cyclic sieving
+when f evaluated at the k-th power of a primitive n-th root of unity
+equals the number of fixed points of the k-th power of the generator, for
+every k; subset sieving counts those fixed points inside a subset of the
+carrier.  Both read one census, the number of counted elements in orbits
+of each size s | n, and one builder, _report, turns f and a census into every
 CspReport, by two routes: f at each root of unity (_values_at_unity)
 against the elements fixed by g^d (_fixed_points), and n times f folded
 mod q^n - 1 against the census itself.  All arithmetic is exact, and a
@@ -21,11 +21,15 @@ Target.counted gives each registry target's census.  `cdp` reads it off
 its rotation classes (paths.cdp_necklaces), never building CDP(n, w);
 `bw` and `cmp` off one pass over the n-bit ints (actions.twisted_necklaces,
 which also proves the twisted shift a bijection whose orbit sizes divide
-n), never calling the generator; `words` off one orbit_decompose walk of
-its carrier.  `avl` is subset sieving: it counts each avoiding word once
-by its least period under rotation by two (actions.rotation_census),
-never building the balanced words.  orbit_decompose and
-verify_subset_csp stay as the walking oracles of these censuses.
+n), never calling the generator.  `words` and `avl` count each word once
+by its least period under rotation (actions.rotation_census), one letter
+at a time for `words` and two for `avl`, which is subset sieving and so
+never builds the balanced words.  orbit_decompose and verify_subset_csp
+stay as the walking oracles of these censuses.
+
+A sieving member is a pair (census, f).  Member n of a Lyndon-like
+family (FAMILIES) is the disjoint union of registry instances at order n,
+so its census and f are sums of Target.counted and Target.closed.
 
 Reports and targets are frozen records (record.record).
 Only homomesy_check and lyndon_params build a Fraction, so they alone
@@ -88,7 +92,6 @@ __all__ = [
     "TARGETS",
     "verify_target",
     "check_cdp_fixed_points",
-    "words_family",
     "FAMILIES",
     "balanced_words_ending_in_one",
     "zrun_rotation_action",
@@ -178,19 +181,13 @@ def _report(f: IntPolynomial, n: int, census: dict[int, int], warnings: Sequence
     return report
 
 
-def verify_csp(
-    carrier: Union[Sequence[Hashable], OrbitDecomposition],
-    action: CyclicAction,
-    f: IntPolynomial,
-) -> CspReport:
-    """Exact sieving check of (carrier, action, f), with the dual-route guard of _report.
+def verify_csp(orbits: OrbitDecomposition, f: IntPolynomial) -> CspReport:
+    """Exact sieving check of a carrier, given by its orbits, against f, with the dual-route guard of _report.
 
-    `carrier` is the elements, walked here by orbit_decompose, or their
-    orbits already found (Target.orbits); only their orbit sizes are read.
+    Only the orbit sizes are read, so elements are first walked by orbit_decompose.
     Its report has no warnings; verify_subset_csp and verify_target pass theirs.
     """
-    dec = carrier if isinstance(carrier, OrbitDecomposition) else orbit_decompose(list(carrier), action)
-    return _report(f, action.order, dec.census())
+    return _report(f, orbits.order, orbits.census())
 
 
 def verify_subset_csp(
@@ -290,22 +287,20 @@ def lyndon_params(sizes: Sequence[int]) -> LyndonParameters:
     return LyndonParameters(t, True)
 
 
-def lyndon_construct(
-    t: Union[LyndonParameters, dict[int, int]], n: int
-) -> tuple[OrbitDecomposition, CyclicAction, IntPolynomial]:
-    """Canonical carrier, action and polynomial realizing given Lyndon parameters.
+def lyndon_construct(t: Union[LyndonParameters, dict[int, int]], n: int) -> tuple[OrbitDecomposition, IntPolynomial]:
+    """Canonical carrier, under its C_n action, and polynomial realizing given Lyndon parameters.
 
     The carrier is {(d, i, j) : d | n, 1 <= i <= t_d, 1 <= j <= d} and the
     generator advances j cyclically within its block, so each (d, i) block
     is a single orbit of size d.  The polynomial is the orbit polynomial,
-    so the triple exhibits sieving by construction, and the family over n
+    so the carrier exhibits sieving by construction, and the family over n
     is Lyndon-like.
 
-    The carrier is returned as its orbits, from the one orbit_decompose
-    walk that also proves the generator a bijection of it; verify_csp and
-    lyndon_check read them without walking again.  Each orbit starts at
-    its (d, i, 1) and the orbits come in (d, i) order, so listing them in
-    turn gives the carrier in the order above.
+    The carrier is returned as its orbits, with their action, from the one
+    orbit_decompose walk that also proves the generator a bijection of it;
+    verify_csp and lyndon_check read them without walking again.  Each
+    orbit starts at its (d, i, 1) and the orbits come in (d, i) order, so
+    listing them in turn gives the carrier in the order above.
     """
     params = t.t if isinstance(t, LyndonParameters) else dict(t)
     if isinstance(t, LyndonParameters) and not t.valid:
@@ -327,13 +322,8 @@ def lyndon_construct(
         d, i, j = x
         return (d, i, j % d + 1)
 
-    action = CyclicAction(n, generator)
-    orbits = orbit_decompose(carrier, action)
-    return orbits, action, orbit_poly(orbits)
-
-
-# (carrier, action, f); the carrier may be given by its orbits, as verify_csp reads it.
-FamilyMember = tuple[Union[Sequence[Hashable], OrbitDecomposition], CyclicAction, IntPolynomial]
+    orbits = orbit_decompose(carrier, CyclicAction(n, generator))
+    return orbits, orbit_poly(orbits)
 
 
 @record
@@ -344,10 +334,12 @@ class LyndonReport:
     passed: bool
 
 
-def lyndon_check(family: Sequence[FamilyMember]) -> LyndonReport:
+def lyndon_check(family: Sequence[tuple[dict[int, int], IntPolynomial]]) -> LyndonReport:
     """Check a family (X_n, C_n, f_n), n = 1..N, for the Lyndon-like relation.
 
-    Every member must individually pass the sieving check, and for every
+    Member n is the pair (census, f_n): the census counts the elements of
+    X_n in C_n-orbits of each size, as Target.counted gives it.  Every
+    member must individually pass the sieving check (_report), and for every
     n <= N and m | n the evaluation of f_n at a primitive m-th root of
     unity must equal f_{n/m}(1) exactly.  Both sides are read off the
     members' sieving rows: row k = n/m of f_n has gcd n/m, so it holds f_n
@@ -355,7 +347,7 @@ def lyndon_check(family: Sequence[FamilyMember]) -> LyndonReport:
     its value at 1.
     """
     n_max = len(family)
-    reports = [verify_csp(carrier, action, f) for carrier, action, f in family]
+    reports = [_report(f, n, census) for n, (census, f) in enumerate(family, start=1)]
     failures = []
     for n in range(1, n_max + 1):
         for m in divisors(n):
@@ -440,7 +432,7 @@ def zrun_rotation_action(n: int) -> CyclicAction:
 
 @record
 class Target:
-    """How to build one sieving triple: carrier, C_n action, closed q-polynomial.
+    """How to build one sieving instance: carrier, C_n action, closed q-polynomial.
 
     Each callable takes (n, w, content) and reads what its object needs: n
     is the order of the action, and for `words` it is the word length
@@ -449,9 +441,10 @@ class Target:
     every call.  A target with `necklaces` lists its orbits without its
     carrier: the callable yields (least element, orbit size) for each
     orbit, in increasing order of the least element.  A target with
-    `census` is subset sieving: its carrier need not be closed under the
-    action, and census(n, w, content) gives its census and the instance's
-    warnings.
+    `census` counts its census without finding its orbits:
+    census(n, w, content) gives the census and the instance's warnings.
+    The `avl` target is subset sieving: its carrier need not be closed
+    under the action, so it has a census and no orbits.
     """
 
     carrier: Callable[..., Iterable[Hashable]]
@@ -460,13 +453,9 @@ class Target:
     necklaces: Union[Callable[..., Iterable[tuple[Hashable, int]]], None] = None
     census: Union[Callable[..., tuple[dict[int, int], tuple[str, ...]]], None] = None
 
-    def instance(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> FamilyMember:
+    def instance(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> tuple:
+        """The carrier as a list, the action and the closed polynomial, for the walking oracles."""
         return list(self.carrier(n, w, content)), CyclicAction(n, self.generator), self.closed(n, w, content)
-
-    def orbits(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> FamilyMember:
-        """instance() with the carrier replaced by its orbits (decompose())."""
-        dec = self.decompose(n, w, content)
-        return dec, dec.action, self.closed(n, w, content)
 
     def decompose(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> OrbitDecomposition:
         """The carrier's orbits, the one place that finds them: off `necklaces`, else by orbit_decompose."""
@@ -477,7 +466,7 @@ class Target:
         return OrbitDecomposition(action, tuple(x for x, _ in pairs), tuple(s for _, s in pairs))
 
     def counted(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> tuple[dict[int, int], tuple[str, ...]]:
-        """The census and warnings that verify reads: `census`'s, else all of decompose(), with none."""
+        """The census and warnings that verify and lyndon check read: `census`'s, else all of decompose(), with none."""
         if self.census is not None:
             return self.census(n, w, content)
         return self.decompose(n, w, content).census(), ()
@@ -529,6 +518,8 @@ TARGETS = {
         carrier=lambda n, w, mu: enumerate_words(mu, range(1, len(mu) + 1)),
         generator=_rotate,
         closed=lambda n, w, mu: q_multinomial(mu),
+        # Each word by its least period, its orbit size under rotation; no orbit is walked.
+        census=lambda n, w, mu: (rotation_census(TARGETS["words"].carrier(n, w, mu), n), ()),
     ),
 }
 
@@ -552,28 +543,26 @@ def check_cdp_fixed_points(n: int, w: int, k: int) -> bool:
     return _fixed_points(census, n)[d] == sum(1 for _ in cdp_values(d, w))
 
 
-def words_family(alphabet: int, max_n: int) -> list[FamilyMember]:
-    """Words over a k-letter alphabet under one-step rotation, n = 1..max_n."""
-    return [
-        (
-            list(product(range(1, alphabet + 1), repeat=n)),
-            CyclicAction(n, _rotate),
-            _words_maj_poly(alphabet, n),
-        )
-        for n in range(1, max_n + 1)
-    ]
-
-
-def _words_maj_poly(alphabet: int, n: int) -> IntPolynomial:
-    """Sum of q-multinomials over all contents: maj over all k-ary words."""
-    contents = (mu for mu in product(range(n + 1), repeat=alphabet) if sum(mu) == n)
-    return sum((q_multinomial(mu) for mu in contents), IntPolynomial())
+def _family(name: str, max_n: int, w: Union[int, None] = None, letters: Union[int, None] = None) -> list:
+    """Members n = 1..max_n, each the (census, f) of the disjoint union of TARGETS[name] instances:
+    the one at (n, w), or for `words` one per content of n over `letters` letters, zero parts included."""
+    target = TARGETS[name]
+    family = []
+    for n in range(1, max_n + 1):
+        contents = [None] if letters is None else [mu for mu in product(range(n + 1), repeat=letters) if sum(mu) == n]
+        census = Counter()
+        f = IntPolynomial()
+        for mu in contents:
+            census.update(target.counted(n, w, mu)[0])
+            f = f + target.closed(n, w, mu)
+        family.append((dict(census), f))
+    return family
 
 
 # Each Lyndon-like family's members n = 1..max_n, from (w, max_n).
-FAMILIES: dict[str, Callable[[Union[int, None], int], list[FamilyMember]]] = {
-    "cdp": lambda w, max_n: [TARGETS["cdp"].orbits(n, w) for n in range(1, max_n + 1)],
-    "binary-words": lambda w, max_n: words_family(2, max_n),
-    "ternary-words": lambda w, max_n: words_family(3, max_n),
-    "cmp": lambda w, max_n: [TARGETS["cmp"].orbits(n) for n in range(1, max_n + 1)],
+FAMILIES: dict[str, Callable[[Union[int, None], int], list]] = {
+    "cdp": lambda w, max_n: _family("cdp", max_n, w),
+    "binary-words": lambda w, max_n: _family("words", max_n, letters=2),
+    "ternary-words": lambda w, max_n: _family("words", max_n, letters=3),
+    "cmp": lambda w, max_n: _family("cmp", max_n),
 }

@@ -528,20 +528,22 @@ def enumerate_words(content: Sequence[int], letters: Sequence) -> Iterator:
     on; over two letters that is the lexicographic order of the words.
     """
     build = "".join if isinstance(letters, str) else tuple
-    last = len(content) - 1
+    # A zero part places no letter, so it takes no recursion level; the last letter used fills the rest.
+    used = [i for i, m in enumerate(content) if m] or [len(content) - 1]
 
-    def place(i: int, word: list, free: Sequence[int]) -> Iterator:
+    def place(j: int, word: list, free: Sequence[int]) -> Iterator:
+        i = used[j]
         for chosen in combinations(free, content[i]):
             filled = word.copy()
             for p in chosen:
                 filled[p] = letters[i]
-            if i + 1 == last:
+            if j + 2 == len(used):
                 yield build(filled)
             else:
-                yield from place(i + 1, filled, [p for p in free if p not in chosen])
+                yield from place(j + 1, filled, [p for p in free if p not in chosen])
 
-    word = [letters[last]] * sum(content)
-    return place(0, word, range(len(word))) if last else iter([build(word)])
+    word = [letters[used[-1]]] * sum(content)
+    return place(0, word, range(len(word))) if len(used) > 1 else iter([build(word)])
 
 
 def avoids_diagonals(bits: str, w: int) -> bool:

@@ -28,7 +28,6 @@ from .csp import (
     lyndon_params,
     verify_csp,
     verify_target,
-    words_family,
 )
 from .genfunc import (
     DiagonalSpec,
@@ -187,10 +186,10 @@ def crit_9_mobius(max_n: int) -> tuple[bool, str]:
         if sum(1 for _ in enumerate_cmp(n)) != 2 ** (n - 1):
             return False, f"|CMP({n})| != 2^{n - 1}"
     for n in range(1, min(10, max_n) + 1):
-        orbits, action, poly = TARGETS["cmp"].orbits(n)
-        if not verify_csp(orbits, action, poly).passed:
+        orbits, poly = TARGETS["cmp"].decompose(n), TARGETS["cmp"].closed(n, None, None)
+        if not verify_csp(orbits, poly).passed:
             return False, f"CMP CSP fails at n={n} with the maj polynomial"
-        if not verify_csp(orbits, action, _half_bw_poly(n)).passed:
+        if not verify_csp(orbits, _half_bw_poly(n)).passed:
             return False, f"CMP CSP fails at n={n} with the halved word polynomial"
         if mod_cyclic(poly * 2, n) != mod_cyclic(bw_q(n), n):
             return False, f"congruence mod q^{n}-1 fails at n={n}"
@@ -219,17 +218,18 @@ def crit_10_subset_csp(max_n: int) -> tuple[bool, str]:
 
 def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
     checked = 0
-    # Genuine actions: orbit census must equal S_k / k.
-    instances = [TARGETS["cdp"].orbits(n, w) for n in range(1, min(8, max_n) + 1) for w in range(1, n + 1)]
-    instances += [TARGETS["bw"].orbits(n) for n in range(2, min(12, max_n) + 1)]
-    instances += [TARGETS["cmp"].orbits(n) for n in range(1, min(10, max_n) + 1)]
-    for orbits, action, f in instances:
-        rep = csp_feasibility(f, action.order)
+    # Genuine actions: the number of orbits of each size k must equal S_k / k.
+    instances = [("cdp", n, w) for n in range(1, min(8, max_n) + 1) for w in range(1, n + 1)]
+    instances += [("bw", n, None) for n in range(2, min(12, max_n) + 1)]
+    instances += [("cmp", n, None) for n in range(1, min(10, max_n) + 1)]
+    for name, n, w in instances:
+        rep = csp_feasibility(TARGETS[name].closed(n, w, None), n)
         if not rep.feasible:
-            return False, f"infeasible at order {action.order}: {rep.diagnosis}"
+            return False, f"infeasible at order {n}: {rep.diagnosis}"
+        census, _ = TARGETS[name].counted(n, w)
         for k, count in rep.orbit_counts().items():
-            if count != orbits.sizes.count(k):
-                return False, f"census mismatch at order {action.order}, orbit size {k}"
+            if count * k != census.get(k, 0):
+                return False, f"census mismatch at order {n}, orbit size {k}"
         checked += 1
     # Subset instances: feasibility plus a synthesized action that passes.
     for n, w in coprime_avl_pairs(max_n):
@@ -239,12 +239,12 @@ def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
             return False, f"AVL({n},{w}) polynomial infeasible: {rep.diagnosis}"
         t = {k: 0 for k in range(1, n + 1)}
         t.update(rep.orbit_counts())
-        orbits, action, poly = lyndon_construct(t, n)
+        orbits, poly = lyndon_construct(t, n)
         # By the orbit-census equivalence the synthesized orbit polynomial
-        # must equal f folded mod q^n - 1, and the triple must pass.
+        # must equal f folded mod q^n - 1, and the synthesized action must pass.
         if poly != IntPolynomial(mod_cyclic(f, n)):
             return False, f"synthesized polynomial differs from f mod q^n-1 at AVL({n},{w})"
-        if not verify_csp(orbits, action, f).passed:
+        if not verify_csp(orbits, f).passed:
             return False, f"synthesized action fails CSP at AVL({n},{w})"
         checked += 1
     return True, f"{checked} polynomials feasible with matching orbit counts"
@@ -255,8 +255,8 @@ def crit_12_lyndon_families(max_n: int) -> tuple[bool, str]:
     for w in (1, 2, 3):
         if not lyndon_check(FAMILIES["cdp"](w, bound)).passed:
             return False, f"circular Dyck family at width {w} is not Lyndon-like"
-    for alphabet in (2, 3):
-        if not lyndon_check(words_family(alphabet, bound)).passed:
+    for alphabet, family in ((2, "binary-words"), (3, "ternary-words")):
+        if not lyndon_check(FAMILIES[family](None, bound)).passed:
             return False, f"{alphabet}-ary word family is not Lyndon-like"
     powers = lyndon_params([2 ** n for n in range(1, 7)])
     if not powers.valid or powers.t != {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}:
@@ -273,8 +273,9 @@ def crit_13_construction(max_n: int) -> tuple[bool, str]:
     for trial in range(20):
         t = {d: rng.randint(0, 3) for d in range(1, bound + 1)}
         family = [lyndon_construct(t, n) for n in range(1, bound + 1)]
-        report = lyndon_check(family)  # verifies each member once; an empty one is not a construction failure
-        for n, ((orbits, _, _), passed) in enumerate(zip(family, report.member_verdicts), start=1):
+        # Verifies each member once; an empty one is not a construction failure.
+        report = lyndon_check([(orbits.census(), f) for orbits, f in family])
+        for n, ((orbits, _), passed) in enumerate(zip(family, report.member_verdicts), start=1):
             if orbits.orbits and not passed:
                 return False, f"trial {trial}: construction fails CSP at n={n}"
         if not report.passed:

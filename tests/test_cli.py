@@ -79,6 +79,10 @@ class TestCount:
         assert "error" in json.loads(err.strip().splitlines()[-1])
 
 
+# 1200 zero parts before a 2: one word, 1201 1201, of length 2.
+MANY_ZEROS = ",".join(["0"] * 1200 + ["2"])
+
+
 class TestVerify:
     def test_cdp_passes(self, capsys, cache_dir):
         code, out, _ = run_cli(capsys, cache_dir, "verify", "cdp", "--n", "6", "--w", "3")
@@ -111,6 +115,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, cache_dir, "verify", "words", "--content", "2,2")
         assert code == 0
 
+    def test_words_content_with_many_zero_parts(self, capsys, cache_dir):
+        # The guards bound the sum, not the number of parts, and a zero part places no letter.
+        code, out, err = run_cli(capsys, cache_dir, "verify", "words", "--content", MANY_ZEROS)
+        assert (code, err) == (0, "")
+        _, plain, _ = run_cli(capsys, cache_dir, "verify", "words", "--content", "2")
+        assert payload_of(out)["report"] == payload_of(plain)["report"]
+
     def test_table_output(self, capsys, cache_dir):
         code, out, _ = run_cli(capsys, cache_dir, "verify", "cmp", "--n", "4", "--table")
         lines = out.splitlines()
@@ -139,6 +150,14 @@ class TestOrbits:
         payload = payload_of(out)
         assert payload["poly_match"] is True
         assert sum(o["size"] for o in payload["orbits"]) == 6
+
+    def test_words_content_with_many_zero_parts(self, capsys, cache_dir):
+        code, out, err = run_cli(capsys, cache_dir, "orbits", "words", "--content", MANY_ZEROS, "--poly")
+        assert (code, err) == (0, "")
+        payload = payload_of(out)
+        assert payload["orbits"] == [{"size": 1, "stabilizer_order": 2, "elements": [[1201, 1201]]}]
+        _, plain, _ = run_cli(capsys, cache_dir, "orbits", "words", "--content", "2", "--poly")
+        assert {**payload_of(plain), "params": {}, "orbits": []} == {**payload, "params": {}, "orbits": []}
 
     @pytest.mark.parametrize("poly, closed_calls", [([], 0), (["--poly"], 1)])
     def test_closed_polynomial_is_built_only_for_poly(self, capsys, cache_dir, monkeypatch, poly, closed_calls):
@@ -760,7 +779,7 @@ class TestNecklaceMutations:
 
 
 class TestCensusMutations:
-    """A census of bw, cmp or avl that loses an element or misreports a size never passes."""
+    """A census of bw, cmp, avl or words that loses an element or misreports a size never passes."""
 
     # The twisted shift on 6-bit ints has 12 orbits; those at 0 and 9 have sizes 6 and 2.
     @pytest.mark.parametrize("index", [0, 9, 11])
@@ -828,6 +847,18 @@ class TestCensusMutations:
         code, out, _ = run_cli(capsys, cache_dir, "verify", "avl", "--n", "5", "--w", "2")
         assert code == 1
         assert payload_of(out)["report"]["verdict"] == "fail"
+
+    # Dropping word 0 of every content fails every member; word 5 exists first in content (2, 2), at n = 4.
+    @pytest.mark.parametrize("index, verdicts", [(0, [False] * 4), (5, [True] * 3 + [False])])
+    def test_a_dropped_word_fails_verify_and_the_word_family(self, capsys, cache_dir, monkeypatch, index, verdicts):
+        real = csp.enumerate_words
+        monkeypatch.setattr(csp, "enumerate_words", lambda mu, letters: (x for i, x in enumerate(real(mu, letters)) if i != index))
+        code, out, _ = run_cli(capsys, cache_dir, "verify", "words", "--content", "2,2")
+        assert code == 1
+        assert payload_of(out)["report"]["verdict"] == "fail"
+        code, out, _ = run_cli(capsys, cache_dir, "lyndon", "check", "--family", "binary-words", "--max-n", "4")
+        assert code == 1
+        assert payload_of(out)["member_verdicts"] == verdicts
 
     def test_a_wrong_avoiding_word_period_fails_verify(self, capsys, cache_dir, monkeypatch):
         real = csp.rotation_census
@@ -929,6 +960,7 @@ PAST_GUARDS = [
     (["lyndon", "construct", "--t", "30001", "--n", "1"], "lyndon construct is limited to 30000 elements"),
     (["lyndon", "construct", "--t", "0,15001", "--n", "2"], "lyndon construct is limited to 30000 elements"),
     (["lyndon", "construct", "--t", ",".join(["1"] * 2521), "--n", "2521"], "lyndon construct is limited to 1 <= n <= 2520"),
+    (["lyndon", "params", "--sizes", ",".join(["1"] * 80001)], "lyndon params is limited to 80000 sizes"),
     (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
     (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
     # Invalid twice over: the refusal that comes first wins.
@@ -944,6 +976,14 @@ class TestGuards:
         code, out, err = run_cli(capsys, cache_dir, *argv)
         assert (code, out) == (2, "")
         assert err == reason(error)
+
+    def test_lyndon_params_admits_its_bound_from_either_flag(self, capsys, cache_dir, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "MAX_SIZES", 3)
+        sizes = tmp_path / "sizes.txt"
+        for text, code in [("2\n4\n8\n", 0), ("2\n4\n8\n16\n", 2)]:
+            sizes.write_text(text)
+            assert run_cli(capsys, cache_dir, "--no-cache", "lyndon", "params", "--sizes-file", str(sizes))[0] == code
+            assert run_cli(capsys, cache_dir, "--no-cache", "lyndon", "params", "--sizes", text.replace("\n", ","))[0] == code
 
 
 class TestCacheFailures:

@@ -1,7 +1,9 @@
 """Verification engines: sieving reports, feasibility, Lyndon families, homomesy."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -34,12 +36,11 @@ from cyclicsieve.csp import (
     verify_csp,
     verify_subset_csp,
     verify_target,
-    words_family,
     zrun_rotation_action,
 )
 from cyclicsieve.genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
 from cyclicsieve.jsonio import dumps_canonical
-from cyclicsieve.paths import cdp_values, enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, enumerate_words, inv_zero_one
+from cyclicsieve.paths import cdp_values, enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, enumerate_words, inv_zero_one, maj
 from cyclicsieve.qpoly import IntPolynomial, NonConstant, divisors, eval_at_unity, q_factorial, q_multinomial
 
 
@@ -47,28 +48,33 @@ def bw(n):
     return [format(v, f"0{n}b") for v in range(2 ** n)]
 
 
+def verify_walked(carrier, action, f):
+    """verify_csp of a carrier held as its elements, walked here by orbit_decompose."""
+    return verify_csp(orbit_decompose(list(carrier), action), f)
+
+
 class TestVerifyCsp:
     def test_circular_paths_instance(self):
         carrier = list(enumerate_cdp(4, 3))
-        report = verify_csp(carrier, CyclicAction(4, area_shift), cdp_q_closed(4, 3))
+        report = verify_walked(carrier, CyclicAction(4, area_shift), cdp_q_closed(4, 3))
         assert report.passed
         assert report.first_mismatch is None
         assert len(report.rows) == 4
 
     def test_binary_words_instance(self):
-        report = verify_csp(bw(6), CyclicAction(6, twisted_shift), bw_q(6))
+        report = verify_walked(bw(6), CyclicAction(6, twisted_shift), bw_q(6))
         assert report.passed
 
     def test_perturbed_polynomial_fails(self):
         f = bw_q(4) + IntPolynomial([0, 1])
-        report = verify_csp(bw(4), CyclicAction(4, twisted_shift), f)
+        report = verify_walked(bw(4), CyclicAction(4, twisted_shift), f)
         assert not report.passed
         assert report.first_mismatch is not None
         assert report.verdict == "fail"
 
     def test_nonconstant_evaluation_encoding(self):
         # No admitted CLI request prints a non-constant evaluation, so its JSON and --table text are pinned here.
-        report = verify_csp(bw(4), CyclicAction(4, twisted_shift), bw_q(4) + IntPolynomial([0, 1]))
+        report = verify_walked(bw(4), CyclicAction(4, twisted_shift), bw_q(4) + IntPolynomial([0, 1]))
         payload = {"report": cli.encode_report(report)}
         assert dumps_canonical(payload["report"]) == (
             '{"first_mismatch":"1","order":"4","rows":['
@@ -82,14 +88,14 @@ class TestVerifyCsp:
 
     def test_rows_constant_on_gcd_classes_when_passing(self):
         carrier = list(enumerate_cdp(6, 3))
-        report = verify_csp(carrier, CyclicAction(6, area_shift), cdp_q_closed(6, 3))
+        report = verify_walked(carrier, CyclicAction(6, area_shift), cdp_q_closed(6, 3))
         by_gcd = {}
         for row in report.rows:
             by_gcd.setdefault(row.gcd, set()).add((row.evaluation, row.fixed))
         assert all(len(v) == 1 for v in by_gcd.values())
 
     def test_report_serialization(self):
-        report = verify_csp(bw(3), CyclicAction(3, twisted_shift), bw_q(3))
+        report = verify_walked(bw(3), CyclicAction(3, twisted_shift), bw_q(3))
         data = cli.encode_report(report)
         assert data["verdict"] == "pass"
         assert data["rows"][0]["evaluation"] == "2"
@@ -293,23 +299,25 @@ class TestNecklaceRoute:
 
     @pytest.mark.parametrize("n, w", CELLS, ids=[f"{n}-{w}" for n, w in CELLS])
     def test_orbits_equal_the_walk_in_order(self, n, w):
-        orbits, action, _ = TARGETS["cdp"].orbits(n, w)
-        dec = orbit_decompose(list(cdp_values(n, w)), action)
+        orbits = TARGETS["cdp"].decompose(n, w)
+        dec = orbit_decompose(list(cdp_values(n, w)), orbits.action)
         assert orbits == dec
         assert orbits.sizes == dec.sizes
         assert orbits.orbits == dec.orbits
 
-    def test_other_targets_walk_their_carrier(self):
-        walked = [name for name, target in TARGETS.items() if target.necklaces is None and target.census is None]
-        assert walked == ["words"]
-        carrier, action, f = TARGETS["words"].instance(6, None, (2, 2, 2))
-        assert TARGETS["words"].orbits(6, None, (2, 2, 2)) == (orbit_decompose(carrier, action), action, f)
+    def test_no_target_walks_its_carrier_for_its_census(self, monkeypatch):
+        assert [name for name, target in TARGETS.items() if target.necklaces is None and target.census is None] == []
+        carrier, action, _ = TARGETS["words"].instance(6, None, (2, 2, 2))
+        assert TARGETS["words"].decompose(6, None, (2, 2, 2)) == orbit_decompose(carrier, action)
+        monkeypatch.setattr(csp, "orbit_decompose", lambda *args: pytest.fail("orbit walked"))
+        # 90 words of content (2, 2, 2): 6 in the two orbits of size 3, such as 123123, and 84 in free orbits.
+        assert TARGETS["words"].counted(6, None, (2, 2, 2)) == ({3: 6, 6: 84}, ())
 
     def test_verify_and_the_family_never_build_the_carrier(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("carrier enumerated")
 
-        walked = {(n, w): verify_csp(*TARGETS["cdp"].instance(n, w)) for n, w in [(6, 3), (8, 8), (7, 2)]}
+        walked = {(n, w): verify_walked(*TARGETS["cdp"].instance(n, w)) for n, w in [(6, 3), (8, 8), (7, 2)]}
         monkeypatch.setattr(csp, "cdp_values", forbidden)
         monkeypatch.setattr(csp, "orbit_decompose", forbidden)
         for (n, w), report in walked.items():
@@ -319,7 +327,7 @@ class TestNecklaceRoute:
     def test_reports_equal_the_walked_carrier(self):
         for n in range(1, 8):
             for w in range(1, n + 2):
-                assert verify_target("cdp", n, w) == verify_csp(*TARGETS["cdp"].instance(n, w)), (n, w)
+                assert verify_target("cdp", n, w) == verify_walked(*TARGETS["cdp"].instance(n, w)), (n, w)
 
     def test_a_wrong_size_does_not_close(self):
         action = CyclicAction(4, csp._rotate)
@@ -345,16 +353,17 @@ class TestTwistedCensus:
     @pytest.mark.parametrize("name, ns", [("bw", range(2, 15)), ("cmp", range(1, 13))], ids=["bw", "cmp"])
     def test_orbits_equal_the_walk_in_order(self, name, ns):
         for n in ns:
-            orbits, action, _ = TARGETS[name].orbits(n)
-            dec = orbit_decompose(list(TARGETS[name].carrier(n, None, None)), action)
+            orbits = TARGETS[name].decompose(n)
+            dec = orbit_decompose(list(TARGETS[name].carrier(n, None, None)), orbits.action)
             assert orbits == dec, n
             assert orbits.sizes == dec.sizes, n
             assert orbits.necklaces == tuple(o[0] for o in dec.orbits), n
             assert orbits.orbits == dec.orbits, n
 
     def test_verify_and_the_family_never_call_the_generator(self, monkeypatch):
-        walked = {(name, n): verify_csp(*TARGETS[name].instance(n)) for name, n in [("bw", 12), ("cmp", 10), ("cmp", 1)]}
-        family = lyndon_check([TARGETS["cmp"].instance(n) for n in range(1, 9)])
+        walked = {(name, n): verify_walked(*TARGETS[name].instance(n)) for name, n in [("bw", 12), ("cmp", 10), ("cmp", 1)]}
+        members = [TARGETS["cmp"].instance(n) for n in range(1, 9)]
+        family = lyndon_check([(orbit_decompose(carrier, action).census(), f) for carrier, action, f in members])
 
         def forbidden(*args):
             raise AssertionError("generator called")
@@ -367,7 +376,7 @@ class TestTwistedCensus:
         assert lyndon_check(FAMILIES["cmp"](None, 8)) == family
 
     def test_bw_below_two_bits_is_refused(self):
-        for build in (lambda: verify_target("bw", 1), lambda: TARGETS["bw"].orbits(1)):
+        for build in (lambda: verify_target("bw", 1), lambda: TARGETS["bw"].decompose(1)):
             with pytest.raises(ValueError, match="twisted shift needs word length at least 2"):
                 build()
 
@@ -491,20 +500,20 @@ class TestLyndonParams:
 class TestLyndonConstruct:
     def test_singleton(self):
         for n in (1, 4, 6):
-            orbits, action, f = lyndon_construct({d: 1 if d == 1 else 0 for d in range(1, n + 1)}, n)
+            orbits, f = lyndon_construct({d: 1 if d == 1 else 0 for d in range(1, n + 1)}, n)
             assert orbits.orbits == (((1, 1, 1),),)
+            assert orbits.order == n
             assert f == IntPolynomial([1])
-            assert verify_csp(orbits, action, f).passed
+            assert verify_csp(orbits, f).passed
 
     def test_binary_profile_at_four(self):
         params = lyndon_params([2, 4, 8, 16])
-        orbits, action, f = lyndon_construct(params, 4)
+        orbits, f = lyndon_construct(params, 4)
         carrier = [x for orbit in orbits.orbits for x in orbit]
         assert len(carrier) == 16
-        assert orbit_decompose(carrier, action) == orbits
+        assert orbit_decompose(carrier, orbits.action) == orbits
         assert sorted(orbits.sizes) == [1, 1, 2, 4, 4, 4]
-        assert verify_csp(orbits, action, f).passed
-        assert verify_csp(carrier, action, f) == verify_csp(orbits, action, f)
+        assert verify_csp(orbits, f).passed
 
     def test_missing_divisor_rejected(self):
         with pytest.raises(ValueError):
@@ -512,8 +521,8 @@ class TestLyndonConstruct:
 
     def test_carrier_is_walked_once(self, monkeypatch):
         # The one orbit_decompose walk inside lyndon_construct calls the
-        # generator once per element; verify_csp and lyndon_check read the
-        # orbits it returns and call it no more.
+        # generator once per element; verify_csp reads the orbits it returns,
+        # and lyndon_check their census, and neither calls it again.
         calls = []
 
         def counting(order, generator):
@@ -522,10 +531,10 @@ class TestLyndonConstruct:
         monkeypatch.setattr(csp, "CyclicAction", counting)
         t = {1: 2, 2: 1, 3: 2, 4: 3}
         family = [lyndon_construct(t, n) for n in range(1, 5)]
-        size = sum(orbits.carrier_size() for orbits, _, _ in family)
+        size = sum(orbits.carrier_size() for orbits, _ in family)
         assert len(calls) == size == 2 + 4 + 8 + 16
         assert all(verify_csp(*member).passed for member in family)
-        assert lyndon_check(family).passed
+        assert lyndon_check([(orbits.census(), f) for orbits, f in family]).passed
         assert len(calls) == size
 
     def test_selftest_verifies_each_construction_once(self, monkeypatch):
@@ -539,8 +548,8 @@ class TestLyndonConstruct:
         real = selftest.lyndon_construct
 
         def perturbed(t, n):
-            orbits, action, f = real(t, n)
-            return orbits, action, f + IntPolynomial([0, 1]) if n in (3, 5) else f
+            orbits, f = real(t, n)
+            return orbits, f + IntPolynomial([0, 1]) if n in (3, 5) else f
 
         monkeypatch.setattr(selftest, "lyndon_construct", perturbed)
         assert selftest.crit_13_construction(8) == (False, "trial 0: construction fails CSP at n=3")
@@ -550,10 +559,10 @@ def direct_relation_failures(family):
     """The Lyndon-like relation evaluated afresh per (n, m), apart from the sieving rows."""
     failures = []
     for n in range(1, len(family) + 1):
-        values = {d: eval_at_unity(family[n - 1][2], n // d) for d in divisors(n)}
+        values = {d: eval_at_unity(family[n - 1][1], n // d) for d in divisors(n)}
         for m in divisors(n):
             e = values[n // m]
-            if isinstance(e, NonConstant) or e != family[n // m - 1][2](1):
+            if isinstance(e, NonConstant) or e != family[n // m - 1][1](1):
                 failures.append((n, m))
     return tuple(failures)
 
@@ -561,8 +570,8 @@ def direct_relation_failures(family):
 def perturbed_cdp_family():
     """The width-2 CDP family to n = 6 with 1 + q added to f_4."""
     family = list(FAMILIES["cdp"](2, 6))
-    carrier, action, f = family[3]
-    family[3] = (carrier, action, f + IntPolynomial([1, 1]))
+    census, f = family[3]
+    family[3] = (census, f + IntPolynomial([1, 1]))
     return family
 
 
@@ -571,16 +580,16 @@ class TestLyndonCheck:
         assert lyndon_check(FAMILIES["cdp"](2, 8)).passed
 
     def test_word_families(self):
-        assert lyndon_check(words_family(2, 8)).passed
-        assert lyndon_check(words_family(3, 6)).passed
+        assert lyndon_check(FAMILIES["binary-words"](None, 8)).passed
+        assert lyndon_check(FAMILIES["ternary-words"](None, 6)).passed
 
     def test_constant_size_family_of_fixed_points(self):
         # A fixed 3-element set with trivial C_n action: every power fixes
         # everything, so f_n = 3 satisfies the relation for all m | n.
         family = []
         for n in range(1, 7):
-            carrier = ["a", "b", "c"]
-            family.append((carrier, CyclicAction(n, lambda x: x), IntPolynomial([3])))
+            orbits = orbit_decompose(["a", "b", "c"], CyclicAction(n, lambda x: x))
+            family.append((orbits.census(), IntPolynomial([3])))
         assert lyndon_check(family).passed
 
     def test_mobius_family_is_not_lyndon_like(self):
@@ -675,6 +684,46 @@ class TestWordCsp:
         assert len(list(enumerate_words((2, 2), (1, 2)))) == 6
 
 
+def compositions(total):
+    """Every content of `total` with positive parts."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+# Contents with zero parts: up to four parts, each at most 3, sum 1..8.
+ZERO_PART_CONTENTS = [mu for k in range(2, 5) for mu in product(range(4), repeat=k) if 0 in mu and 1 <= sum(mu) <= 8]
+
+
+class TestWordsCensus:
+    """The `words` census, counted by least period, against the orbit walk of its carrier (Target.instance)."""
+
+    @pytest.mark.parametrize("total", range(1, 9))
+    def test_every_content_with_positive_parts(self, total):
+        for mu in compositions(total):
+            carrier, action, _ = TARGETS["words"].instance(total, None, mu)
+            assert TARGETS["words"].counted(total, None, mu) == (orbit_decompose(carrier, action).census(), ()), mu
+
+    def test_contents_with_zero_parts(self):
+        for mu in ZERO_PART_CONTENTS:
+            carrier, action, _ = TARGETS["words"].instance(sum(mu), None, mu)
+            assert TARGETS["words"].counted(sum(mu), None, mu) == (orbit_decompose(carrier, action).census(), ()), mu
+
+
+class TestWordFamilies:
+    """Each k-ary word family against all k^n tuples, built apart from enumerate_words and the q-multinomials."""
+
+    @pytest.mark.parametrize("letters, name", [(2, "binary-words"), (3, "ternary-words")])
+    def test_members_against_every_word(self, letters, name):
+        for n, (census, f) in enumerate(FAMILIES[name](None, 8), start=1):
+            words = list(product(range(1, letters + 1), repeat=n))
+            assert census == orbit_decompose(words, CyclicAction(n, lambda x: word_rotate(x, 1))).census(), n
+            by_maj = Counter(maj(x) for x in words)
+            assert f == IntPolynomial([by_maj[d] for d in range(max(by_maj) + 1)]), n
+
+
 class TestDualRoute:
     def test_routes_never_disagree(self):
         # The root-of-unity route and the folded-coefficient route implement
@@ -690,9 +739,9 @@ class TestDualRoute:
         for _ in range(150):
             n = rng.randint(1, 8)
             t = {d: rng.randint(0, 2) for d in range(1, n + 1)}
-            orbits, action, good = lyndon_construct(t, n)
+            orbits, good = lyndon_construct(t, n)
             f = good + P([rng.randint(0, 2) for _ in range(rng.randint(0, n + 2))])
-            report = verify_csp(orbits, action, f)  # must not raise DualRouteError
+            report = verify_csp(orbits, f)  # must not raise DualRouteError
             assert report.passed == (mod_cyclic(f, n) == mod_cyclic(good, n))
 
 
@@ -703,7 +752,7 @@ class TestDualRoute:
         # must fire: on a whole carrier, on a registry target, and on subset
         # sieving, both the avl census and a superset walk.
         instances = [
-            lambda: verify_csp(bw(6), CyclicAction(6, twisted_shift), bw_q(6)),
+            lambda: verify_walked(bw(6), CyclicAction(6, twisted_shift), bw_q(6)),
             lambda: verify_target("cdp", 6, 3),
             lambda: verify_target("avl", 7, 3),
             lambda: verify_subset_csp(
@@ -727,7 +776,7 @@ class TestDualRoute:
         for name, n, w, content in [("cdp", 6, 3, None), ("cmp", 8, None, None), ("bw", 6, None, None), ("words", 6, None, (2, 2, 2))]:
             carrier, action, f = csp.TARGETS[name].instance(n, w, content)
             for g in (f, f + IntPolynomial([rng.randint(-2, 2) for _ in range(n + 2)])):
-                for row in verify_csp(carrier, action, g).rows:
+                for row in verify_walked(carrier, action, g).rows:
                     assert row.evaluation == eval_at_unity(g, n // gcd(row.k, n))
 
 
@@ -751,12 +800,9 @@ class TestCensusEquivariance:
         # under rotation, and the canonical construction from the binary
         # Lyndon numbers.  Their orbit-size censuses agree at every n.
         params = lyndon_params([2 ** n for n in range(1, 9)])
-        for n in range(1, 9):
-            words, rotation, _ = words_family(2, n)[-1]
-            built, action, _ = lyndon_construct(params, n)
-            census_words = sorted(orbit_decompose(list(words), rotation).sizes)
-            census_built = sorted(built.sizes)
-            assert census_words == census_built
+        for n, (census_words, _) in enumerate(FAMILIES["binary-words"](None, 8), start=1):
+            built, _ = lyndon_construct(params, n)
+            assert census_words == built.census()
 
 
 class TestCdpFixedPoints:

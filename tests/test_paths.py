@@ -402,6 +402,29 @@ class TestMobius:
             MobiusWord("01")
 
 
+class TestWordEnumerator:
+    def test_every_word_once_in_order(self):
+        # Over two letters the order is lexicographic; over more, each letter's positions are chosen in turn.
+        assert list(enumerate_words((2, 1), "ab")) == ["aab", "aba", "baa"]
+        words = list(enumerate_words((1, 1, 2), (1, 2, 3)))
+        assert len(words) == len(set(words)) == 12
+        assert words[:3] == [(1, 2, 3, 3), (1, 3, 2, 3), (1, 3, 3, 2)]
+
+    def test_zero_parts_place_no_letter(self):
+        # A zero part, wherever it stands, leaves the words and their order as they are without it.
+        for content, letters, kept, kept_letters in [
+            ((0, 2, 0, 1, 0), "abcde", (2, 1), "bd"),
+            ((2, 0, 2), "abc", (2, 2), "ac"),
+            ((0, 0, 3), (1, 2, 3), (3,), (3,)),
+        ]:
+            assert list(enumerate_words(content, letters)) == list(enumerate_words(kept, kept_letters)), content
+
+    def test_many_zero_parts_take_no_recursion_level(self):
+        content = (0,) * 1200 + (2,)
+        assert list(enumerate_words(content, range(1, 1202))) == [(1201, 1201)]
+        assert list(enumerate_words((0,) * 600 + (1,) + (0,) * 600 + (1,), range(1202))) == [(600, 1201), (1201, 600)]
+
+
 @pytest.fixture(scope="module")
 def balanced_words():
     """enumerate_words((n, n), "01") for n = 0..10: the balanced words by another route."""
