@@ -20,10 +20,13 @@ Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
 n <= 9, cmp n <= 12, bw n <= 16, words n <= 10), with at most 9! = 362880
 elements in a cdp or words carrier (|CDP(n, w)| is known before anything
-is built), `lyndon check` max-n <= 10 (for cdp also |CDP(max-n, w)| <= 9!),
-`lyndon construct` n <= 2520 with at most 30000 carrier elements (the sum
-of d * t_d over d | n, known from the arguments), `lyndon params` at most
-80000 sizes, `homomesy` n <= 7, `selftest` max-n <= 12.
+is built), `lyndon check` max-n <= 10 with at most 9! elements in the
+member at max-n (|CDP(max-n, w)|, 2^max-n or 3^max-n words, 2^(max-n - 1)
+Mobius paths), `lyndon construct` n <= 2520 with at most 30000 carrier
+elements (the sum of d * t_d over d | n, known from the arguments),
+`lyndon params` at most 80000 sizes, `homomesy` n <= 7, `selftest`
+max-n <= 12.  A --content part, a lyndon params size and a --t value have
+at most 4300 digits.
 
 Results are cached under --cache-dir, the CYCLIC_SIEVE_CACHE environment
 variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.  The
@@ -71,11 +74,26 @@ class JsonArgumentParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _parse_content(text: str) -> tuple[int, ...]:
+# The most digits a --content part, a lyndon params size or a --t value may have.  int() refuses
+# more than the interpreter's limit (4300 by default) with a ValueError that reads like a typo.
+MAX_DIGITS = 4300
+
+
+def _parse_ints(parts: list[str], what: str, bad: str) -> list[int]:
+    """The integers the strings `parts` spell, each at most MAX_DIGITS digits; else refused with `bad`."""
+    for p in parts:
+        digits = p.strip().lstrip("+-")
+        _require(not digits.isdigit() or len(digits) <= MAX_DIGITS, f"{what} are limited to {MAX_DIGITS} digits")
     try:
-        mu = tuple(int(p) for p in text.split(","))
+        return [int(p) for p in parts]
     except ValueError:
-        raise UsageError(f"bad content {text!r}: expected comma-separated integers")
+        raise UsageError(bad)
+
+
+def _parse_content(text: str) -> tuple[int, ...]:
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    bad = f"bad content {shown!r}: expected comma-separated integers"
+    mu = tuple(_parse_ints(text.split(","), "--content parts", bad))
     if not mu or any(m < 0 for m in mu) or sum(mu) < 1:
         raise UsageError("content must be non-negative integers with positive sum")
     return mu
@@ -437,6 +455,15 @@ CARRIER_SIZE = {
     "words": (lambda n, w, mu: factorial(n) // prod(factorial(m) for m in mu), "words"),
 }
 
+# Per family of csp.FAMILIES: the size of its member at order n, from (n, w), and what its
+# elements are called.  A word family's member holds every word of length n.
+FAMILY_CARRIER = {
+    "cdp": CARRIER_SIZE["cdp"],
+    "binary-words": (lambda n, w, _: 2**n, "words"),
+    "ternary-words": (lambda n, w, _: 3**n, "words"),
+    "cmp": (lambda n, w, _: 2 ** (n - 1), "Mobius paths"),
+}
+
 # The carrier bound of `cdp` and `words`, 9! elements, admits at most about
 # 3.5 s of cold work on a 2-core host at every n.  At the bound, cold `verify`
 # takes 0.25-0.66 s for CDP(n, w), n = 9..2 (its necklaces, never the carrier),
@@ -464,11 +491,12 @@ MAX_CONSTRUCT = 30_000
 MAX_SIZES = 80_000
 
 
-def _require_carrier(name: str, what: str, n: int, w: Optional[int], content: Optional[tuple]) -> None:
-    """Refuse a --w below 1, then a carrier of `name` larger than MAX_CARRIER (n is positive here)."""
+def _require_carrier(what: str, carrier: Optional[tuple], n: int, w: Optional[int], content: Optional[tuple]) -> None:
+    """Refuse a --w below 1, then a carrier of more than MAX_CARRIER elements, sized by the
+    (size, unit) pair `carrier` if the carrier has one (n is positive here)."""
     _require(w is None or w >= 1, "n and w must be positive")
-    if name in CARRIER_SIZE:
-        size, unit = CARRIER_SIZE[name]
+    if carrier is not None:
+        size, unit = carrier
         _require(size(n, w, content) <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {unit}")
 
 
@@ -529,7 +557,7 @@ def _check_target(args: argparse.Namespace, n: Optional[int], content: Optional[
     _require(n >= 1, f"{args.command} needs --n (positive)")
     _require(n <= max_n, f"{what} is limited to n <= {max_n}")
     _require(n >= min_n, f"{what} needs --n at least {min_n}")
-    _require_carrier(args.target, what, n, args.w, content)
+    _require_carrier(what, CARRIER_SIZE.get(args.target), n, args.w, content)
 
 
 def _lyndon_params_request(args: argparse.Namespace) -> Request:
@@ -543,10 +571,7 @@ def _lyndon_params_request(args: argparse.Namespace) -> Request:
     else:
         _require(args.sizes is not None, "lyndon params needs --sizes or --sizes-file")
         text = args.sizes
-    try:
-        sizes = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise UsageError("sizes must be integers")
+    sizes = _parse_ints([p for p in text.split(",") if p.strip()], "sizes", "sizes must be integers")
     _require(bool(sizes), "need at least one size")
     _require(len(sizes) <= MAX_SIZES, f"lyndon params is limited to {MAX_SIZES} sizes")
     return Request(
@@ -577,14 +602,11 @@ def _check_family(args: argparse.Namespace) -> None:
     _require_flags(what, FAMILY_ARGS[args.family], {"w": args.w}, args)
     _require_bound("lyndon check", "max-n", args.max_n, 10)
     # The largest member, n = max_n, bounds the work of the family.
-    _require_carrier(args.family, what, args.max_n, args.w, None)
+    _require_carrier(what, FAMILY_CARRIER[args.family], args.max_n, args.w, None)
 
 
 def _lyndon_construct_request(args: argparse.Namespace) -> Request:
-    try:
-        t_values = [int(p) for p in args.t.split(",")]
-    except ValueError:
-        raise UsageError("--t must be comma-separated integers")
+    t_values = _parse_ints(args.t.split(","), "--t values", "--t must be comma-separated integers")
     _require(args.n >= 1, "--n must be positive")
     _require(all(v >= 0 for v in t_values), "Lyndon parameters must be non-negative")
     _require(len(t_values) >= args.n, "--t must define t_d for every divisor d of n")

@@ -8,14 +8,28 @@ there are no tolerances.
 `run_all(max_n)` caps each criterion's primary bound at max_n (criteria
 whose natural bound is larger keep their own cap), so small values give a
 quick smoke run and the default gives the full grid.
+
+The criteria are independent, so `run_all` runs them on every CPU the
+process may use: one forked worker per CPU beyond the first, each drawing
+criterion indices from one shared pipe until it is empty, the caller
+drawing too.  Workers send their results back through a pipe each with
+marshal and leave by os._exit.  The log lines are echoed in id order once
+the grid is done.  A criterion that raises is run again in the caller, so
+its exception reaches the caller as in a serial loop, after the lines of
+the lower ids; a worker that dies raises WorkerError.  With one CPU, no
+os.fork or a second thread running, the caller drains the pipe alone.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import signal
+import threading
 import time
 from math import comb, gcd
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator, NoReturn, Optional
 
 from .csp import (
     FAMILIES,
@@ -346,10 +360,111 @@ def run_criterion(cid: int, max_n: int) -> CriterionResult:
     raise ValueError(f"no criterion {cid}")
 
 
+class WorkerError(RuntimeError):
+    """A selftest worker died (a signal, a nonzero exit or a short read) before reporting its criteria."""
+
+
+def _workers() -> int:
+    """One process per CPU this process may use, at most one per criterion.
+
+    One where os.fork or os.sched_getaffinity is missing, or where a second
+    thread runs: forking a threaded process is unsafe, and Python 3.12 warns
+    of it on stderr.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(CRITERIA))
+
+
+def _drain(tasks: int, max_n: int) -> list[tuple]:
+    """Run each criterion whose index this process reads off the task pipe, until it is empty.
+
+    A row is (index, id, name, passed, detail, seconds); a criterion that
+    raised has passed None, and the caller of run_all runs it again.
+    """
+    rows = []
+    while drawn := os.read(tasks, 1):
+        index = drawn[0]
+        cid, name, fn = CRITERIA[index]
+        try:
+            r = _criterion(cid, name, lambda: fn(max_n))
+        except Exception:
+            rows.append((index, cid, name, None, None, 0.0))
+        else:
+            rows.append((index, r.id, r.name, r.passed, r.detail, r.seconds))
+    return rows
+
+
+def _worker(tasks: int, results: int, max_n: int) -> NoReturn:
+    """A forked worker: drain the task pipe, send its rows to `results` and exit without returning."""
+    code = 1
+    try:
+        rows = marshal.dumps(_drain(tasks, max_n))
+        with os.fdopen(results, "wb") as fh:
+            fh.write(rows)
+        code = 0
+    finally:
+        # Runs no atexit handler and flushes no stdio buffer copied from the caller.
+        os._exit(code)
+
+
+def _collect(pid: int, results: BinaryIO) -> tuple[list[tuple], Optional[str]]:
+    """Read a worker's rows to the end and reap it: (rows, None), or no rows and how it died."""
+    data = results.read()
+    results.close()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        return [], f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    try:
+        return marshal.loads(data), None
+    except (EOFError, ValueError, TypeError):
+        return [], "sent a short result"
+
+
 def run_all(max_n: int = 12, echo: Callable[[str], None] = lambda s: None) -> list[CriterionResult]:
-    results = []
-    for cid, name, fn in CRITERIA:
-        result = _criterion(cid, name, lambda fn=fn: fn(max_n))
+    """Every criterion's result in id order, each line echoed once all have run (see the module docstring)."""
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(CRITERIA))))
+    os.close(feed)
+    workers: list[tuple[int, BinaryIO]] = []  # each worker not yet reaped, with its result pipe
+    fault = None
+    try:
+        for _ in range(_workers() - 1):
+            results, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the others draw its criteria
+                os.close(results)
+                os.close(write_end)
+                break
+            if pid == 0:
+                _worker(tasks, write_end, max_n)
+            os.close(write_end)
+            workers.append((pid, os.fdopen(results, "rb")))
+        rows = _drain(tasks, max_n)
+        while workers:
+            worker_rows, died = _collect(*workers[-1])
+            workers.pop()
+            rows += worker_rows
+            fault = fault or died
+    finally:
+        os.close(tasks)
+        for pid, results in workers:  # leaving early: no worker outlives the call
+            results.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    done = {row[0]: row for row in rows}
+    if fault:
+        lost = [cid for index, (cid, _, _) in enumerate(CRITERIA) if index not in done]
+        raise WorkerError(f"a selftest worker {fault}; criteria {lost} were never reported")
+    out = []
+    for index, (cid, name, fn) in enumerate(CRITERIA):
+        _, _, _, passed, detail, seconds = done[index]
+        # A criterion that raised runs again here, so its exception leaves after the lower ids' lines.
+        if passed is None:
+            result = _criterion(cid, name, lambda: fn(max_n))
+        else:
+            result = CriterionResult(cid, name, passed, detail, seconds)
         echo(result.line())
-        results.append(result)
-    return results
+        out.append(result)
+    return out

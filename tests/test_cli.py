@@ -454,7 +454,8 @@ class TestColdPath:
         (["verify", "cdp", "--n", "6", "--w", "3"], {"dataclasses", "inspect", "fractions"}),
         (["orbits", "cdp", "--n", "4", "--w", "3", "--poly"], {"dataclasses", "inspect", "fractions"}),
         (["count", "--n", "5", "--w", "5", "--q"], {"dataclasses", "inspect", "fractions"}),
-        (["selftest", "--max-n", "4"], {"dataclasses", "inspect"}),
+        # selftest's workers are forked and answer through pipes with marshal.
+        (["selftest", "--max-n", "4"], {"dataclasses", "inspect", "pickle", "multiprocessing", "concurrent.futures"}),
     ]
 
     @pytest.mark.parametrize("argv, absent", MISSES, ids=[argv[0] for argv, _ in MISSES])
@@ -494,7 +495,7 @@ class TestRegistryTables:
         assert list(cli.TARGET_ARGS) == list(csp.TARGETS) == list(verify_choices)
         # avl is subset sieving: its carrier is not closed under the action, so orbits does not take it.
         assert list(orbits_choices) == [t for t in cli.TARGET_ARGS if t != "avl"]
-        assert set(cli.FAMILY_ARGS) == set(csp.FAMILIES)
+        assert set(cli.FAMILY_ARGS) == set(cli.FAMILY_CARRIER) == set(csp.FAMILIES)
         assert set(cli.CARRIER_SIZE) <= set(csp.TARGETS)
         assert tuple(csp.Target.__annotations__) == ("carrier", "generator", "closed", "necklaces", "census")
 
@@ -506,6 +507,13 @@ class TestRegistryTables:
         for mu in [(1,), (2, 1), (2, 1, 2), (1, 1, 1, 1), (3, 0, 2)]:
             size, _ = cli.CARRIER_SIZE["words"]
             assert size(sum(mu), None, mu) == sum(1 for _ in csp.TARGETS["words"].carrier(sum(mu), None, mu)), mu
+
+    @pytest.mark.parametrize("family", sorted(csp.FAMILIES))
+    def test_family_carrier_sizes_count_the_members(self, family):
+        size, _ = cli.FAMILY_CARRIER[family]
+        for w in (1, 2, 3) if cli.FAMILY_ARGS[family] else (None,):
+            for n, (census, _) in enumerate(csp.FAMILIES[family](w, 7), start=1):
+                assert size(n, w, None) == sum(census.values()), (family, w, n)
 
 
 class TestLazyExports:
@@ -961,6 +969,11 @@ PAST_GUARDS = [
     (["lyndon", "construct", "--t", "0,15001", "--n", "2"], "lyndon construct is limited to 30000 elements"),
     (["lyndon", "construct", "--t", ",".join(["1"] * 2521), "--n", "2521"], "lyndon construct is limited to 1 <= n <= 2520"),
     (["lyndon", "params", "--sizes", ",".join(["1"] * 80001)], "lyndon params is limited to 80000 sizes"),
+    # An integer of more than 4300 digits, past the interpreter's int() limit, is refused by its length.
+    (["lyndon", "params", "--sizes", "2," + "1" * 4301], "sizes are limited to 4300 digits"),
+    (["verify", "words", "--content", "1" * 4301 + ",1"], "--content parts are limited to 4300 digits"),
+    (["orbits", "words", "--content", "1," + "0" * 4301], "--content parts are limited to 4300 digits"),
+    (["lyndon", "construct", "--t", "1," + "1" * 4301, "--n", "2"], "--t values are limited to 4300 digits"),
     (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
     (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
     # Invalid twice over: the refusal that comes first wins.
@@ -984,6 +997,30 @@ class TestGuards:
             sizes.write_text(text)
             assert run_cli(capsys, cache_dir, "--no-cache", "lyndon", "params", "--sizes-file", str(sizes))[0] == code
             assert run_cli(capsys, cache_dir, "--no-cache", "lyndon", "params", "--sizes", text.replace("\n", ","))[0] == code
+
+
+    def test_a_4300_digit_integer_is_admitted(self, capsys, cache_dir):
+        code, out, _ = run_cli(capsys, cache_dir, "--no-cache", "lyndon", "params", "--sizes", "1" * 4300)
+        assert code == 0
+        assert payload_of(out)["sizes"] == ["1" * 4300]
+
+    def test_bad_content_echoes_a_short_prefix(self, capsys, cache_dir):
+        code, out, err = run_cli(capsys, cache_dir, "verify", "words", "--content", "x" * 5000)
+        assert (code, out) == (2, "")
+        assert err == reason(f"bad content {'x' * 40 + '...'!r}: expected comma-separated integers")
+
+    @pytest.mark.parametrize("family, w", [("cdp", 2), ("cdp", 3), ("binary-words", None), ("ternary-words", None), ("cmp", None)])
+    def test_each_family_is_refused_by_its_own_member_size(self, capsys, cache_dir, monkeypatch, family, w):
+        monkeypatch.setattr(cli, "MAX_CARRIER", 50)
+        unit = cli.FAMILY_CARRIER[family][1]
+        members = csp.FAMILIES[family](w, 8)
+        flags = [] if w is None else ["--w", str(w)]
+        for max_n in range(1, 9):
+            code, _, err = run_cli(capsys, cache_dir, "--no-cache", "lyndon", "check", "--family", family, *flags, "--max-n", str(max_n))
+            if sum(members[max_n - 1][0].values()) > 50:
+                assert (code, err) == (2, reason(f"lyndon check --family {family} is limited to 50 {unit}")), max_n
+            else:
+                assert code in (0, 1), (max_n, err)  # the cmp family is not Lyndon-like: exit 1, not refused
 
 
 class TestCacheFailures:
