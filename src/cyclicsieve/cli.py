@@ -25,8 +25,8 @@ member at max-n (|CDP(max-n, w)|, 2^max-n or 3^max-n words, 2^(max-n - 1)
 Mobius paths), `lyndon construct` n <= 2520 with at most 30000 carrier
 elements (the sum of d * t_d over d | n, known from the arguments),
 `lyndon params` at most 80000 sizes, `homomesy` n <= 7, `selftest`
-max-n <= 12.  A --content part, a lyndon params size and a --t value have
-at most 4300 digits.
+max-n <= 12.  An --n, --w or --max-n value, a --content part, a lyndon
+params size and a --t value have at most 4300 digits.
 
 Results are cached under --cache-dir, the CYCLIC_SIEVE_CACHE environment
 variable, or ~/.cache/cyclicsieve; --no-cache disables the cache.  The
@@ -74,9 +74,19 @@ class JsonArgumentParser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-# The most digits a --content part, a lyndon params size or a --t value may have.  int() refuses
-# more than the interpreter's limit (4300 by default) with a ValueError that reads like a typo.
+# The most digits an --n, --w or --max-n value, a --content part, a lyndon params size or a --t value may
+# have.  int() refuses more than the interpreter's limit (4300 by default) with a ValueError that reads like a typo.
 MAX_DIGITS = 4300
+
+
+def _flag_int(text: str) -> int:
+    """int() for --n, --w and --max-n; more than MAX_DIGITS digits are refused by length, without echoing them."""
+    if len(text.strip().removeprefix("-").removeprefix("+")) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"integers are limited to {MAX_DIGITS} digits")
+    return int(text)
+
+
+_flag_int.__name__ = "int"  # argparse names it in its refusal of any other bad value: "invalid int value: '12x'"
 
 
 def _parse_ints(parts: list[str], what: str, bad: str) -> list[int]:
@@ -193,12 +203,12 @@ def payload_lyndon_params(sizes: list[int]) -> dict:
 
 
 def payload_lyndon_check(family: str, w: Optional[int], max_n: int) -> dict:
-    from .csp import FAMILIES, lyndon_check
+    from .csp import family_members, lyndon_check
 
-    report = lyndon_check(FAMILIES[family](w, max_n))
+    report = lyndon_check(family_members(family, w, max_n))
     return {
         "family": family,
-        "params": {name: str(w) for name in FAMILY_ARGS[family]},
+        "params": {} if w is None else {"w": str(w)},
         "max_n": str(report.max_n),
         "member_verdicts": list(report.member_verdicts),
         "relation_failures": [[str(n), str(m)] for n, m in report.relation_failures],
@@ -332,18 +342,18 @@ def build_parser() -> JsonArgumentParser:
 
     p = sub.add_parser("count", help="count circular Dyck paths")
     p.set_defaults(request=_count_request)
-    p.add_argument("--n", type=int)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--n", type=_flag_int)
+    p.add_argument("--w", type=_flag_int, required=True)
     p.add_argument("--q", action="store_true", help="include the q-polynomial")
-    p.add_argument("--max-n", type=int, help="emit a table for n = 1..max-n")
+    p.add_argument("--max-n", type=_flag_int, help="emit a table for n = 1..max-n")
     p.add_argument("--bfile", action="store_true", help="emit 'n count' lines")
     p.add_argument("--csv", metavar="PATH")
 
     p = sub.add_parser("verify", help="verify a sieving instance")
     p.set_defaults(request=_verify_request)
     p.add_argument("target", choices=list(TARGET_ARGS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--w", type=int)
+    p.add_argument("--n", type=_flag_int)
+    p.add_argument("--w", type=_flag_int)
     p.add_argument("--content", type=str)
     p.add_argument("--table", action="store_true", help="emit CSV rows instead of JSON")
     p.add_argument("--csv", metavar="PATH")
@@ -352,8 +362,8 @@ def build_parser() -> JsonArgumentParser:
     p.set_defaults(request=_orbits_request)
     # avl is subset sieving: its carrier is not closed under the action, so it has no orbits.
     p.add_argument("target", choices=[t for t in TARGET_ARGS if t != "avl"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--w", type=int)
+    p.add_argument("--n", type=_flag_int)
+    p.add_argument("--w", type=_flag_int)
     p.add_argument("--content", type=str)
     p.add_argument("--poly", action="store_true", help="compare with the closed-form polynomial")
 
@@ -366,21 +376,21 @@ def build_parser() -> JsonArgumentParser:
     lc = lsub.add_parser("check")
     lc.set_defaults(request=_lyndon_check_request)
     lc.add_argument("--family", required=True)
-    lc.add_argument("--w", type=int)
-    lc.add_argument("--max-n", type=int, default=6)
+    lc.add_argument("--w", type=_flag_int)
+    lc.add_argument("--max-n", type=_flag_int, default=6)
     lx = lsub.add_parser("construct")
     lx.set_defaults(request=_lyndon_construct_request)
     lx.add_argument("--t", required=True, help="comma-separated t_1,t_2,...")
-    lx.add_argument("--n", type=int, required=True)
+    lx.add_argument("--n", type=_flag_int, required=True)
 
     p = sub.add_parser("homomesy", help="orbit averages of the inversion statistic")
     p.set_defaults(request=_homomesy_request)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_flag_int, required=True)
     p.add_argument("--action", choices=["alpha", "beta"], default="alpha")
 
     p = sub.add_parser("selftest", help="run the full acceptance grid")
     p.set_defaults(request=_selftest_request)
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=_flag_int, default=8)
 
     return parser
 
@@ -428,40 +438,21 @@ def _count_request(args: argparse.Namespace) -> Request:
     return Request("count", {"n": args.n, "w": args.w, "q": args.q}, compute, check)
 
 
-# Per target of csp.TARGETS: the flags it reads, and the least and greatest n
-# that verify and orbits admit (n is sum(content) for a target reading --content).
-TARGET_ARGS = {
-    "cdp": (("n", "w"), 1, 9),
-    "cmp": (("n",), 1, 12),
-    "bw": (("n",), 2, 16),
-    "avl": (("n", "w"), 1, 9),
-    "words": (("content",), 1, 10),
-}
-
-# Per family of csp.FAMILIES: the flags lyndon check reads besides --max-n.
-FAMILY_ARGS = {"cdp": ("w",), "binary-words": (), "ternary-words": (), "cmp": ()}
-
-
 def _cdp_size(n: int, w: int, _) -> int:
     from .genfunc import cdp_count
 
     return cdp_count(n, w)
 
 
-# The carriers that can pass MAX_CARRIER at an admitted n: the size of each,
-# known from (n, w, content) before anything is built, and what its elements are called.
-CARRIER_SIZE = {
-    "cdp": (_cdp_size, "area sequences"),
-    "words": (lambda n, w, mu: factorial(n) // prod(factorial(m) for m in mu), "words"),
-}
-
-# Per family of csp.FAMILIES: the size of its member at order n, from (n, w), and what its
-# elements are called.  A word family's member holds every word of length n.
-FAMILY_CARRIER = {
-    "cdp": CARRIER_SIZE["cdp"],
-    "binary-words": (lambda n, w, _: 2**n, "words"),
-    "ternary-words": (lambda n, w, _: 3**n, "words"),
-    "cmp": (lambda n, w, _: 2 ** (n - 1), "Mobius paths"),
+# Per target of csp.TARGETS: the flags it reads; the least and greatest n that verify and orbits admit
+# (n is sum(content) for a target reading --content); and for a carrier that can pass MAX_CARRIER at an admitted
+# n or in a lyndon check member, its size from (n, w, content), known before anything is built, and its unit.
+TARGET_ARGS = {
+    "cdp": (("n", "w"), 1, 9, (_cdp_size, "area sequences")),
+    "cmp": (("n",), 1, 12, (lambda n, w, _: 2 ** (n - 1), "Mobius paths")),
+    "bw": (("n",), 2, 16, None),
+    "avl": (("n", "w"), 1, 9, None),
+    "words": (("content",), 1, 10, (lambda n, w, mu: factorial(n) // prod(factorial(m) for m in mu), "words")),
 }
 
 # The carrier bound of `cdp` and `words`, 9! elements, admits at most about
@@ -491,13 +482,13 @@ MAX_CONSTRUCT = 30_000
 MAX_SIZES = 80_000
 
 
-def _require_carrier(what: str, carrier: Optional[tuple], n: int, w: Optional[int], content: Optional[tuple]) -> None:
-    """Refuse a --w below 1, then a carrier of more than MAX_CARRIER elements, sized by the
-    (size, unit) pair `carrier` if the carrier has one (n is positive here)."""
+def _require_carrier(what: str, carrier: Optional[tuple], n: int, w: Optional[int], contents: list) -> None:
+    """Refuse a --w below 1, then more than MAX_CARRIER elements in the carriers at (n, w, mu), mu in `contents`,
+    if the (size, unit) pair `carrier` sizes them (n is positive here)."""
     _require(w is None or w >= 1, "n and w must be positive")
     if carrier is not None:
         size, unit = carrier
-        _require(size(n, w, content) <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {unit}")
+        _require(sum(size(n, w, mu) for mu in contents) <= MAX_CARRIER, f"{what} is limited to {MAX_CARRIER} {unit}")
 
 
 def _require_flags(what: str, reads: tuple[str, ...], values: dict, args: argparse.Namespace) -> None:
@@ -519,7 +510,7 @@ def _target_args(args: argparse.Namespace) -> tuple[dict, Optional[int], Optiona
     content = _parse_content(args.content) if args.content else None
     given = {"n": args.n, "w": args.w, "content": ",".join(str(m) for m in content) if content else args.content}
     params = {name: str(value) for name, value in given.items() if value is not None}
-    reads, _, _ = TARGET_ARGS[args.target]
+    reads = TARGET_ARGS[args.target][0]
     n = sum(content) if ("content" in reads and content) else args.n
     return params, n, content, partial(_check_target, args, n, content)
 
@@ -551,13 +542,13 @@ def _orbits_request(args: argparse.Namespace) -> Request:
 
 def _check_target(args: argparse.Namespace, n: Optional[int], content: Optional[tuple]) -> None:
     """Check a verify or orbits target's arguments against its row of TARGET_ARGS."""
-    reads, min_n, max_n = TARGET_ARGS[args.target]
+    reads, min_n, max_n, carrier = TARGET_ARGS[args.target]
     what = f"{args.command} {args.target}"
     _require_flags(what, reads, {"n": n, "w": args.w, "content": content}, args)
     _require(n >= 1, f"{args.command} needs --n (positive)")
     _require(n <= max_n, f"{what} is limited to n <= {max_n}")
     _require(n >= min_n, f"{what} needs --n at least {min_n}")
-    _require_carrier(what, CARRIER_SIZE.get(args.target), n, args.w, content)
+    _require_carrier(what, carrier, n, args.w, [content])
 
 
 def _lyndon_params_request(args: argparse.Namespace) -> Request:
@@ -571,9 +562,11 @@ def _lyndon_params_request(args: argparse.Namespace) -> Request:
     else:
         _require(args.sizes is not None, "lyndon params needs --sizes or --sizes-file")
         text = args.sizes
-    sizes = _parse_ints([p for p in text.split(",") if p.strip()], "sizes", "sizes must be integers")
+    parts = [p for p in text.split(",") if p.strip()]
+    # Counted before any is parsed, so a long input is refused without parsing it.
+    _require(len(parts) <= MAX_SIZES, f"lyndon params is limited to {MAX_SIZES} sizes")
+    sizes = _parse_ints(parts, "sizes", "sizes must be integers")
     _require(bool(sizes), "need at least one size")
-    _require(len(sizes) <= MAX_SIZES, f"lyndon params is limited to {MAX_SIZES} sizes")
     return Request(
         "lyndon_params", {"sizes": sizes}, partial(payload_lyndon_params, sizes),
         failure=lambda p: _unless(p["valid"], "sizes admit no Lyndon parameters"),
@@ -596,13 +589,16 @@ def _lyndon_check_request(args: argparse.Namespace) -> Request:
 
 
 def _check_family(args: argparse.Namespace) -> None:
-    """Check the family's arguments against its row of FAMILY_ARGS, then max-n, then the carrier."""
-    _require(args.family in FAMILY_ARGS, f"unknown family {args.family!r}; choose from {sorted(FAMILY_ARGS)}")
+    """Check the family's arguments against its target's row of TARGET_ARGS, whose flags it reads but
+    for n and --content, then max-n, then the carriers of its largest member, which bound its work."""
+    from .csp import FAMILIES, member_contents
+
+    _require(args.family in FAMILIES, f"unknown family {args.family!r}; choose from {sorted(FAMILIES)}")
+    reads, _, _, carrier = TARGET_ARGS[FAMILIES[args.family][0]]
     what = f"lyndon check --family {args.family}"
-    _require_flags(what, FAMILY_ARGS[args.family], {"w": args.w}, args)
+    _require_flags(what, tuple(f for f in reads if f not in ("n", "content")), {"w": args.w}, args)
     _require_bound("lyndon check", "max-n", args.max_n, 10)
-    # The largest member, n = max_n, bounds the work of the family.
-    _require_carrier(what, FAMILY_CARRIER[args.family], args.max_n, args.w, None)
+    _require_carrier(what, carrier, args.max_n, args.w, member_contents(args.family, args.max_n))
 
 
 def _lyndon_construct_request(args: argparse.Namespace) -> Request:

@@ -27,9 +27,9 @@ at a time for `words` and two for `avl`, which is subset sieving and so
 never builds the balanced words.  orbit_decompose and verify_subset_csp
 stay as the walking oracles of these censuses.
 
-A sieving member is a pair (census, f).  Member n of a Lyndon-like
-family (FAMILIES) is the disjoint union of registry instances at order n,
-so its census and f are sums of Target.counted and Target.closed.
+A sieving member is a pair (census, f).  Member n of a Lyndon-like family,
+a row (target, letters) of FAMILIES, sums Target.counted and Target.closed
+over the target's instances at order n, one per member_contents(family, n).
 
 Reports and targets are frozen records (record.record).
 Only homomesy_check and lyndon_params build a Fraction, so they alone
@@ -93,6 +93,8 @@ __all__ = [
     "verify_target",
     "check_cdp_fixed_points",
     "FAMILIES",
+    "member_contents",
+    "family_members",
     "balanced_words_ending_in_one",
     "zrun_rotation_action",
 ]
@@ -543,26 +545,27 @@ def check_cdp_fixed_points(n: int, w: int, k: int) -> bool:
     return _fixed_points(census, n)[d] == sum(1 for _ in cdp_values(d, w))
 
 
-def _family(name: str, max_n: int, w: Union[int, None] = None, letters: Union[int, None] = None) -> list:
-    """Members n = 1..max_n, each the (census, f) of the disjoint union of TARGETS[name] instances:
-    the one at (n, w), or for `words` one per content of n over `letters` letters, zero parts included."""
-    target = TARGETS[name]
-    family = []
+# Each Lyndon-like family: the target its members are instances of, and a word family's letters.
+FAMILIES: dict[str, tuple[str, Union[int, None]]] = {
+    "cdp": ("cdp", None), "binary-words": ("words", 2), "ternary-words": ("words", 3), "cmp": ("cmp", None),
+}
+
+
+def member_contents(family: str, n: int) -> list:
+    """The contents of member n's instances: [None], or each content of n over the letters, zero parts included."""
+    _, letters = FAMILIES[family]
+    return [None] if letters is None else [mu for mu in product(range(n + 1), repeat=letters) if sum(mu) == n]
+
+
+def family_members(family: str, w: Union[int, None], max_n: int) -> list:
+    """Members n = 1..max_n, each the (census, f) of the disjoint union of the target's instances at
+    (n, w, mu), one per mu in member_contents(family, n)."""
+    target = TARGETS[FAMILIES[family][0]]
+    members = []
     for n in range(1, max_n + 1):
-        contents = [None] if letters is None else [mu for mu in product(range(n + 1), repeat=letters) if sum(mu) == n]
-        census = Counter()
-        f = IntPolynomial()
-        for mu in contents:
+        census, f = Counter(), IntPolynomial()
+        for mu in member_contents(family, n):
             census.update(target.counted(n, w, mu)[0])
             f = f + target.closed(n, w, mu)
-        family.append((dict(census), f))
-    return family
-
-
-# Each Lyndon-like family's members n = 1..max_n, from (w, max_n).
-FAMILIES: dict[str, Callable[[Union[int, None], int], list]] = {
-    "cdp": lambda w, max_n: _family("cdp", max_n, w),
-    "binary-words": lambda w, max_n: _family("words", max_n, letters=2),
-    "ternary-words": lambda w, max_n: _family("words", max_n, letters=3),
-    "cmp": lambda w, max_n: _family("cmp", max_n),
-}
+        members.append((dict(census), f))
+    return members

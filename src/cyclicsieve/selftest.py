@@ -32,10 +32,10 @@ from math import comb, gcd
 from typing import BinaryIO, Callable, Iterator, NoReturn, Optional
 
 from .csp import (
-    FAMILIES,
     TARGETS,
     _fixed_points,
     csp_feasibility,
+    family_members,
     inv_homomesy,
     lyndon_check,
     lyndon_construct,
@@ -267,10 +267,10 @@ def crit_11_feasibility(max_n: int) -> tuple[bool, str]:
 def crit_12_lyndon_families(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     for w in (1, 2, 3):
-        if not lyndon_check(FAMILIES["cdp"](w, bound)).passed:
+        if not lyndon_check(family_members("cdp", w, bound)).passed:
             return False, f"circular Dyck family at width {w} is not Lyndon-like"
     for alphabet, family in ((2, "binary-words"), (3, "ternary-words")):
-        if not lyndon_check(FAMILIES[family](None, bound)).passed:
+        if not lyndon_check(family_members(family, None, bound)).passed:
             return False, f"{alphabet}-ary word family is not Lyndon-like"
     powers = lyndon_params([2 ** n for n in range(1, 7)])
     if not powers.valid or powers.t != {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}:

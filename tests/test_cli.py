@@ -31,7 +31,10 @@ def cache_dir(tmp_path):
 
 
 def run_cli(capsys, cache_dir, *argv):
-    code = main(["--cache-dir", cache_dir, *argv])
+    try:
+        code = main(["--cache-dir", cache_dir, *argv])
+    except SystemExit as exc:  # argparse refuses a flag's value before main's own checks run
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -486,7 +489,8 @@ def run_module_probe(*argv: str, flags: tuple = ()):
 
 
 class TestRegistryTables:
-    """cli's tables of flags, bounds and carrier sizes name exactly the registries' targets and families."""
+    """cli's table of flags, bounds and carrier sizes names exactly the registry's targets, and each family's
+    guard is its target's carrier size summed over the member's contents."""
 
     def test_tables_have_the_registries_keys(self):
         subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
@@ -495,25 +499,45 @@ class TestRegistryTables:
         assert list(cli.TARGET_ARGS) == list(csp.TARGETS) == list(verify_choices)
         # avl is subset sieving: its carrier is not closed under the action, so orbits does not take it.
         assert list(orbits_choices) == [t for t in cli.TARGET_ARGS if t != "avl"]
-        assert set(cli.FAMILY_ARGS) == set(cli.FAMILY_CARRIER) == set(csp.FAMILIES)
-        assert set(cli.CARRIER_SIZE) <= set(csp.TARGETS)
+        assert {target for target, _ in csp.FAMILIES.values()} <= set(cli.TARGET_ARGS)
         assert tuple(csp.Target.__annotations__) == ("carrier", "generator", "closed", "necklaces", "census")
 
     def test_carrier_sizes_count_the_carriers(self):
+        size, _ = cli.TARGET_ARGS["cdp"][3]
         for n in range(1, 6):
             for w in range(1, n + 2):
-                size, _ = cli.CARRIER_SIZE["cdp"]
                 assert size(n, w, None) == sum(1 for _ in csp.TARGETS["cdp"].carrier(n, w, None)), (n, w)
+        size, _ = cli.TARGET_ARGS["cmp"][3]
+        for n in range(1, 9):
+            assert size(n, None, None) == sum(1 for _ in csp.TARGETS["cmp"].carrier(n, None, None)), n
+        size, _ = cli.TARGET_ARGS["words"][3]
         for mu in [(1,), (2, 1), (2, 1, 2), (1, 1, 1, 1), (3, 0, 2)]:
-            size, _ = cli.CARRIER_SIZE["words"]
             assert size(sum(mu), None, mu) == sum(1 for _ in csp.TARGETS["words"].carrier(sum(mu), None, mu)), mu
 
     @pytest.mark.parametrize("family", sorted(csp.FAMILIES))
     def test_family_carrier_sizes_count_the_members(self, family):
-        size, _ = cli.FAMILY_CARRIER[family]
-        for w in (1, 2, 3) if cli.FAMILY_ARGS[family] else (None,):
-            for n, (census, _) in enumerate(csp.FAMILIES[family](w, 7), start=1):
-                assert size(n, w, None) == sum(census.values()), (family, w, n)
+        reads, _, _, (size, _) = cli.TARGET_ARGS[csp.FAMILIES[family][0]]
+        for w in (1, 2, 3) if "w" in reads else (None,):
+            for n, (census, _) in enumerate(csp.family_members(family, w, 7), start=1):
+                guard = sum(size(n, w, mu) for mu in csp.member_contents(family, n))
+                assert guard == sum(census.values()), (family, w, n)
+
+    def test_a_family_is_one_row(self, capsys, cache_dir, monkeypatch):
+        monkeypatch.setitem(csp.FAMILIES, "quaternary-words", ("words", 4))
+        argv = ["--no-cache", "lyndon", "check", "--family", "quaternary-words", "--max-n", "6"]
+        code, out, err = run_cli(capsys, cache_dir, *argv)
+        assert (code, err) == (0, "")
+        payload = payload_of(out)
+        validate_payload("lyndon_check", payload)
+        assert (payload["params"], payload["verdict"]) == ({}, "pass")
+        code, out, err = run_cli(capsys, cache_dir, *argv, "--w", "2")
+        assert (code, out, err) == (2, "", reason("lyndon check --family quaternary-words does not read --w"))
+        # The member at n = 6 holds all 4^6 words.
+        monkeypatch.setattr(cli, "MAX_CARRIER", 4**6 - 1)
+        code, out, err = run_cli(capsys, cache_dir, *argv)
+        assert (code, out, err) == (2, "", reason(f"lyndon check --family quaternary-words is limited to {4**6 - 1} words"))
+        monkeypatch.setattr(cli, "MAX_CARRIER", 4**6)
+        assert run_cli(capsys, cache_dir, *argv)[0] == 0
 
 
 class TestLazyExports:
@@ -974,12 +998,19 @@ PAST_GUARDS = [
     (["verify", "words", "--content", "1" * 4301 + ",1"], "--content parts are limited to 4300 digits"),
     (["orbits", "words", "--content", "1," + "0" * 4301], "--content parts are limited to 4300 digits"),
     (["lyndon", "construct", "--t", "1," + "1" * 4301, "--n", "2"], "--t values are limited to 4300 digits"),
+    # argparse refuses an --n, --w or --max-n of more than 4300 digits by its length, without echoing it.
+    (["count", "--n", "1" * 4301, "--w", "3"], "argument --n: integers are limited to 4300 digits"),
+    (["verify", "cdp", "--n", "3", "--w", "-" + "9" * 4301], "argument --w: integers are limited to 4300 digits"),
+    (["lyndon", "check", "--family", "cdp", "--w", "3", "--max-n", " " + "0" * 4301], "argument --max-n: integers are limited to 4300 digits"),
+    (["homomesy", "--n", "x" * 5000], "argument --n: integers are limited to 4300 digits"),
     (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
     (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
     # Invalid twice over: the refusal that comes first wins.
     (["lyndon", "construct", "--t", ",".join(["30001"] + ["0"] * 2599), "--n", "2600"], "lyndon construct is limited to 30000 elements"),
     (["lyndon", "check", "--family", "cdp", "--w", "0", "--max-n", "11"], "lyndon check is limited to 1 <= max-n <= 10"),
     (["count", "--n", "4001", "--w", "0"], "--w must be positive"),
+    # The sizes are counted before any is parsed.
+    (["lyndon", "params", "--sizes", ",".join(["x"] * 80001)], "lyndon params is limited to 80000 sizes"),
 ]
 
 
@@ -1004,6 +1035,24 @@ class TestGuards:
         assert code == 0
         assert payload_of(out)["sizes"] == ["1" * 4300]
 
+    def test_a_4300_digit_flag_value_reaches_the_size_guard(self, capsys, cache_dir):
+        for value in ("1" * 4300, " +" + "1" * 4300 + " "):
+            code, out, err = run_cli(capsys, cache_dir, "count", "--n", value, "--w", "3")
+            assert (code, out, err) == (2, "", reason("count is limited to 1 <= n <= 4000"))
+
+    def test_lyndon_params_counts_the_sizes_before_parsing_them(self, capsys, cache_dir, monkeypatch):
+        parse = cli._parse_ints
+
+        def bounded(parts, *args):
+            assert len(parts) <= cli.MAX_SIZES, "more sizes parsed than lyndon params admits"
+            return parse(parts, *args)
+
+        monkeypatch.setattr(cli, "_parse_ints", bounded)
+        monkeypatch.setattr(cli, "MAX_SIZES", 3)
+        code, out, err = run_cli(capsys, cache_dir, "--no-cache", "lyndon", "params", "--sizes", "2,4,x,16")
+        assert (code, out, err) == (2, "", reason("lyndon params is limited to 3 sizes"))
+        assert run_cli(capsys, cache_dir, "--no-cache", "lyndon", "params", "--sizes", "2,4,8")[0] == 0
+
     def test_bad_content_echoes_a_short_prefix(self, capsys, cache_dir):
         code, out, err = run_cli(capsys, cache_dir, "verify", "words", "--content", "x" * 5000)
         assert (code, out) == (2, "")
@@ -1012,8 +1061,8 @@ class TestGuards:
     @pytest.mark.parametrize("family, w", [("cdp", 2), ("cdp", 3), ("binary-words", None), ("ternary-words", None), ("cmp", None)])
     def test_each_family_is_refused_by_its_own_member_size(self, capsys, cache_dir, monkeypatch, family, w):
         monkeypatch.setattr(cli, "MAX_CARRIER", 50)
-        unit = cli.FAMILY_CARRIER[family][1]
-        members = csp.FAMILIES[family](w, 8)
+        _, unit = cli.TARGET_ARGS[csp.FAMILIES[family][0]][3]
+        members = csp.family_members(family, w, 8)
         flags = [] if w is None else ["--w", str(w)]
         for max_n in range(1, 9):
             code, _, err = run_cli(capsys, cache_dir, "--no-cache", "lyndon", "check", "--family", family, *flags, "--max-n", str(max_n))
@@ -1143,6 +1192,10 @@ GOLDEN = [
     (["count", "--w", "3", "--max-n", "12"], 0, "e4e8bda88200c4cb68aa2c7583b607846e290a16348b5d5cad2a32b694eb8bea", ""),
     (["count", "--w", "3", "--max-n", "12", "--bfile"], 0, "d520501f8c2aa93f42f8e15334a1d4f8b1e96f92e275d453f14dd00daf815e37", ""),
     (["count", "--n", "0", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("count needs --n (positive) or --max-n")),
+    # argparse's own refusal of a value that is not an integer.
+    (["count", "--n", "12x", "--w", "3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("argument --n: invalid int value: '12x'")),
+    (["verify", "cdp", "--n", "3", "--w", "+-3"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("argument --w: invalid int value: '+-3'")),
+    (["selftest", "--max-n", "1.5"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("argument --max-n: invalid int value: '1.5'")),
     (["count", "--n", "3", "--w", "3", "--bfile"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--bfile needs --max-n")),
     (["count", "--n", "3", "--w", "3", "--csv", "out.csv"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--csv needs --max-n")),
     (["count", "--w", "3", "--max-n", "4", "--q"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("--q cannot be used with --max-n")),

@@ -22,12 +22,12 @@ from cyclicsieve.actions import (
     word_shift_two,
 )
 from cyclicsieve.csp import (
-    FAMILIES,
     TARGETS,
     Target,
     balanced_words_ending_in_one,
     check_cdp_fixed_points,
     csp_feasibility,
+    family_members,
     homomesy_check,
     inv_homomesy,
     lyndon_check,
@@ -322,7 +322,7 @@ class TestNecklaceRoute:
         monkeypatch.setattr(csp, "orbit_decompose", forbidden)
         for (n, w), report in walked.items():
             assert verify_target("cdp", n, w) == report
-        assert lyndon_check(FAMILIES["cdp"](3, 8)).passed
+        assert lyndon_check(family_members("cdp", 3, 8)).passed
 
     def test_reports_equal_the_walked_carrier(self):
         for n in range(1, 8):
@@ -373,7 +373,7 @@ class TestTwistedCensus:
             monkeypatch.setitem(TARGETS, name, Target(**{**vars(TARGETS[name]), "generator": forbidden}))
         for (name, n), report in walked.items():
             assert verify_target(name, n) == report
-        assert lyndon_check(FAMILIES["cmp"](None, 8)) == family
+        assert lyndon_check(family_members("cmp", None, 8)) == family
 
     def test_bw_below_two_bits_is_refused(self):
         for build in (lambda: verify_target("bw", 1), lambda: TARGETS["bw"].decompose(1)):
@@ -569,7 +569,7 @@ def direct_relation_failures(family):
 
 def perturbed_cdp_family():
     """The width-2 CDP family to n = 6 with 1 + q added to f_4."""
-    family = list(FAMILIES["cdp"](2, 6))
+    family = list(family_members("cdp", 2, 6))
     census, f = family[3]
     family[3] = (census, f + IntPolynomial([1, 1]))
     return family
@@ -577,11 +577,11 @@ def perturbed_cdp_family():
 
 class TestLyndonCheck:
     def test_cdp_fixed_width_family(self):
-        assert lyndon_check(FAMILIES["cdp"](2, 8)).passed
+        assert lyndon_check(family_members("cdp", 2, 8)).passed
 
     def test_word_families(self):
-        assert lyndon_check(FAMILIES["binary-words"](None, 8)).passed
-        assert lyndon_check(FAMILIES["ternary-words"](None, 6)).passed
+        assert lyndon_check(family_members("binary-words", None, 8)).passed
+        assert lyndon_check(family_members("ternary-words", None, 6)).passed
 
     def test_constant_size_family_of_fixed_points(self):
         # A fixed 3-element set with trivial C_n action: every power fixes
@@ -593,7 +593,7 @@ class TestLyndonCheck:
         assert lyndon_check(family).passed
 
     def test_mobius_family_is_not_lyndon_like(self):
-        report = lyndon_check(FAMILIES["cmp"](None, 4))
+        report = lyndon_check(family_members("cmp", None, 4))
         assert not report.passed
         assert (2, 2) in report.relation_failures
 
@@ -601,11 +601,11 @@ class TestLyndonCheck:
         calls = []
         real = csp.eval_at_unity
         monkeypatch.setattr(csp, "eval_at_unity", lambda f, m: calls.append(m) or real(f, m))
-        assert lyndon_check(FAMILIES["cdp"](3, 10)).passed
+        assert lyndon_check(family_members("cdp", 3, 10)).passed
         assert len(calls) == sum(len(divisors(n)) for n in range(1, 11)) == 27
 
     @pytest.mark.parametrize(
-        "family", [FAMILIES["cmp"](None, 6), perturbed_cdp_family()], ids=["cmp", "cdp-perturbed"]
+        "family", [family_members("cmp", None, 6), perturbed_cdp_family()], ids=["cmp", "cdp-perturbed"]
     )
     def test_relation_failures_match_direct_evaluation(self, family):
         report = lyndon_check(family)
@@ -717,7 +717,7 @@ class TestWordFamilies:
 
     @pytest.mark.parametrize("letters, name", [(2, "binary-words"), (3, "ternary-words")])
     def test_members_against_every_word(self, letters, name):
-        for n, (census, f) in enumerate(FAMILIES[name](None, 8), start=1):
+        for n, (census, f) in enumerate(family_members(name, None, 8), start=1):
             words = list(product(range(1, letters + 1), repeat=n))
             assert census == orbit_decompose(words, CyclicAction(n, lambda x: word_rotate(x, 1))).census(), n
             by_maj = Counter(maj(x) for x in words)
@@ -800,7 +800,7 @@ class TestCensusEquivariance:
         # under rotation, and the canonical construction from the binary
         # Lyndon numbers.  Their orbit-size censuses agree at every n.
         params = lyndon_params([2 ** n for n in range(1, 9)])
-        for n, (census_words, _) in enumerate(FAMILIES["binary-words"](None, 8), start=1):
+        for n, (census_words, _) in enumerate(family_members("binary-words", None, 8), start=1):
             built, _ = lyndon_construct(params, n)
             assert census_words == built.census()
 
