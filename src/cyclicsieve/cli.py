@@ -79,14 +79,22 @@ class JsonArgumentParser(argparse.ArgumentParser):
 MAX_DIGITS = 4300
 
 
+def _shown(text: str) -> str:
+    """`text` as a refusal quotes it: its first 40 characters, then '...' if there are more."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _flag_int(text: str) -> int:
-    """int() for --n, --w and --max-n; more than MAX_DIGITS digits are refused by length, without echoing them."""
+    """int() for --n, --w and --max-n; more than MAX_DIGITS digits are refused by length, without echoing them.
+
+    Any other bad value is refused as argparse words it, "invalid int value: '12x'", quoting at most 40 characters.
+    """
     if len(text.strip().removeprefix("-").removeprefix("+")) > MAX_DIGITS:
         raise argparse.ArgumentTypeError(f"integers are limited to {MAX_DIGITS} digits")
-    return int(text)
-
-
-_flag_int.__name__ = "int"  # argparse names it in its refusal of any other bad value: "invalid int value: '12x'"
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)!r}") from None
 
 
 def _parse_ints(parts: list[str], what: str, bad: str) -> list[int]:
@@ -101,8 +109,7 @@ def _parse_ints(parts: list[str], what: str, bad: str) -> list[int]:
 
 
 def _parse_content(text: str) -> tuple[int, ...]:
-    shown = text if len(text) <= 40 else text[:40] + "..."
-    bad = f"bad content {shown!r}: expected comma-separated integers"
+    bad = f"bad content {_shown(text)!r}: expected comma-separated integers"
     mu = tuple(_parse_ints(text.split(","), "--content parts", bad))
     if not mu or any(m < 0 for m in mu) or sum(mu) < 1:
         raise UsageError("content must be non-negative integers with positive sum")
@@ -562,8 +569,12 @@ def _lyndon_params_request(args: argparse.Namespace) -> Request:
     else:
         _require(args.sizes is not None, "lyndon params needs --sizes or --sizes-file")
         text = args.sizes
-    parts = [p for p in text.split(",") if p.strip()]
-    # Counted before any is parsed, so a long input is refused without parsing it.
+    import re
+    from itertools import islice
+
+    # The non-blank parts, scanned lazily and at most one past the bound, so a long input is
+    # refused before it is split or any part is parsed.
+    parts = list(islice((p for p in map(re.Match.group, re.finditer("[^,]+", text)) if p.strip()), MAX_SIZES + 1))
     _require(len(parts) <= MAX_SIZES, f"lyndon params is limited to {MAX_SIZES} sizes")
     sizes = _parse_ints(parts, "sizes", "sizes must be integers")
     _require(bool(sizes), "need at least one size")

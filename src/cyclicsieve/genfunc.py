@@ -8,20 +8,24 @@ the closed formulas here into the q-count of CDP(n, w).
 
 Every closed formula has an independent exhaustive counterpart in this
 module (or in paths) so the two can be compared coefficient by coefficient.
-The closed q-counts of CDP(n, w), of the diagonal-avoiding paths and of
-the binary words (bw_q form A) are signed sums of shifted Gaussian
-binomials with one top row: each lists its terms (c, e, k), and one
-kernel, _binomial_sum, adds c q^e [top, k]_q into one packed integer.  It
-walks the rows of its top itself, one live row at a time, each packed as
-one integer's bytes, and never calls q_binomial, so it neither reads nor
-fills that memo.  Each exhaustive q-count walks its own carrier and
-computes its own statistic; one histogram, _q_count, turns the exponents
-into a polynomial.  cdp_q_wide (the oracle of cdp_q_closed for w >= n),
-h_closed, gen_q_ballot and carlitz_q_catalan take their rows from
-q_binomial and keep their own polynomial arithmetic, so no closed form
-is checked against code it shares; cdp_q_wide and h_closed each skip a
-column outside [0, 2n - 1] themselves, so neither asks q_binomial for a
-zero row.
+The closed q-counts of CDP(n, w), of the diagonal-avoiding paths, of the
+binary words (bw_q form A) and of the Mobius paths (cmp_q) are signed sums
+of shifted Gaussian binomials with one top row: each lists its terms
+(c, e, k), and one kernel, _binomial_sum, adds c q^e [top, k]_q into one
+packed integer.  It walks the rows of its top itself, one live row at a
+time, each packed as one integer's bytes, and never calls q_binomial, so
+it neither reads nor fills that memo.  Each exhaustive q-count walks its
+own carrier and computes its own statistic; one histogram, _q_count, turns
+the exponents into a polynomial.  An oracle asked for a family of
+parameters walks its carrier once: cdp_q_bruteforce_widths gives
+CDP(n, 1..w) from one walk of CDP(n, w), and h_bruteforce_lists every
+diagonal list of one target from one walk of its words; cdp_q_bruteforce
+and h_bruteforce are one entry of these.  cdp_q_wide (the oracle of
+cdp_q_closed for w >= n), h_closed, gen_q_ballot and carlitz_q_catalan
+take their rows from q_binomial and keep their own polynomial arithmetic,
+so no closed form is checked against code it shares; cdp_q_wide and
+h_closed each skip a column outside [0, 2n - 1] themselves, so neither
+asks q_binomial for a zero row.
 Brute-force guards raise instead of truncating: a silently partial oracle
 is worse than none.
 """
@@ -29,13 +33,15 @@ is worse than none.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from math import comb
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Literal, Sequence
 
 from .paths import (
+    AreaSequence,
     area_to_path,
+    cdp_values,
     enumerate_avl,
-    enumerate_cdp,
     enumerate_cmp,
     enumerate_dyck,
     enumerate_words,
@@ -132,7 +138,11 @@ def _unpack(packed: int, size: int, width: int) -> list[int]:
 
 def _q_count(exponents: Iterable[int]) -> IntPolynomial:
     """The polynomial whose coefficient of q^e is the number of times e occurs."""
-    counts = Counter(exponents)
+    return _histogram(Counter(exponents))
+
+
+def _histogram(counts: Counter) -> IntPolynomial:
+    """The polynomial whose coefficient of q^e is counts[e]."""
     return IntPolynomial([counts[e] for e in range(max(counts, default=-1) + 1)])
 
 
@@ -192,37 +202,43 @@ class DiagonalSpec:
         return False
 
 
-def _walk_diagonals(bits: str) -> Iterator[int]:
-    """x - y at every lattice point of the walk from (0, 0), start included."""
-    d = 0
-    yield d
-    for b in bits:
-        d += 1 if b == "0" else -1
-        yield d
+_STEP = {"0": 1, "1": -1}
 
 
-def _visits_in_order(bits: str, diagonals: tuple[int, ...]) -> bool:
-    """Greedy earliest-match scan; correct because visits in order are monotone."""
-    if not diagonals:
-        return True
-    idx = 0
-    for d in _walk_diagonals(bits):
-        if d == diagonals[idx]:
-            idx += 1
-            if idx == len(diagonals):
-                return True
-    return False
+def h_bruteforce_lists(target: tuple[int, int], lists: Sequence[tuple[int, ...]]) -> list[IntPolynomial]:
+    """For each diagonal list, the sum of q^maj over NE-walks from (0,0) to the target visiting it in order.
+
+    Exhaustive, from one walk of enumerate_words(target, "01"); the target
+    coordinates are capped at BRUTE_FORCE_TARGET_LIMIT.  Each word's maj
+    and its diagonals x - y, one character per lattice point (start
+    included, offset by y), are computed once.  A walk visits a list in
+    order when each diagonal is found after the point where the one before
+    it was: the earliest match is greedy, and visits in order are
+    monotone.  The walks stay on the diagonals -y..x, so a list that names
+    any other is visited by none.
+    """
+    x, y = target
+    if x > BRUTE_FORCE_TARGET_LIMIT or y > BRUTE_FORCE_TARGET_LIMIT:
+        raise ValueError(f"brute-force guard: target coordinates must be <= {BRUTE_FORCE_TARGET_LIMIT}")
+    keys = [(i, "".join(chr(d + y) for d in ds)) for i, ds in enumerate(lists) if all(-y <= d <= x for d in ds)]
+    counts = [Counter() for _ in lists]
+    for word in enumerate_words(target, "01"):
+        walk = "".join(map(chr, accumulate(map(_STEP.__getitem__, word), initial=y)))
+        e = maj(word)
+        for i, key in keys:
+            at = -1
+            for c in key:
+                at = walk.find(c, at + 1)
+                if at < 0:
+                    break
+            else:
+                counts[i][e] += 1
+    return [_histogram(c) for c in counts]
 
 
 def h_bruteforce(spec: DiagonalSpec) -> IntPolynomial:
-    """Sum of q^maj over NE-walks from (0,0) to the target visiting the diagonals.
-
-    Exhaustive; the target coordinates are capped at BRUTE_FORCE_TARGET_LIMIT.
-    """
-    x, y = spec.target
-    if x > BRUTE_FORCE_TARGET_LIMIT or y > BRUTE_FORCE_TARGET_LIMIT:
-        raise ValueError(f"brute-force guard: target coordinates must be <= {BRUTE_FORCE_TARGET_LIMIT}")
-    return _q_count(maj(word) for word in enumerate_words(spec.target, "01") if _visits_in_order(word, spec.diagonals))
+    """Sum of q^maj over NE-walks from (0,0) to the target visiting the diagonals: one list of h_bruteforce_lists."""
+    return h_bruteforce_lists(spec.target, [spec.diagonals])[0]
 
 
 def alternating_list(first: int, second: int, ell: int) -> tuple[int, ...]:
@@ -347,11 +363,33 @@ def cdp_q_wide(n: int, w: int) -> IntPolynomial:
     return total
 
 
-def cdp_q_bruteforce(n: int, w: int) -> IntPolynomial:
-    """Sum of q^maj over all lattice words of CDP(n, w); the independent oracle."""
+def cdp_q_bruteforce_widths(n: int, w: int) -> list[IntPolynomial]:
+    """Sum of q^maj over all lattice words of CDP(n, m), for m = 1..w; the independent oracle.
+
+    One walk of cdp_values(n, w).  CDP(n, m) is the part of CDP(n, w) with
+    max(a) < m, so each tuple is filed under its least width m = max(a) + 1,
+    and its lattice word is built, and validated, at width m: a narrower
+    strip than w, so no weaker a check.  The word's steps do not depend on
+    the width, only its start does.  Entry m - 1 counts the tuples filed
+    under widths 1..m.
+    """
     if n + w > BRUTE_FORCE_CDP_LIMIT:
         raise ValueError(f"brute-force guard: need n + w <= {BRUTE_FORCE_CDP_LIMIT}")
-    return _q_count(maj(area_to_path(a).bits) for a in enumerate_cdp(n, w))
+    trusted = AreaSequence._trusted
+    by_width = [Counter() for _ in range(w + 1)]
+    for values in cdp_values(n, w):
+        m = max(values) + 1
+        by_width[m][maj(area_to_path(trusted(values, m)).bits)] += 1
+    out, counts = [], Counter()
+    for m in range(1, w + 1):
+        counts.update(by_width[m])
+        out.append(_histogram(counts))
+    return out
+
+
+def cdp_q_bruteforce(n: int, w: int) -> IntPolynomial:
+    """Sum of q^maj over all lattice words of CDP(n, w): the last entry of cdp_q_bruteforce_widths."""
+    return cdp_q_bruteforce_widths(n, w)[-1]
 
 
 def _comb0(n: int, k: int) -> int:
@@ -429,7 +467,25 @@ def bw_q(n: int, form: Literal["A", "B", "C"] = "A") -> IntPolynomial:
 
 
 def cmp_q(n: int) -> IntPolynomial:
-    """Sum of q^maj over the full words of the circular Mobius paths of size n."""
+    """Closed sum of q^maj over the full words of the circular Mobius paths of size n.
+
+    Sum_{k=0}^{n-1} q^(k(k+1)/2 + n floor(k/2)) [n-1, k]_q, added by
+    _binomial_sum.  Proof: the full word is b + complement(b) with b_n = 0.
+    Its descents are those of b, and n + i for each ascent i of b; there is
+    none at n, since b_n = 0.  So maj is the sum of the k positions i < n
+    with b_i != b_(i+1), plus n times the number of ascents.  Those
+    positions and b_n = 0 fix b, and read from the right its changes
+    alternate descent, ascent, ..., so floor(k/2) of them are ascents.  The
+    k-subsets of [n-1] have sum generating function q^(k(k+1)/2) [n-1, k]_q.
+    cmp_q_bruteforce is its oracle.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _binomial_sum(n - 1, ((1, k * (k + 1) // 2 + n * (k // 2), k) for k in range(n)))
+
+
+def cmp_q_bruteforce(n: int) -> IntPolynomial:
+    """Exhaustive maj q-count over the full words of enumerate_cmp(n)."""
     if n < 1:
         raise ValueError("n must be positive")
     return _q_count(maj(word.full_bits()) for word in enumerate_cmp(n))

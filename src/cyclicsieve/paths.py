@@ -18,8 +18,10 @@ Conventions used throughout:
   at least as many east steps as north steps ("east-first" storage).
 * The balanced words, the Dyck paths and the diagonal-avoiding words are
   built by one height-bounded walk, _bounded_walks, where the height of a
-  prefix is its number of '0's less its number of '1's.  enumerate_words
-  builds the words of any content, and is the walk's independent route.
+  prefix is its number of '0's less its number of '1's.  It joins the
+  first halves of its words to their second halves, so it costs about
+  what it yields.  enumerate_words builds the words of any content, and
+  is the walk's independent route.
 * AreaSequence, LatticeWord, DyckPath and MobiusWord are ordered frozen
   records (record.record): compared, hashed and sorted by their field
   tuple, and only against their own class.
@@ -68,7 +70,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def maj(bits: str) -> int:
-    """Major index: sum of positions i (1-based) with bits[i] > bits[i+1]."""
+    """Major index: sum of positions i (1-based) with bits[i] > bits[i+1].
+
+    On a '0'/'1' string the descents are the matches of "10", found by
+    str.find; any other sequence is compared position by position.
+    """
+    if isinstance(bits, str) and not bits.strip("01"):
+        total = 0
+        i = bits.find("10")
+        while i >= 0:
+            total += i + 1
+            i = bits.find("10", i + 1)
+        return total
     return sum(i for i in range(1, len(bits)) if bits[i - 1] > bits[i])
 
 
@@ -101,9 +114,12 @@ def word_from_zeros_runs(z: tuple[int, ...]) -> str:
     return "".join("0" * zi + "1" for zi in z)
 
 
+_SWAP = str.maketrans("01", "10")
+
+
 def transpose_word(bits: str) -> str:
     """Reflect the path across the main diagonal: swap east and north steps."""
-    return bits.translate(str.maketrans("01", "10"))
+    return bits.translate(_SWAP)
 
 
 def _count(bits: str) -> tuple[int, int]:
@@ -500,18 +516,27 @@ def enumerate_cmp(n: int) -> Iterator[MobiusWord]:
 def _bounded_walks(n: int, low: int, high: int) -> Iterator[str]:
     """Balanced 2n-step words whose height stays in [low, high], in lexicographic order.
 
-    The bounds hold 0.  The prefixes are built level by level, '0' before
-    '1'.  A prefix of length i is kept when its height h has low <= h <=
-    high and |h| <= 2n - i, so it can still return to height 0 and no
-    prefix is a dead end.  The last step, back from height +-1 to 0, is
-    added lazily; at n = 0 there is none.
+    The bounds hold 0.  Each word is a first half, n steps from height 0,
+    and a second half, n steps from the height h where the first ends back
+    to 0, both inside the bounds.  The first halves are built level by
+    level, '0' before '1', keeping each prefix inside the bounds; every one
+    ends at some h with |h| <= n, so none is a dead end.  The second halves
+    from h are the first halves that end at h read backwards with '0' and
+    '1' swapped, which walks the same heights in reverse; they are grouped
+    by h and sorted.  Each first half, in lexicographic order, is joined to
+    each second half from its h, so the work follows the output and only
+    the two lists of at most 2^n halves are held.
     """
-    level = [("", 0)]
-    for i in range(1, 2 * n):
-        lo, hi = max(low, i - 2 * n), min(high, 2 * n - i)
-        level = [(p + b, h + s) for p, h in level for b, s in (("0", 1), ("1", -1)) if lo <= h + s <= hi]
-    for p, h in level:
-        yield p + "1" * h + "0" * -h
+    firsts = [("", 0)]
+    for _ in range(n):
+        firsts = [(p + b, h + s) for p, h in firsts for b, s in (("0", 1), ("1", -1)) if low <= h + s <= high]
+    seconds: dict[int, list[str]] = {}
+    for p, h in firsts:
+        seconds.setdefault(h, []).append(transpose_word(p[::-1]))
+    for rests in seconds.values():
+        rests.sort()
+    for p, h in firsts:
+        yield from map(p.__add__, seconds[h])
 
 
 def enumerate_balanced(n: int) -> Iterator[str]:

@@ -28,6 +28,7 @@ import random
 import signal
 import threading
 import time
+from itertools import groupby
 from math import comb, gcd
 from typing import BinaryIO, Callable, Iterator, NoReturn, Optional
 
@@ -51,14 +52,15 @@ from .genfunc import (
     bw_q,
     carlitz_q_catalan,
     cdp_count,
-    cdp_q_bruteforce,
+    cdp_q_bruteforce_widths,
     cdp_q_closed,
     cdp_q_wide,
+    cmp_q_bruteforce,
     dyck_q_bruteforce,
-    h_bruteforce,
+    h_bruteforce_lists,
     h_closed,
 )
-from .paths import enumerate_cdp, enumerate_cmp
+from .paths import cdp_values, enumerate_cmp
 from .qpoly import IntPolynomial, NonConstant, eval_at_unity, mod_cyclic, q_binomial, q_lucas_eval
 from .record import record
 
@@ -93,7 +95,7 @@ def crit_1_count_formula(max_n: int) -> tuple[bool, str]:
     bound = min(8, max_n)
     first = {1: 1, 2: 4, 3: 18, 4: 82}
     for n in range(1, bound + 1):
-        exhaustive = sum(1 for _ in enumerate_cdp(n, n))
+        exhaustive = sum(1 for _ in cdp_values(n, n))
         formula = cdp_count(n, n)
         expected = (n + 2) * comb(2 * n - 1, n - 1) - 2 ** (2 * n - 1)
         if not exhaustive == formula == expected:
@@ -107,8 +109,9 @@ def crit_2_q_identity(max_n: int) -> tuple[bool, str]:
     bound = min(6, max_n)
     cells = 0
     for n in range(1, bound + 1):
+        brute = cdp_q_bruteforce_widths(n, n + 2)
         for w in range(1, n + 3):
-            if cdp_q_closed(n, w) != cdp_q_bruteforce(n, w):
+            if cdp_q_closed(n, w) != brute[w - 1]:
                 return False, f"mismatch at (n,w)=({n},{w})"
             cells += 1
     return True, f"{cells} cells, closed form == brute force"
@@ -165,10 +168,14 @@ def alternating_configs(max_n: int, max_delta: int = 7, max_ell: int = 4) -> Ite
 
 def crit_6_h_machinery(max_n: int) -> tuple[bool, str]:
     cells = 0
-    for n, gamma, delta, ell, side, spec in alternating_configs(max_n):
-        if h_closed(n, gamma, delta, ell, side) != h_bruteforce(spec):
-            return False, f"mismatch at (n,gamma,delta,ell,side)=({n},{gamma},{delta},{ell},{side})"
-        cells += 1
+    # One exhaustive walk per target serves every list aimed at it.
+    for target, group in groupby(alternating_configs(max_n), key=lambda config: config[-1].target):
+        configs = list(group)
+        brute = h_bruteforce_lists(target, [spec.diagonals for *_, spec in configs])
+        for (n, gamma, delta, ell, side, _), h in zip(configs, brute):
+            if h_closed(n, gamma, delta, ell, side) != h:
+                return False, f"mismatch at (n,gamma,delta,ell,side)=({n},{gamma},{delta},{ell},{side})"
+            cells += 1
     return True, f"{cells} alternating configurations, closed == brute force"
 
 
@@ -201,6 +208,8 @@ def crit_9_mobius(max_n: int) -> tuple[bool, str]:
             return False, f"|CMP({n})| != 2^{n - 1}"
     for n in range(1, min(10, max_n) + 1):
         orbits, poly = TARGETS["cmp"].decompose(n), TARGETS["cmp"].closed(n, None, None)
+        if poly != cmp_q_bruteforce(n):
+            return False, f"closed Mobius q-count differs from brute force at n={n}"
         if not verify_csp(orbits, poly).passed:
             return False, f"CMP CSP fails at n={n} with the maj polynomial"
         if not verify_csp(orbits, _half_bw_poly(n)).passed:

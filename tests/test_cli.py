@@ -1003,6 +1003,8 @@ PAST_GUARDS = [
     (["verify", "cdp", "--n", "3", "--w", "-" + "9" * 4301], "argument --w: integers are limited to 4300 digits"),
     (["lyndon", "check", "--family", "cdp", "--w", "3", "--max-n", " " + "0" * 4301], "argument --max-n: integers are limited to 4300 digits"),
     (["homomesy", "--n", "x" * 5000], "argument --n: integers are limited to 4300 digits"),
+    # Any other bad value is quoted as argparse quotes it, cut to 40 characters.
+    (["homomesy", "--n", "x" * 4300], "argument --n: invalid int value: '" + "x" * 40 + "...'"),
     (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
     (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
     # Invalid twice over: the refusal that comes first wins.
@@ -1020,6 +1022,21 @@ class TestGuards:
         code, out, err = run_cli(capsys, cache_dir, *argv)
         assert (code, out) == (2, "")
         assert err == reason(error)
+
+    def test_a_long_sizes_file_is_refused_in_bounded_memory(self, tmp_path):
+        # 5,000,000 sizes: a split into every part peaks at 93 MiB of Python heap, the bounded scan at 19.
+        sizes = tmp_path / "sizes.txt"
+        sizes.write_text("1\n" * 5_000_000)
+        code = (
+            "import sys, tracemalloc; from cyclicsieve.cli import main; tracemalloc.start(); code = main(sys.argv[1:]); "
+            "print(tracemalloc.get_traced_memory()[1], file=sys.stderr); sys.exit(code)"
+        )
+        argv = ["--no-cache", "lyndon", "params", "--sizes-file", str(sizes)]
+        result = subprocess.run(**child_kwargs("-c", code, *argv), capture_output=True, text=True)
+        refusal, peak = result.stderr.splitlines()
+        assert (result.returncode, result.stdout) == (2, "")
+        assert refusal + "\n" == reason("lyndon params is limited to 80000 sizes")
+        assert int(peak) < 40 * 2**20
 
     def test_lyndon_params_admits_its_bound_from_either_flag(self, capsys, cache_dir, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "MAX_SIZES", 3)

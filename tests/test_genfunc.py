@@ -1,6 +1,8 @@
 """Closed q-formulas against their exhaustive oracles."""
 
 import random
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,16 +18,19 @@ from cyclicsieve.genfunc import (
     carlitz_q_catalan,
     cdp_count,
     cdp_q_bruteforce,
+    cdp_q_bruteforce_widths,
     cdp_q_closed,
     cdp_q_wide,
     cmp_q,
+    cmp_q_bruteforce,
     dyck_q_bruteforce,
     gen_q_ballot,
     h_bruteforce,
+    h_bruteforce_lists,
     h_closed,
     lr_count,
 )
-from cyclicsieve.paths import enumerate_cdp
+from cyclicsieve.paths import area_to_path, enumerate_cdp, enumerate_words, maj
 from cyclicsieve.qpoly import (
     ONE,
     ZERO,
@@ -94,6 +99,49 @@ class TestHBruteforce:
             base = DiagonalSpec((x, y), (lo, hi))
             padded = DiagonalSpec((x, y), (lo, mid, hi))
             assert h_bruteforce(base) == h_bruteforce(padded)
+
+
+def h_reference(spec: DiagonalSpec) -> IntPolynomial:
+    """One walk for one list: the maj histogram of the words whose walk visits the diagonals in order."""
+    exponents = []
+    for word in enumerate_words(spec.target, "01"):
+        heights = list(accumulate((1 if b == "0" else -1 for b in word), initial=0))
+        at = 0
+        for d in spec.diagonals:
+            while at < len(heights) and heights[at] != d:
+                at += 1
+            at += 1
+        if at <= len(heights):
+            exponents.append(maj(word))
+    return histogram(exponents)
+
+
+def histogram(exponents) -> IntPolynomial:
+    counts = Counter(exponents)
+    return IntPolynomial([counts[e] for e in range(max(counts, default=-1) + 1)])
+
+
+class TestHBruteforceLists:
+    def test_each_list_equals_its_own_walk_on_every_alternating_target(self):
+        configs = [spec for *_, spec in selftest.alternating_configs(5)]
+        for target in sorted({spec.target for spec in configs}):
+            lists = [spec.diagonals for spec in configs if spec.target == target]
+            assert h_bruteforce_lists(target, lists) == [h_reference(DiagonalSpec(target, ds)) for ds in lists], target
+
+    def test_lists_off_the_walk_repeats_and_the_empty_list(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            target = (rng.randint(0, 5), rng.randint(0, 5))
+            lists = [tuple(rng.randint(-7, 7) for _ in range(rng.randint(0, 4))) for _ in range(4)] + [(), (0, 0)]
+            assert h_bruteforce_lists(target, lists) == [h_reference(DiagonalSpec(target, ds)) for ds in lists], target
+
+    def test_single_list_form(self):
+        spec = DiagonalSpec((4, 3), (2, -3, 2))
+        assert h_bruteforce(spec) == h_bruteforce_lists(spec.target, [spec.diagonals])[0] == h_reference(spec)
+
+    def test_guard(self):
+        with pytest.raises(ValueError, match="brute-force guard"):
+            h_bruteforce_lists((1, 15), [()])
 
 
 class TestHClosed:
@@ -247,6 +295,18 @@ class TestCdpPolynomials:
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError):
             cdp_q_bruteforce(9, 8)
+        with pytest.raises(ValueError):
+            cdp_q_bruteforce_widths(9, 8)
+
+    def test_widths_equal_one_walk_per_width(self):
+        # The per-width reference walks CDP(n, w) and builds each lattice word at width w.
+        for n in range(1, 12):
+            widths = cdp_q_bruteforce_widths(n, 12 - n)
+            assert len(widths) == 12 - n
+            for w, q_count in enumerate(widths, start=1):
+                assert q_count == histogram(maj(area_to_path(a).bits) for a in enumerate_cdp(n, w)), (n, w)
+            assert cdp_q_bruteforce_widths(n, 6 - n // 2) == widths[:6 - n // 2]
+            assert cdp_q_bruteforce(n, 12 - n) == widths[-1]
 
 
 def transfer_trace(w: int, d: int) -> int:
@@ -453,6 +513,10 @@ class TestBinaryWordPolynomials:
 class TestMobiusPolynomial:
     def test_size_two(self):
         assert cmp_q(2) == poly(1, 1)
+
+    def test_closed_equals_bruteforce(self):
+        for n in range(1, 17):
+            assert cmp_q(n) == cmp_q_bruteforce(n), n
 
     def test_value_at_one(self):
         for n in range(1, 11):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cyclicsieve.actions import CyclicAction, orbit_decompose, word_rotate
 from cyclicsieve.paths import (
+    _bounded_walks,
     AreaSequence,
     DyckPath,
     LatticeWord,
@@ -223,6 +224,19 @@ class TestStatistics:
         assert maj("0000") == 0
         assert maj("10") == 1
 
+    def test_maj_equals_the_positional_definition(self):
+        def positional(word):
+            return sum(i for i in range(1, len(word)) if word[i - 1] > word[i])
+
+        for length in range(15):
+            for letters in product("01", repeat=length):
+                bits = "".join(letters)
+                assert maj(bits) == positional(bits), bits
+        for word in [(1, 0, 1, 0), (2, 3, 1, 1, 0), "123", "3121", "1203", "0110x", ""]:
+            assert maj(word) == positional(word), word
+        for letters in product("123", repeat=5):
+            assert maj("".join(letters)) == maj(tuple(letters)) == positional(letters)
+
     def test_inv_examples(self):
         assert inv_zero_one("0011") == 4
         assert inv_zero_one("1001") == 2
@@ -431,8 +445,39 @@ def balanced_words():
     return [list(enumerate_words((n, n), "01")) for n in range(11)]
 
 
+def reference_walks(n: int) -> list[tuple[str, int, int]]:
+    """Every balanced 2n-step word with the least and greatest height of its walk, in lexicographic order.
+
+    Built level by level, '0' before '1', from prefixes that can still return to height 0.
+    """
+    level = [("", 0, 0, 0)]
+    for i in range(1, 2 * n + 1):
+        level = [
+            (p + b, h + s, min(lo, h + s), max(hi, h + s))
+            for p, h, lo, hi in level
+            for b, s in (("0", 1), ("1", -1))
+            if abs(h + s) <= 2 * n - i
+        ]
+    return [(p, lo, hi) for p, _, lo, hi in level]
+
+
 class TestBoundedWalk:
     """enumerate_balanced, enumerate_dyck and enumerate_avl are one height-bounded walk."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_equals_the_level_by_level_walk_for_every_pair_of_bounds(self, n):
+        rows = reference_walks(n)
+        for low in range(-n - 1, 1):
+            for high in range(n + 2):
+                expected = [p for p, lo, hi in rows if low <= lo and hi <= high]
+                assert list(_bounded_walks(n, low, high)) == expected, (n, low, high)
+
+    def test_equals_the_level_by_level_walk_at_ten(self):
+        # All 121 pairs of bounds at n = 10 yield 13.6 million words; these take no bound, one side and asymmetric pairs.
+        rows = reference_walks(10)
+        for low, high in [(-10, 10), (0, 10), (-10, 0), (-2, 5), (-6, 1), (-1, 1)]:
+            expected = [p for p, lo, hi in rows if low <= lo and hi <= high]
+            assert list(_bounded_walks(10, low, high)) == expected, (low, high)
 
     def test_size_zero(self):
         assert list(enumerate_balanced(0)) == [""]
