@@ -38,24 +38,6 @@ from .paths import AreaSequence, MobiusWord
 from .qpoly import IntPolynomial, divisors
 from .record import record
 
-__all__ = [
-    "OrbitError",
-    "CyclicAction",
-    "OrbitDecomposition",
-    "area_shift",
-    "word_rotate",
-    "word_shift_two",
-    "twisted_shift",
-    "twisted_shift_bits",
-    "twisted_necklaces",
-    "mobius_shift",
-    "rotation_census",
-    "orbit_decompose",
-    "fixed_count",
-    "census_spread",
-    "orbit_poly",
-]
-
 
 class OrbitError(AssertionError):
     """An action is not a bijection of its carrier with every orbit size

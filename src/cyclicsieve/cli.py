@@ -84,12 +84,19 @@ def _shown(text: str) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
+def _too_long(text: str) -> bool:
+    """Whether `text`, past surrounding whitespace and at most one sign, is more than MAX_DIGITS decimal digits."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    return len(digits) > MAX_DIGITS and digits.isdecimal()
+
+
 def _flag_int(text: str) -> int:
-    """int() for --n, --w and --max-n; more than MAX_DIGITS digits are refused by length, without echoing them.
+    """int() for --n, --w and --max-n; a _too_long value is refused by its length, without echoing it.
 
     Any other bad value is refused as argparse words it, "invalid int value: '12x'", quoting at most 40 characters.
     """
-    if len(text.strip().removeprefix("-").removeprefix("+")) > MAX_DIGITS:
+    if _too_long(text):
         raise argparse.ArgumentTypeError(f"integers are limited to {MAX_DIGITS} digits")
     try:
         return int(text)
@@ -98,10 +105,8 @@ def _flag_int(text: str) -> int:
 
 
 def _parse_ints(parts: list[str], what: str, bad: str) -> list[int]:
-    """The integers the strings `parts` spell, each at most MAX_DIGITS digits; else refused with `bad`."""
-    for p in parts:
-        digits = p.strip().lstrip("+-")
-        _require(not digits.isdigit() or len(digits) <= MAX_DIGITS, f"{what} are limited to {MAX_DIGITS} digits")
+    """The integers the strings `parts` spell, none _too_long; else refused with `bad`."""
+    _require(not any(map(_too_long, parts)), f"{what} are limited to {MAX_DIGITS} digits")
     try:
         return [int(p) for p in parts]
     except ValueError:

@@ -11,8 +11,8 @@ CspReport, by two routes: f at each root of unity (_values_at_unity)
 against the elements fixed by g^d (_fixed_points), and n times f folded
 mod q^n - 1 against the census itself.  All arithmetic is exact, and a
 disagreement between the routes is an internal error, never a result.
-Feasibility and Lyndon parameters invert the divisor sum F(d) = sum over
-j | d of S(j) (_parts).
+Feasibility and Lyndon parameters invert F(d) = sum over j | d of S(j) by
+_parts, which finds the first S(d) not a whole number of orbits of size d.
 
 TARGETS and FAMILIES hold the mathematics alone; the flags, bounds,
 carrier-size guard and JSON encodings of the command line are in cli.
@@ -72,33 +72,6 @@ from .paths import (
 from .qpoly import IntPolynomial, NonConstant, divisors, eval_at_unity, mod_cyclic, q_multinomial
 from .record import record
 
-__all__ = [
-    "CspRow",
-    "CspReport",
-    "DualRouteError",
-    "verify_csp",
-    "verify_subset_csp",
-    "FeasibilityReport",
-    "csp_feasibility",
-    "LyndonParameters",
-    "lyndon_params",
-    "lyndon_construct",
-    "LyndonReport",
-    "lyndon_check",
-    "HomomesyReport",
-    "homomesy_check",
-    "inv_homomesy",
-    "Target",
-    "TARGETS",
-    "verify_target",
-    "check_cdp_fixed_points",
-    "FAMILIES",
-    "member_contents",
-    "family_members",
-    "balanced_words_ending_in_one",
-    "zrun_rotation_action",
-]
-
 
 class DualRouteError(AssertionError):
     """The root-of-unity route and the coefficient route disagreed: kernel bug."""
@@ -109,16 +82,20 @@ def _values_at_unity(f: IntPolynomial, n: int) -> dict[int, Union[int, NonConsta
     return {d: eval_at_unity(f, n // d) for d in divisors(n)}
 
 
-def _parts(totals: dict[int, int]) -> dict[int, int]:
+def _parts(totals: dict[int, int]) -> tuple[dict[int, int], Union[int, None]]:
     """Invert F(d) = sum over j | d of S(j): S(d) = F(d) - sum of S(j), j | d, j < d.
 
     `totals` holds F(d) for d in increasing order, and with each d every
-    divisor of d.
+    divisor of d.  Also the first d whose S(d) is not a whole number of
+    orbits of size d (negative or not a multiple of d), else None.
     """
     parts: dict[int, int] = {}
+    bad = None
     for d, total in totals.items():
         parts[d] = total - sum(parts[j] for j in divisors(d)[:-1])
-    return parts
+        if bad is None and (parts[d] < 0 or parts[d] % d):
+            bad = d
+    return parts, bad
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +215,9 @@ def csp_feasibility(f: IntPolynomial, n: int) -> FeasibilityReport:
     f at a primitive (n/k)-th root counts the elements fixed by g^k, that is
     the sum of S_j over j | k, where S_j is the number of elements lying in
     orbits of size exactly j; _parts inverts that sum.  Feasible means
-    every S_k is non-negative and divisible by k (orbit counts must be
-    whole numbers).  A NonConstant evaluation at any divisor order is
-    immediately infeasible.
+    _parts finds no k with S_k negative or not divisible by k (orbit counts
+    must be whole numbers).  A NonConstant evaluation at any divisor order
+    is immediately infeasible.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -248,13 +225,11 @@ def csp_feasibility(f: IntPolynomial, n: int) -> FeasibilityReport:
     for d, e in values.items():
         if isinstance(e, NonConstant):
             return FeasibilityReport(n, {}, False, f"non-constant evaluation at order {n // d}")
-    s_values = _parts(values)
-    for k, s in s_values.items():
-        if s < 0:
-            return FeasibilityReport(n, s_values, False, f"S_{k} = {s} is negative")
-        if s % k != 0:
-            return FeasibilityReport(n, s_values, False, f"S_{k} = {s} is not divisible by {k}")
-    return FeasibilityReport(n, s_values, True)
+    s_values, k = _parts(values)
+    if k is None:
+        return FeasibilityReport(n, s_values, True)
+    why = "is negative" if s_values[k] < 0 else f"is not divisible by {k}"
+    return FeasibilityReport(n, s_values, False, f"S_{k} = {s_values[k]} {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +251,14 @@ class LyndonParameters:
 
 
 def lyndon_params(sizes: Sequence[int]) -> LyndonParameters:
-    """Recover t_1, ..., t_N from |X_1|, ..., |X_N|: d * t_d is _parts of the sizes."""
+    """Recover t_1, ..., t_N from |X_1|, ..., |X_N|: d * t_d is _parts of the sizes, up to the first bad d."""
     from fractions import Fraction
 
     if not sizes:
         raise ValueError("need at least one size")
-    t: dict[int, int] = {}
-    for n, part in _parts(dict(enumerate(sizes, start=1))).items():
-        if part % n != 0 or part < 0:
-            return LyndonParameters(t, False, n, Fraction(part, n))
-        t[n] = part // n
-    return LyndonParameters(t, True)
+    parts, bad = _parts(dict(enumerate(sizes, start=1)))
+    t = {d: part // d for d, part in parts.items() if bad is None or d < bad}
+    return LyndonParameters(t, True) if bad is None else LyndonParameters(t, False, bad, Fraction(parts[bad], bad))
 
 
 def lyndon_construct(t: Union[LyndonParameters, dict[int, int]], n: int) -> tuple[OrbitDecomposition, IntPolynomial]:
@@ -480,11 +452,12 @@ def _rotate(word: Sequence) -> Sequence:
 
 
 def _avoiding_census(n: int, w: int, _) -> tuple[dict[int, int], tuple[str, ...]]:
-    """Avoiding words by least period under rotation by two, flagged unless gcd(n, w) = 1.
+    """Avoiding words by least period under rotation by two, flagged if w <= n and gcd(n, w) != 1.
 
-    The periods are their orbit sizes in the balanced words, which are never built.
+    The periods are their orbit sizes in the balanced words, which are never built.  For w > n
+    every balanced word avoids, and sieves as all words under rotation do (Reiner, Stanton, White).
     """
-    warnings = () if gcd(n, w) == 1 else (f"coprimality hypothesis not met: gcd({n},{w}) != 1",)
+    warnings = () if w > n or gcd(n, w) == 1 else (f"coprimality hypothesis not met: gcd({n},{w}) != 1",)
     return rotation_census(enumerate_avl(n, w), n, 2), warnings
 
 

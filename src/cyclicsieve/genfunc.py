@@ -15,8 +15,8 @@ of shifted Gaussian binomials with one top row: each lists its terms
 packed integer.  It walks the rows of its top itself, one live row at a
 time, each packed as one integer's bytes, and never calls q_binomial, so
 it neither reads nor fills that memo.  Each exhaustive q-count walks its
-own carrier and computes its own statistic; one histogram, _q_count, turns
-the exponents into a polynomial.  An oracle asked for a family of
+own carrier and computes its own statistic; one function, _histogram, turns
+the Counter of the exponents into a polynomial.  An oracle asked for a family of
 parameters walks its carrier once: cdp_q_bruteforce_widths gives
 CDP(n, 1..w) from one walk of CDP(n, w), and h_bruteforce_lists every
 diagonal list of one target from one walk of its words; cdp_q_bruteforce
@@ -134,11 +134,6 @@ def _unpack(packed: int, size: int, width: int) -> list[int]:
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
     data = (packed + bias).to_bytes(size * width, "little")
     return [int.from_bytes(data[i:i + width], "little") - half for i in range(0, size * width, width)]
-
-
-def _q_count(exponents: Iterable[int]) -> IntPolynomial:
-    """The polynomial whose coefficient of q^e is the number of times e occurs."""
-    return _histogram(Counter(exponents))
 
 
 def _histogram(counts: Counter) -> IntPolynomial:
@@ -433,7 +428,7 @@ def avl_q_bruteforce(n: int, w: int) -> IntPolynomial:
     """Exhaustive maj q-count over enumerate_avl(n, w)."""
     if n > 8:
         raise ValueError("brute-force guard: need n <= 8")
-    return _q_count(maj(bits) for bits in enumerate_avl(n, w))
+    return _histogram(Counter(maj(bits) for bits in enumerate_avl(n, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +444,7 @@ def bw_q(n: int, form: Literal["A", "B", "C"] = "A") -> IntPolynomial:
 
     The three forms are identical polynomials; keeping the code paths
     separate makes them mutual oracles.  Form A is summed by the closed
-    kernel _binomial_sum, form C by the brute-force histogram _q_count.
+    kernel _binomial_sum, form C by a brute-force histogram (_histogram).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -462,7 +457,7 @@ def bw_q(n: int, form: Literal["A", "B", "C"] = "A") -> IntPolynomial:
         return total
     if form == "C":
         words = (format(v, f"0{n}b") if n else "" for v in range(2 ** n))
-        return _q_count(maj(bits) + maj(transpose_word(bits)) for bits in words)
+        return _histogram(Counter(maj(bits) + maj(transpose_word(bits)) for bits in words))
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -488,7 +483,7 @@ def cmp_q_bruteforce(n: int) -> IntPolynomial:
     """Exhaustive maj q-count over the full words of enumerate_cmp(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _q_count(maj(word.full_bits()) for word in enumerate_cmp(n))
+    return _histogram(Counter(maj(word.full_bits()) for word in enumerate_cmp(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -506,4 +501,4 @@ def dyck_q_bruteforce(n: int) -> IntPolynomial:
     """Exhaustive maj q-count over Dyck paths of size n."""
     if n > 9:
         raise ValueError("brute-force guard: need n <= 9")
-    return _q_count(maj(p.bits) for p in enumerate_dyck(n))
+    return _histogram(Counter(maj(p.bits) for p in enumerate_dyck(n)))

@@ -34,36 +34,6 @@ from typing import Iterator, Sequence
 
 from .record import record
 
-__all__ = [
-    "AreaSequence",
-    "LatticeWord",
-    "DyckPath",
-    "MobiusWord",
-    "validate_area_sequence",
-    "cdp_values",
-    "cdp_necklaces",
-    "enumerate_cdp",
-    "area_to_path",
-    "path_to_area",
-    "maj",
-    "inv_zero_one",
-    "zeros_run_vector",
-    "word_from_zeros_runs",
-    "first_peak_height",
-    "last_peak_height",
-    "enumerate_dyck",
-    "dyck_pair",
-    "dyck_pair_inverse",
-    "dyck_tuple",
-    "dyck_tuple_inverse",
-    "enumerate_cmp",
-    "enumerate_avl",
-    "enumerate_balanced",
-    "enumerate_words",
-    "valley_count",
-    "transpose_word",
-]
-
 
 # ---------------------------------------------------------------------------
 # Word statistics

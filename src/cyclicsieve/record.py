@@ -21,16 +21,14 @@ and are never evaluated) into an immutable value type:
 That is what `dataclass(frozen=True)` and `dataclass(frozen=True,
 order=True)` give these classes, at a smaller price: `dataclasses` imports
 `inspect`, `ast`, `dis` and `tokenize`, and execs source for up to ten
-methods per class, while a record execs only its `__init__` and shares
-one set of comparison methods, reading the field tuple with
-`operator.attrgetter`.
+methods per class, while a record execs only its `__init__` and makes
+every comparison from one factory over `operator`'s functions, reading
+the field tuple with `operator.attrgetter`.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-
-__all__ = ["record"]
+from operator import attrgetter, eq, ge, gt, le, lt
 
 
 def record(cls=None, /, *, order: bool = False):
@@ -57,10 +55,13 @@ def _build(cls, order: bool):
     key = attrgetter(*names)
     single = len(names) == 1
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return key(self) == key(other)
-        return NotImplemented
+    def compare(op):
+        def method(self, other):
+            if other.__class__ is self.__class__:
+                return op(key(self), key(other))
+            return NotImplemented
+
+        return method
 
     if single:
         def __hash__(self):
@@ -74,31 +75,11 @@ def _build(cls, order: bool):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
         return f"{self.__class__.__qualname__}({fields})"
 
-    methods = {"__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__}
+    methods = {"__eq__": compare(eq), "__hash__": __hash__, "__repr__": __repr__}
     if order:
-        def __lt__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) < key(other)
-            return NotImplemented
-
-        def __le__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) <= key(other)
-            return NotImplemented
-
-        def __gt__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) > key(other)
-            return NotImplemented
-
-        def __ge__(self, other):
-            if other.__class__ is self.__class__:
-                return key(self) >= key(other)
-            return NotImplemented
-
-        methods.update(__lt__=__lt__, __le__=__le__, __gt__=__gt__, __ge__=__ge__)
+        methods.update(__lt__=compare(lt), __le__=compare(le), __gt__=compare(gt), __ge__=compare(ge))
     for name, method in methods.items():
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        method.__name__, method.__qualname__ = name, f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr

@@ -12,10 +12,11 @@ quick smoke run and the default gives the full grid.
 The criteria are independent, so `run_all` runs them on every CPU the
 process may use: one forked worker per CPU beyond the first, each drawing
 criterion indices from one shared pipe until it is empty, the caller
-drawing too.  Workers send their results back through a pipe each with
-marshal and leave by os._exit.  The log lines are echoed in id order once
-the grid is done.  A criterion that raises is run again in the caller, so
-its exception reaches the caller as in a serial loop, after the lines of
+drawing too.  Each runs what it draws by run_criterion, the one place that
+times a criterion.  Workers send their results back through a pipe each
+with marshal and leave by os._exit.  The log lines are echoed in id order
+once the grid is done.  A criterion that raises is run again in the caller,
+so its exception reaches the caller as in a serial loop, after the lines of
 the lower ids; a worker that dies raises WorkerError.  With one CPU, no
 os.fork or a second thread running, the caller drains the pipe alone.
 """
@@ -76,12 +77,6 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion {self.id:2d} [{self.seconds:7.2f}s] {self.name}: {self.detail}"
-
-
-def _criterion(cid: int, name: str, fn: Callable[[], tuple[bool, str]]) -> CriterionResult:
-    start = time.monotonic()
-    passed, detail = fn()
-    return CriterionResult(cid, name, passed, detail, time.monotonic() - start)
 
 
 def _half_bw_poly(n: int) -> IntPolynomial:
@@ -153,11 +148,11 @@ def crit_5_fixed_points(max_n: int) -> tuple[bool, str]:
     return True, f"{cells} cells, |fixed| == |CDP(gcd(n,k),w)|"
 
 
-def alternating_configs(max_n: int, max_delta: int = 7, max_ell: int = 4) -> Iterator[tuple]:
+def alternating_configs(max_n: int) -> Iterator[tuple]:
     for n in range(1, min(5, max_n) + 1):
-        for delta in range(2, max_delta + 1):
+        for delta in range(2, 8):
             for gamma in range(1, delta):
-                for ell in range(0, max_ell + 1):
+                for ell in range(0, 5):
                     for side in ("right", "left"):
                         first = gamma if side == "right" else gamma - delta
                         second = gamma - delta if side == "right" else gamma
@@ -363,9 +358,12 @@ CRITERIA: list[tuple[int, str, Callable[[int], tuple[bool, str]]]] = [
 
 
 def run_criterion(cid: int, max_n: int) -> CriterionResult:
+    """Criterion `cid`, looked up in CRITERIA at the call, run and timed."""
     for i, name, fn in CRITERIA:
         if i == cid:
-            return _criterion(i, name, lambda: fn(max_n))
+            start = time.monotonic()
+            passed, detail = fn(max_n)
+            return CriterionResult(cid, name, passed, detail, time.monotonic() - start)
     raise ValueError(f"no criterion {cid}")
 
 
@@ -388,19 +386,18 @@ def _workers() -> int:
 def _drain(tasks: int, max_n: int) -> list[tuple]:
     """Run each criterion whose index this process reads off the task pipe, until it is empty.
 
-    A row is (index, id, name, passed, detail, seconds); a criterion that
-    raised has passed None, and the caller of run_all runs it again.
+    A row is (index, passed, detail, seconds), with CRITERIA[index]'s id and name;
+    a criterion that raised has passed None, and the caller of run_all runs it again.
     """
     rows = []
     while drawn := os.read(tasks, 1):
         index = drawn[0]
-        cid, name, fn = CRITERIA[index]
         try:
-            r = _criterion(cid, name, lambda: fn(max_n))
+            r = run_criterion(CRITERIA[index][0], max_n)
         except Exception:
-            rows.append((index, cid, name, None, None, 0.0))
+            rows.append((index, None, None, 0.0))
         else:
-            rows.append((index, r.id, r.name, r.passed, r.detail, r.seconds))
+            rows.append((index, r.passed, r.detail, r.seconds))
     return rows
 
 
@@ -467,13 +464,10 @@ def run_all(max_n: int = 12, echo: Callable[[str], None] = lambda s: None) -> li
         lost = [cid for index, (cid, _, _) in enumerate(CRITERIA) if index not in done]
         raise WorkerError(f"a selftest worker {fault}; criteria {lost} were never reported")
     out = []
-    for index, (cid, name, fn) in enumerate(CRITERIA):
-        _, _, _, passed, detail, seconds = done[index]
+    for index, (cid, name, _) in enumerate(CRITERIA):
+        _, passed, detail, seconds = done[index]
         # A criterion that raised runs again here, so its exception leaves after the lower ids' lines.
-        if passed is None:
-            result = _criterion(cid, name, lambda: fn(max_n))
-        else:
-            result = CriterionResult(cid, name, passed, detail, seconds)
+        result = run_criterion(cid, max_n) if passed is None else CriterionResult(cid, name, passed, detail, seconds)
         echo(result.line())
         out.append(result)
     return out

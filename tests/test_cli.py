@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -549,6 +550,11 @@ class TestLazyExports:
             assert getattr(cyclicsieve, name) is getattr(module, name), name
         assert set(names) <= set(dir(cyclicsieve))
 
+    def test_the_package_table_is_the_one_list_of_names(self):
+        # A submodule's own __all__ would be a second list, free to drift from _EXPORTS.
+        for info in pkgutil.iter_modules(cyclicsieve.__path__):
+            assert not hasattr(importlib.import_module(f"cyclicsieve.{info.name}"), "__all__"), info.name
+
     def test_star_import_yields_every_name(self):
         namespace = {}
         exec("from cyclicsieve import *", namespace)
@@ -1002,9 +1008,14 @@ PAST_GUARDS = [
     (["count", "--n", "1" * 4301, "--w", "3"], "argument --n: integers are limited to 4300 digits"),
     (["verify", "cdp", "--n", "3", "--w", "-" + "9" * 4301], "argument --w: integers are limited to 4300 digits"),
     (["lyndon", "check", "--family", "cdp", "--w", "3", "--max-n", " " + "0" * 4301], "argument --max-n: integers are limited to 4300 digits"),
-    (["homomesy", "--n", "x" * 5000], "argument --n: integers are limited to 4300 digits"),
-    # Any other bad value is quoted as argparse quotes it, cut to 40 characters.
+    # Any other bad value is quoted as argparse quotes it, cut to 40 characters, however long it is.
+    (["homomesy", "--n", "x" * 5000], "argument --n: invalid int value: '" + "x" * 40 + "...'"),
     (["homomesy", "--n", "x" * 4300], "argument --n: invalid int value: '" + "x" * 40 + "...'"),
+    (["count", "--n", "x" * 4301, "--w", "3"], "argument --n: invalid int value: '" + "x" * 40 + "...'"),
+    (["verify", "cdp", "--n", "3", "--w", "+-" + "9" * 4301], "argument --w: invalid int value: '+-" + "9" * 38 + "...'"),
+    # A run of signs is malformed, however many digits follow.
+    (["verify", "words", "--content", "+-" + "1" * 4301], "bad content '+-" + "1" * 38 + "...': expected comma-separated integers"),
+    (["lyndon", "params", "--sizes", "2,--" + "1" * 4301], "sizes must be integers"),
     (["selftest", "--max-n", "0"], "selftest is limited to 1 <= max-n <= 12"),
     (["selftest", "--max-n", "13"], "selftest is limited to 1 <= max-n <= 12"),
     # Invalid twice over: the refusal that comes first wins.

@@ -259,9 +259,11 @@ class TestFeasibility:
         assert report.orbit_counts() == {1: 0, 3: 1}
 
     def test_negative_value_infeasible(self):
-        report = csp_feasibility(IntPolynomial([0, 2]), 2)
-        assert not report.feasible
-        assert report.s_values[1] == -2
+        # Every part is reported, those past the first negative one included.
+        assert csp_feasibility(IntPolynomial([0, 2]), 2) == csp.FeasibilityReport(2, {1: -2, 2: 4}, False, "S_1 = -2 is negative")
+        assert csp_feasibility(IntPolynomial([0, 1, 0, 1]), 4) == csp.FeasibilityReport(
+            4, {1: 0, 2: -2, 4: 4}, False, "S_2 = -2 is negative"
+        )
 
     def test_negative_branch_and_divisibility_hold_together(self):
         f = IntPolynomial([1, 3])  # f(-1) = -2
@@ -289,6 +291,35 @@ class TestFeasibility:
         dec = orbit_decompose(carrier, action)
         for k, count in report.orbit_counts().items():
             assert count == dec.sizes.count(k)
+
+
+class TestParts:
+    """_parts inverts the divisor sum and finds the first part that is not a whole number of orbits."""
+
+    def test_feasible_table_has_no_bad_index(self):
+        assert csp._parts({1: 2, 2: 4, 3: 5, 6: 13}) == ({1: 2, 2: 2, 3: 3, 6: 6}, None)
+
+    def test_a_negative_part_before_a_non_divisible_one(self):
+        # S_2 = -1 is negative, S_3 = 1 is not a multiple of 3.
+        assert csp._parts({1: 1, 2: 0, 3: 2}) == ({1: 1, 2: -1, 3: 1}, 2)
+
+    def test_a_non_divisible_part_before_a_negative_one(self):
+        # S_2 = 1 is not a multiple of 2, S_3 = -1 is negative.
+        assert csp._parts({1: 1, 2: 2, 3: 0}) == ({1: 1, 2: 1, 3: -1}, 2)
+
+
+class TestAvoidingWarnings:
+    def test_every_balanced_word_avoids_past_n_with_no_warning(self):
+        for n in range(1, 10):
+            for w in range(n + 1, n + 4):
+                report = verify_target("avl", n, w)
+                assert report.passed and report.warnings == (), (n, w)
+
+    def test_a_non_coprime_width_up_to_n_still_warns(self):
+        for n in range(2, 10):
+            for w in range(2, n + 1):
+                if gcd(n, w) != 1:
+                    assert verify_target("avl", n, w).warnings == (f"coprimality hypothesis not met: gcd({n},{w}) != 1",)
 
 
 class TestNecklaceRoute:
@@ -486,10 +517,8 @@ class TestLyndonParams:
         assert result.t == {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9}
 
     def test_catalan_fails_at_two(self):
-        result = lyndon_params([1, 2, 5])
-        assert not result.valid
-        assert result.failure_index == 2
-        assert result.failure_value == Fraction(1, 2)
+        # t holds only the indices below the failing one.
+        assert lyndon_params([1, 2, 5]) == csp.LyndonParameters({1: 1}, False, 2, Fraction(1, 2))
 
     def test_all_ones(self):
         result = lyndon_params([1, 1, 1, 1])

@@ -160,6 +160,15 @@ def test_order_is_the_field_tuple_order():
     assert max(MobiusWord("010"), MobiusWord("100")) == MobiusWord("100")
 
 
+@pytest.mark.parametrize("name", ["__eq__", "__lt__", "__le__", "__gt__", "__ge__"])
+def test_each_comparison_declines_another_record_class(name):
+    a, b = AreaSequence((0, 1), 2), DyckPath("0011")
+    assert getattr(a, name)(b) is NotImplemented
+    assert getattr(b, name)(a) is NotImplemented
+    method = getattr(AreaSequence, name)
+    assert (method.__name__, method.__qualname__) == (name, f"AreaSequence.{name}")
+
+
 def test_defaults_and_post_init():
     assert CspReport(1, (), True, None) == CspReport(1, (), True, None, ())
     assert DiagonalSpec((1, 1)).diagonals == ()

@@ -75,6 +75,21 @@ class TestAgainstTheSerialLoop:
         assert all(passed for _, _, passed, _ in rows)
 
 
+class TestRunCriterion:
+    def test_ids_are_one_to_fifteen_in_order(self):
+        assert [cid for cid, _, _ in selftest.CRITERIA] == list(range(1, 16))
+
+    @pytest.mark.parametrize("cid", [0, 16])
+    def test_an_unknown_id_is_refused(self, cid):
+        with pytest.raises(ValueError, match=f"no criterion {cid}"):
+            selftest.run_criterion(cid, 1)
+
+    def test_the_criterion_is_looked_up_at_the_call(self, monkeypatch):
+        patch_criteria(monkeypatch, lambda index, cid, fn: lambda max_n: (False, f"wrapped {cid} at {max_n}"))
+        result = selftest.run_criterion(7, 3)
+        assert (result.id, result.name, result.passed, result.detail) == (7, "binary-word sieving", False, "wrapped 7 at 3")
+
+
 class TestWorkers:
     def test_one_worker_per_cpu_at_most_one_per_criterion(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
