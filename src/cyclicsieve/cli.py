@@ -10,10 +10,11 @@ UsageError from the argument checks), 3 internal fault (any other
 exception: a bug in the program, such as the two sieving routes
 disagreeing, an action that is not a bijection of its carrier or a
 kernel's ValueError; it is never cached).  Non-zero exits also write a
-machine-readable JSON reason to stderr.  A --sizes-file that cannot be
-read or decoded (or given with --sizes), a --csv path that cannot be
-written (or given with verify --table), a count flag that would be
-ignored, a --w below 1 and a --n, --w or --content that the verify or
+machine-readable JSON reason to stderr; a stderr that is closed or cannot
+be written loses its lines, never the exit code.  A --sizes-file that
+cannot be read or decoded (or given with --sizes), a --csv path that
+cannot be written (or given with verify --table), a count flag that would
+be ignored, a --w below 1 and a --n, --w or --content that the verify or
 orbits target or the lyndon check family does not read are usage errors.
 
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
@@ -56,7 +57,7 @@ from math import factorial, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import __version__
-from .jsonio import ResultCache, dumps_canonical
+from .jsonio import ResultCache, dumps_canonical, to_stderr
 
 if TYPE_CHECKING:
     from .csp import CspReport, CspRow
@@ -70,7 +71,7 @@ class JsonArgumentParser(argparse.ArgumentParser):
     """argparse that reports usage errors as JSON on stderr with exit code 2."""
 
     def error(self, message):
-        print(dumps_canonical({"error": message, "exit": 2}), file=sys.stderr)
+        to_stderr(dumps_canonical({"error": message, "exit": 2}))
         raise SystemExit(2)
 
 
@@ -261,7 +262,7 @@ def payload_homomesy(n: int, action: str) -> dict:
 def payload_selftest(max_n: int) -> dict:
     from .selftest import run_all
 
-    results = run_all(max_n, echo=lambda line: print(line, file=sys.stderr))
+    results = run_all(max_n, echo=to_stderr)
     # A criterion's time is left out, so payloads with equal arguments are
     # byte-identical; its log line on stderr carries it.
     return {
@@ -674,7 +675,7 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
         _emit(request.text(json.loads(payload_text)), args.csv)
     if reason is None:
         return 0
-    print(dumps_canonical({**reason, "exit": 1}), file=sys.stderr)
+    to_stderr(dumps_canonical({**reason, "exit": 1}))
     return 1
 
 
@@ -685,10 +686,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         _require(args.cache_dir != "", "--cache-dir must not be empty")
         return _dispatch(args, ResultCache(directory=args.cache_dir, enabled=not args.no_cache))
     except UsageError as exc:
-        print(dumps_canonical({"error": str(exc), "exit": 2}), file=sys.stderr)
+        to_stderr(dumps_canonical({"error": str(exc), "exit": 2}))
         return 2
     except Exception as exc:  # a kernel bug, e.g. DualRouteError or a ValueError: not a verdict
-        print(dumps_canonical({"error": f"internal error: {type(exc).__name__}: {exc}", "exit": 3}), file=sys.stderr)
+        to_stderr(dumps_canonical({"error": f"internal error: {type(exc).__name__}: {exc}", "exit": 3}))
         return 3
 
 

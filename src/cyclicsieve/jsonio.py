@@ -1,4 +1,4 @@
-"""Canonical JSON output, payload schemas, and the result cache.
+"""Canonical JSON output, payload schemas, the result cache, and to_stderr, the one stderr writer.
 
 Output is canonical: keys sorted, fixed separators, so equal inputs give
 byte-identical bytes.  A payload becomes text in one place, in
@@ -45,6 +45,15 @@ _PACKAGE_DIR = Path(__file__).resolve().parent
 
 def dumps_canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def to_stderr(line: str) -> None:
+    """Write `line` to stderr, or lose it if stderr is None (fd 2 closed at start) or cannot be written."""
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:  # dropped, or the bytes left in its buffer fail again at exit and the exit code becomes 120
+            sys.stderr = None
 
 
 def text_hash(text: str) -> str:
@@ -278,10 +287,8 @@ class ResultCache:
             self._write(path, f"{header}\n{text}")
         except OSError as exc:
             if not warned:  # an entry already reported as corrupt gets no second warning
-                print(
-                    dumps_canonical({"warning": f"cannot write cache entry {path.name}: {exc}", "action": "running without cache"}),
-                    file=sys.stderr,
-                )
+                warning = f"cannot write cache entry {path.name}: {exc}"
+                to_stderr(dumps_canonical({"warning": warning, "action": "running without cache"}))
         return text, verdict
 
     def _write(self, path: Path, entry: str) -> None:
@@ -313,8 +320,5 @@ class ResultCache:
                 raise ValueError("missing or malformed verdict")
             return text, verdict
         except (OSError, ValueError) as exc:
-            print(
-                dumps_canonical({"warning": f"corrupted cache entry {path.name}: {exc}", "action": "recomputing"}),
-                file=sys.stderr,
-            )
+            to_stderr(dumps_canonical({"warning": f"corrupted cache entry {path.name}: {exc}", "action": "recomputing"}))
             return None

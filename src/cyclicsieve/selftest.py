@@ -14,11 +14,12 @@ process may use: one forked worker per CPU beyond the first, each drawing
 criterion indices from one shared pipe until it is empty, the caller
 drawing too.  Each runs what it draws by run_criterion, the one place that
 times a criterion.  Workers send their results back through a pipe each
-with marshal and leave by os._exit.  The log lines are echoed in id order
-once the grid is done.  A criterion that raises is run again in the caller,
-so its exception reaches the caller as in a serial loop, after the lines of
-the lower ids; a worker that dies raises WorkerError.  With one CPU, no
-os.fork or a second thread running, the caller drains the pipe alone.
+with marshal and leave by os._exit.  A criterion is done only once some
+process has reported its row; the caller then runs each one that has none
+in id order, whether it raised or its worker died or sent a short result.
+So the results are a serial loop's, and an exception leaves as in one,
+after the lower ids' lines, echoed in id order when the grid is done.  With
+one CPU, no os.fork or a second thread running, the caller drains alone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import threading
 import time
 from itertools import groupby
 from math import comb, gcd
-from typing import BinaryIO, Callable, Iterator, NoReturn, Optional
+from typing import BinaryIO, Callable, Iterator, NoReturn
 
 from .csp import (
     TARGETS,
@@ -367,10 +368,6 @@ def run_criterion(cid: int, max_n: int) -> CriterionResult:
     raise ValueError(f"no criterion {cid}")
 
 
-class WorkerError(RuntimeError):
-    """A selftest worker died (a signal, a nonzero exit or a short read) before reporting its criteria."""
-
-
 def _workers() -> int:
     """One process per CPU this process may use, at most one per criterion.
 
@@ -386,8 +383,8 @@ def _workers() -> int:
 def _drain(tasks: int, max_n: int) -> list[tuple]:
     """Run each criterion whose index this process reads off the task pipe, until it is empty.
 
-    A row is (index, passed, detail, seconds), with CRITERIA[index]'s id and name;
-    a criterion that raised has passed None, and the caller of run_all runs it again.
+    A row is (index, passed, detail, seconds), with CRITERIA[index]'s id and
+    name; a criterion that raised leaves no row, so the caller runs it again.
     """
     rows = []
     while drawn := os.read(tasks, 1):
@@ -395,36 +392,31 @@ def _drain(tasks: int, max_n: int) -> list[tuple]:
         try:
             r = run_criterion(CRITERIA[index][0], max_n)
         except Exception:
-            rows.append((index, None, None, 0.0))
-        else:
-            rows.append((index, r.passed, r.detail, r.seconds))
+            continue
+        rows.append((index, r.passed, r.detail, r.seconds))
     return rows
 
 
 def _worker(tasks: int, results: int, max_n: int) -> NoReturn:
     """A forked worker: drain the task pipe, send its rows to `results` and exit without returning."""
-    code = 1
     try:
         rows = marshal.dumps(_drain(tasks, max_n))
         with os.fdopen(results, "wb") as fh:
             fh.write(rows)
-        code = 0
     finally:
         # Runs no atexit handler and flushes no stdio buffer copied from the caller.
-        os._exit(code)
+        os._exit(0)
 
 
-def _collect(pid: int, results: BinaryIO) -> tuple[list[tuple], Optional[str]]:
-    """Read a worker's rows to the end and reap it: (rows, None), or no rows and how it died."""
+def _collect(pid: int, results: BinaryIO) -> list[tuple]:
+    """Read a worker's rows to the end and reap it; a worker that died or sent a short result gave none."""
     data = results.read()
     results.close()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        return [], f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    os.waitpid(pid, 0)
     try:
-        return marshal.loads(data), None
+        return marshal.loads(data)
     except (EOFError, ValueError, TypeError):
-        return [], "sent a short result"
+        return []
 
 
 def run_all(max_n: int = 12, echo: Callable[[str], None] = lambda s: None) -> list[CriterionResult]:
@@ -433,7 +425,6 @@ def run_all(max_n: int = 12, echo: Callable[[str], None] = lambda s: None) -> li
     os.write(feed, bytes(range(len(CRITERIA))))
     os.close(feed)
     workers: list[tuple[int, BinaryIO]] = []  # each worker not yet reaped, with its result pipe
-    fault = None
     try:
         for _ in range(_workers() - 1):
             results, write_end = os.pipe()
@@ -449,25 +440,19 @@ def run_all(max_n: int = 12, echo: Callable[[str], None] = lambda s: None) -> li
             workers.append((pid, os.fdopen(results, "rb")))
         rows = _drain(tasks, max_n)
         while workers:
-            worker_rows, died = _collect(*workers[-1])
+            rows += _collect(*workers[-1])
             workers.pop()
-            rows += worker_rows
-            fault = fault or died
     finally:
         os.close(tasks)
         for pid, results in workers:  # leaving early: no worker outlives the call
             results.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    done = {row[0]: row for row in rows}
-    if fault:
-        lost = [cid for index, (cid, _, _) in enumerate(CRITERIA) if index not in done]
-        raise WorkerError(f"a selftest worker {fault}; criteria {lost} were never reported")
+    done = {index: rest for index, *rest in rows}
     out = []
     for index, (cid, name, _) in enumerate(CRITERIA):
-        _, passed, detail, seconds = done[index]
-        # A criterion that raised runs again here, so its exception leaves after the lower ids' lines.
-        result = run_criterion(cid, max_n) if passed is None else CriterionResult(cid, name, passed, detail, seconds)
+        # A criterion no process reported runs here, so its exception leaves after the lower ids' lines.
+        result = CriterionResult(cid, name, *done[index]) if index in done else run_criterion(cid, max_n)
         echo(result.line())
         out.append(result)
     return out

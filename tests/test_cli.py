@@ -687,6 +687,69 @@ class TestClosedStdout:
         assert reasons == ([] if exit_code == 0 else [{"error": "sizes admit no Lyndon parameters", "exit": 1}])
 
 
+# The CLI with a kernel that raises ValueError, an internal fault (exit 3).
+KERNEL_FAULT = """
+import sys
+from cyclicsieve import csp
+from cyclicsieve.cli import main
+def broken(n):
+    raise ValueError("kernel bug")
+csp.cmp_q = broken
+sys.exit(main(sys.argv[1:]))
+"""
+CLI = ("-m", "cyclicsieve.cli")
+
+# Arguments, exit code and how the child starts; each cache entry is corrupted before the second run.
+UNWRITABLE_STDERR = [
+    (["--no-cache", "selftest", "--max-n", "3"], 0, CLI),
+    (["--cache-dir", "{cache}", "count", "--n", "3", "--w", "3"], 0, CLI),
+    (["--no-cache", "lyndon", "params", "--sizes", "1,2,5"], 1, CLI),
+    (["--no-cache", "count", "--n", "x", "--w", "3"], 2, CLI),
+    (["--no-cache", "count", "--n", "5000", "--w", "3"], 2, CLI),
+    (["--no-cache", "verify", "cmp", "--n", "5"], 3, ("-c", KERNEL_FAULT)),
+]
+
+
+class TestUnwritableStderr:
+    """A stderr that is closed or cannot be written loses its lines, never the exit code or a stdout byte."""
+
+    @staticmethod
+    def run_child(stderr, args):
+        kwargs = child_kwargs(*args)
+        if stderr == "closed":
+            kwargs["args"] = ["sh", "-c", 'exec "$@" 2>&-', "sh", *kwargs["args"]]
+            return subprocess.run(**kwargs, stdout=subprocess.PIPE)
+        with open("/dev/full" if stderr == "full" else os.devnull, "w") as err:
+            return subprocess.run(**kwargs, stdout=subprocess.PIPE, stderr=err)
+
+    @pytest.mark.parametrize("stderr", ["full", "closed"])
+    @pytest.mark.parametrize("argv, exit_code, entry", UNWRITABLE_STDERR, ids=[" ".join(u[0][1:]) for u in UNWRITABLE_STDERR])
+    def test_exit_code_and_stdout_are_a_normal_runs(self, tmp_path, stderr, argv, exit_code, entry):
+        if stderr == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        cache = tmp_path / "cache"
+        args = [*entry, *(arg.format(cache=cache) for arg in argv)]
+        normal = self.run_child("normal", args)
+        assert normal.returncode == exit_code
+        for written in cache.glob("*.json"):
+            written.write_text("[]")
+        result = self.run_child(stderr, args)
+        assert (result.returncode, result.stdout) == (exit_code, normal.stdout)
+        if cache.exists():  # the corrupted entry was written again: the next run is a hit with nothing to warn of
+            assert subprocess.run(**child_kwargs(*args), capture_output=True).stderr == b""
+
+    def test_a_stderr_of_none_gets_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", None)
+        jsonio.to_stderr("lost")
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "")
+
+    def test_the_writer_is_the_one_line_that_names_stderr(self):
+        files = sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+        lines = [(f.name, line.strip()) for f in files for line in f.read_text().splitlines() if "file=sys.stderr" in line]
+        assert lines == [("jsonio.py", "print(line, file=sys.stderr, flush=True)")]
+
+
 class TestExitCodes:
     def test_usage_error_emits_json_reason(self, capsys, cache_dir):
         code, _, err = run_cli(capsys, cache_dir, "verify", "cdp", "--n", "3")

@@ -120,6 +120,45 @@ def failing(cid: int, max_n: int):
     raise ValueError(f"criterion {cid} broke")
 
 
+def kill() -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def exit_5() -> None:
+    os._exit(5)
+
+
+def in_a_worker(monkeypatch, tmp_path, die=None) -> None:
+    """Two processes: a worker calls die(), if given, before each criterion it draws; the caller awaits one draw."""
+    caller, marker = os.getpid(), tmp_path / "drawn"
+
+    def wrapped(fn, max_n):
+        if os.getpid() != caller:
+            marker.touch()
+            if die:
+                die()
+        deadline = time.monotonic() + 10
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return fn(max_n)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert selftest._workers() == 2
+    patch_criteria(monkeypatch, lambda index, cid, fn: partial(wrapped, fn))
+
+
+def truncated(monkeypatch) -> None:
+    """marshal.dumps drops the last byte of what a worker sends, and only there."""
+    caller, real = os.getpid(), selftest.marshal.dumps
+    monkeypatch.setattr(selftest.marshal, "dumps", lambda value: real(value)[: -1 if os.getpid() != caller else None])
+
+
+def cli_run(capsys, *argv) -> tuple[int, str, str]:
+    code = main(["--no-cache", *argv])
+    out, err = capsys.readouterr()
+    return code, out, masked(err)
+
+
 class TestFailureParity:
     @pytest.fixture()
     def broken(self, monkeypatch):
@@ -145,40 +184,31 @@ class TestFailureParity:
         assert out == ""
         assert masked(err).splitlines() == expected + [reason]
 
+    def test_a_dead_worker_leaves_the_serial_loops_exception_after_its_lines(self, broken, monkeypatch, tmp_path):
+        expected, got = [], []
+        with pytest.raises(ValueError):
+            serial_loop(4, expected.append)
+        in_a_worker(monkeypatch, tmp_path, kill)
+        with pytest.raises(ValueError, match="^criterion 5 broke$"):
+            run_all(4, echo=lambda line: got.append(masked(line)))
+        assert got == expected and len(got) == 4
+
 
 class TestWorkerDeath:
-    @pytest.mark.parametrize(
-        "die, how",
-        [(lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"), (lambda: os._exit(5), "exited with status 5")],
-        ids=["signal", "status"],
-    )
-    def test_a_dead_worker_exits_3_with_one_reason(self, capsys, monkeypatch, tmp_path, die, how):
-        caller, marker = os.getpid(), tmp_path / "drawn"
+    """A criterion no process reported, whatever became of its worker, runs in the caller."""
 
-        def criterion(max_n):
-            if os.getpid() != caller:
-                marker.touch()
-                die()
-            # The caller's first criterion waits until a worker has drawn one and died.
-            deadline = time.monotonic() + 10
-            while not marker.exists() and time.monotonic() < deadline:
-                time.sleep(0.005)
-            return True, "ran in the caller"
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert selftest._workers() == 2
-        patch_criteria(monkeypatch, lambda index, cid, fn: criterion)
+    @pytest.mark.parametrize("die", [kill, exit_5, None], ids=["killed", "exit-5", "truncated"])
+    def test_a_dead_worker_leaves_the_one_cpu_result(self, capsys, monkeypatch, tmp_path, die):
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            serial = cli_run(capsys, "selftest", "--max-n", "3")
+        assert serial[0] == 0 and len(serial[2].splitlines()) == 15
+        if die is None:
+            truncated(monkeypatch)
+        in_a_worker(monkeypatch, tmp_path, die)
         start = time.monotonic()
-        assert main(["--no-cache", "selftest", "--max-n", "3"]) == 3
+        assert cli_run(capsys, "selftest", "--max-n", "3") == serial
         assert time.monotonic() - start < 10
-        out, err = capsys.readouterr()
-        assert out == ""
-        [line] = err.splitlines()
-        reason = json.loads(line)
-        assert reason["exit"] == 3
-        assert re.fullmatch(
-            rf"internal error: WorkerError: a selftest worker {how}; criteria \[\d+\] were never reported", reason["error"]
-        )
 
     def test_leaving_early_kills_and_reaps_every_worker(self, monkeypatch):
         caller = os.getpid()
