@@ -228,26 +228,28 @@ def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitD
     The carrier is walked in its given order, so an error witness does not
     depend on set order; each orbit is then rotated to start at its minimum
     and the orbits are ordered by that minimum, which needs no sort of the
-    carrier.  Raises OrbitError (with a witness) if the generator leaves
-    the carrier or is not a bijection on it, or if an orbit size does not
-    divide the order (that is, g^order is not the identity on the carrier).
+    carrier.  One index, `remaining`, maps each element not yet walked to
+    itself; each step pops the generator's output from it, so every orbit
+    holds the carrier's own elements (a repeated one is walked once) and
+    the generator's copy is dropped.  Raises OrbitError (with a witness) if
+    the generator leaves the carrier or is not a bijection on it, or if an
+    orbit size does not divide the order (that is, g^order is not the
+    identity on the carrier).
     """
-    cset = set(carrier)
-    seen: set = set()
+    remaining = dict(zip(carrier, carrier))
     orbits = []
     for x in carrier:
-        if x in seen:
+        if x not in remaining:
             continue
-        orbit = [x]
-        seen.add(x)
+        orbit = [remaining.pop(x)]
         y = action.generator(x)
         while y != x:
-            if y not in cset:
-                raise OrbitError(f"generator leaves the carrier at {y!r}")
-            if y in seen:
-                raise OrbitError(f"generator is not a bijection near {y!r}")
-            orbit.append(y)
-            seen.add(y)
+            try:
+                orbit.append(remaining.pop(y))
+            except KeyError:
+                if y in carrier:
+                    raise OrbitError(f"generator is not a bijection near {y!r}") from None
+                raise OrbitError(f"generator leaves the carrier at {y!r}") from None
             y = action.generator(y)
         if action.order % len(orbit) != 0:
             raise OrbitError(f"orbit size {len(orbit)} does not divide order {action.order}")

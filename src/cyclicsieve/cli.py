@@ -9,13 +9,16 @@ orbit census), 1 mathematical verification failure, 2 usage error (a
 UsageError from the argument checks), 3 internal fault (any other
 exception: a bug in the program, such as the two sieving routes
 disagreeing, an action that is not a bijection of its carrier or a
-kernel's ValueError; it is never cached).  Non-zero exits also write a
-machine-readable JSON reason to stderr; a stderr that is closed or cannot
-be written loses its lines, never the exit code.  A --sizes-file that
-cannot be read or decoded (or given with --sizes), a --csv path that
-cannot be written (or given with verify --table), a count flag that would
-be ignored, a --w below 1 and a --n, --w or --content that the verify or
-orbits target or the lyndon check family does not read are usage errors.
+kernel's ValueError; it is never cached; or a stdout that is closed or
+cannot be written, so the output was not delivered).  Non-zero exits also
+write a machine-readable JSON reason to stderr; a stderr that is closed or
+cannot be written loses its lines, never the exit code.  A reader that
+closes stdout's pipe early ends the output, not the command.  A
+--sizes-file that cannot be read or decoded (or given with --sizes), a
+--csv path that cannot be written (or given with verify --table), a count
+flag that would be ignored, a --w below 1 and a --n, --w or --content
+that the verify or orbits target or the lyndon check family does not read
+are usage errors.
 
 Size guards (exit 2 past them): `count` n <= 4000, `count --q` n <= 150,
 `count --max-n` <= 500, `verify` and `orbits` per target (cdp and avl
@@ -67,12 +70,23 @@ class UsageError(Exception):
     pass
 
 
+class _StdoutLost(Exception):
+    """stdout is closed or cannot be written, so the output was not delivered."""
+
+
 class JsonArgumentParser(argparse.ArgumentParser):
-    """argparse that reports usage errors as JSON on stderr with exit code 2."""
+    """argparse that reports usage errors as JSON on stderr with exit code 2, and prints --help and
+    --version through _print, so their stdout has the one fault path of a payload's."""
 
     def error(self, message):
         to_stderr(dumps_canonical({"error": message, "exit": 2}))
         raise SystemExit(2)
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _print(message, end="")
+        else:
+            super()._print_message(message, file)
 
 
 # The most digits an --n, --w or --max-n value, a --content part, a lyndon params size or a --t value may
@@ -277,19 +291,27 @@ def payload_selftest(max_n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _print(text: str, end: str = "\n") -> None:
-    """Write to stdout; a reader that has gone away ends the output, not the command.
+    """Write to stdout, the one place that does; a closed pipe ends the output, not the command.
 
-    The command then exits with the code it returns when its output is read
-    in full.  stdout is pointed at the null device, so neither a later write
-    nor the interpreter's final flush fails on the closed pipe again.
+    After a closed pipe the command exits with the code it returns when its
+    output is read in full.  Any other OSError, or a stdout closed at start
+    (None), raises _StdoutLost: the output was not delivered, and main exits
+    3 with the reason on stderr.  On either error stdout is pointed at the
+    null device, so neither a later write nor the interpreter's final
+    flush of the bytes left in its buffer fails again (that would print
+    "Exception ignored" and make the exit code 120).
     """
+    if sys.stdout is None:
+        raise _StdoutLost("stdout is closed")
     try:
         sys.stdout.write(text + end)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise _StdoutLost(str(exc)) from None
 
 
 def _require_writable(csv_path: str) -> None:
@@ -680,14 +702,17 @@ def _dispatch(args: argparse.Namespace, cache: ResultCache) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # jsonio reads an empty directory as none given, so it is refused before the cache is built.
         _require(args.cache_dir != "", "--cache-dir must not be empty")
         return _dispatch(args, ResultCache(directory=args.cache_dir, enabled=not args.no_cache))
     except UsageError as exc:
         to_stderr(dumps_canonical({"error": str(exc), "exit": 2}))
         return 2
+    except _StdoutLost as exc:
+        to_stderr(dumps_canonical({"error": f"cannot write stdout: {exc}", "exit": 3}))
+        return 3
     except Exception as exc:  # a kernel bug, e.g. DualRouteError or a ValueError: not a verdict
         to_stderr(dumps_canonical({"error": f"internal error: {type(exc).__name__}: {exc}", "exit": 3}))
         return 3

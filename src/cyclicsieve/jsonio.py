@@ -25,19 +25,33 @@ command, its payload hash and a verdict of the right type alone: the key
 already pins the code and schemas that checked it, and the hash catches a
 torn or edited payload.  A hit is returned as the stored text with the
 header's verdict, never decoded and encoded again.
+
+sha256 comes from the interpreter's builtin module: _sha2 on CPython
+3.12+, _sha256 on 3.10-3.11.  hashlib loads _hashlib, and with it OpenSSL's
+libcrypto (about 3.5 MB of resident memory), at import whatever is asked
+of it, and falls back to these same builtin modules itself; so hashlib is
+imported only in a build without them.  The digests are the same either
+way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import os
 import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, Optional
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 ENV_CACHE_DIR = "CYCLIC_SIEVE_CACHE"
 _PACKAGE_DIR = Path(__file__).resolve().parent
@@ -57,7 +71,7 @@ def to_stderr(line: str) -> None:
 
 
 def text_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    return sha256(text.encode("ascii")).hexdigest()
 
 
 def source_digest(package_dir: Path) -> str:
@@ -66,7 +80,7 @@ def source_digest(package_dir: Path) -> str:
     Files are taken in sorted order of their relative paths; each one
     contributes its path, its length and its bytes.
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     paths = [*package_dir.glob("*.py"), *package_dir.glob("schemas/*.json")]
     for name in sorted(path.relative_to(package_dir).as_posix() for path in paths):
         data = (package_dir / name).read_bytes()

@@ -163,6 +163,22 @@ class TestOrbits:
         assert len(calls) == len(carrier)
         assert dec.necklaces == tuple(o[0] for o in dec.orbits)
 
+    def test_orbits_hold_the_carriers_own_elements(self):
+        # area_shift builds a new AreaSequence; the walk keeps the carrier's object, not that copy.
+        carrier = list(enumerate_cdp(6, 3))
+        own = {id(x) for x in carrier}
+        dec = orbit_decompose(carrier, CyclicAction(6, area_shift))
+        assert all(id(x) in own for orbit in dec.orbits for x in orbit)
+        assert sum(map(len, dec.orbits)) == len(carrier)
+
+    def test_repeated_elements_are_walked_once(self):
+        carrier = list(enumerate_cdp(5, 3))
+        repeated = carrier + [AreaSequence(tuple(a.values), a.width) for a in carrier[::3]] + carrier[1::4]
+        random.Random(3).shuffle(repeated)
+        dec = orbit_decompose(repeated, CyclicAction(5, area_shift))
+        assert dec == orbit_decompose(carrier, CyclicAction(5, area_shift))
+        assert dec.orbits == orbit_decompose(carrier, CyclicAction(5, area_shift)).orbits
+
     def test_equality_does_not_depend_on_reading_the_orbits(self):
         carrier = list(enumerate_cdp(6, 3))
         action = CyclicAction(6, area_shift)

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, schemas, exit codes, caching."""
 
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
@@ -283,6 +284,24 @@ class TestCacheAndDeterminism:
         assert after == before
         assert "corrupted cache entry" in err
 
+    def test_digests_are_hashlib_sha256_with_or_without_the_builtin_modules(self):
+        package = pathlib.Path(cyclicsieve.__file__).resolve().parent
+        expected = hashlib.sha256()
+        paths = [*package.glob("*.py"), *package.glob("schemas/*.json")]
+        for name in sorted(path.relative_to(package).as_posix() for path in paths):
+            data = (package / name).read_bytes()
+            expected.update(f"{name}\0{len(data)}\0".encode() + data)
+        digests = [jsonio.text_hash("{}"), source_digest(package)]
+        assert digests == [hashlib.sha256(b"{}").hexdigest(), expected.hexdigest()]
+        # A build without the builtin hash modules: jsonio falls back to hashlib.
+        code = (
+            "import json, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; from cyclicsieve import jsonio; "
+            "print(json.dumps([jsonio.text_hash('{}'), jsonio.package_digest(), 'hashlib' in sys.modules]))"
+        )
+        result = subprocess.run(**child_kwargs("-c", code), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [*digests, True]
+
     @pytest.mark.parametrize("relative", ["qpoly.py", "schemas/count.schema.json"])
     def test_source_change_changes_key(self, tmp_path, relative):
         package = pathlib.Path(cyclicsieve.__file__).resolve().parent
@@ -434,11 +453,12 @@ class TestWarmPath:
             assert "cyclicsieve.genfunc" in loaded["package"]  # a miss computes, so the probe sees kernels load
             cold[tuple(argv)] = result.stdout
         for argv in self.HITS:
-            result, loaded = run_module_probe(*cache, *argv)
+            # -S skips site, whose .pth files may import hashlib before the probe starts.
+            result, loaded = run_module_probe(*cache, *argv, flags=("-S",))
             assert result.returncode == 0, result.stderr
             assert result.stdout == cold[tuple(argv)]
             assert loaded["package"] == ["cyclicsieve", "cyclicsieve.cli", "cyclicsieve.jsonio"], argv
-            assert "dataclasses" not in loaded["new"], argv
+            assert not {"dataclasses", "hashlib", "_hashlib"} & set(loaded["new"]), argv
 
     def test_only_a_miss_loads_tempfile_or_importlib_resources(self, tmp_path):
         # -S skips site, whose .pth files may import either module before the probe starts.
@@ -453,18 +473,23 @@ class TestWarmPath:
 class TestColdPath:
     # A miss builds records and runs the kernels, without the import cost of
     # dataclasses (which loads inspect, ast, dis and tokenize).  Only the
-    # homomesy averages and the Lyndon parameters read fractions.
+    # homomesy averages and the Lyndon parameters read fractions.  sha256 comes from the
+    # interpreter's builtin module, so no run loads hashlib or, through it, OpenSSL's libcrypto.
     MISSES = [
-        (["verify", "cdp", "--n", "6", "--w", "3"], {"dataclasses", "inspect", "fractions"}),
-        (["orbits", "cdp", "--n", "4", "--w", "3", "--poly"], {"dataclasses", "inspect", "fractions"}),
-        (["count", "--n", "5", "--w", "5", "--q"], {"dataclasses", "inspect", "fractions"}),
+        (["verify", "cdp", "--n", "6", "--w", "3"], {"dataclasses", "inspect", "fractions", "hashlib", "_hashlib"}),
+        (["orbits", "cdp", "--n", "4", "--w", "3", "--poly"], {"dataclasses", "inspect", "fractions", "hashlib", "_hashlib"}),
+        (["count", "--n", "5", "--w", "5", "--q"], {"dataclasses", "inspect", "fractions", "hashlib", "_hashlib"}),
         # selftest's workers are forked and answer through pipes with marshal.
-        (["selftest", "--max-n", "4"], {"dataclasses", "inspect", "pickle", "multiprocessing", "concurrent.futures"}),
+        (
+            ["selftest", "--max-n", "4"],
+            {"dataclasses", "inspect", "pickle", "multiprocessing", "concurrent.futures", "hashlib", "_hashlib"},
+        ),
     ]
 
     @pytest.mark.parametrize("argv, absent", MISSES, ids=[argv[0] for argv, _ in MISSES])
     def test_miss_loads_neither_dataclasses_nor_inspect(self, tmp_path, argv, absent):
-        result, loaded = run_module_probe("--cache-dir", str(tmp_path / "cache"), *argv)
+        # -S skips site, whose .pth files may import hashlib before the probe starts.
+        result, loaded = run_module_probe("--cache-dir", str(tmp_path / "cache"), *argv, flags=("-S",))
         assert result.returncode == 0, result.stderr
         assert "cyclicsieve.genfunc" in loaded["package"]  # a miss computes, so the kernels load
         assert not absent & set(loaded["new"])
@@ -685,6 +710,42 @@ class TestClosedStdout:
         assert "Traceback" not in err and "Exception ignored" not in err
         reasons = [json.loads(line) for line in err.splitlines()]
         assert reasons == ([] if exit_code == 0 else [{"error": "sizes admit no Lyndon parameters", "exit": 1}])
+
+
+    # Each count runs on its own cache; a hit's entry is written by a normal run first.
+    UNDELIVERED = [
+        ("miss", ["--cache-dir", "{cache}", "count", "--n", "3", "--w", "3"], 3),
+        ("hit", ["--cache-dir", "{cache}", "count", "--n", "3", "--w", "3"], 3),
+        ("selftest", ["--no-cache", "selftest", "--max-n", "2"], 3),
+        ("help", ["--help"], 3),
+        ("usage error", ["--no-cache", "count", "--n", "x", "--w", "3"], 2),
+    ]
+
+    @pytest.mark.parametrize("stdout", ["full", "closed"])
+    @pytest.mark.parametrize("case, argv, exit_code", UNDELIVERED, ids=[u[0] for u in UNDELIVERED])
+    def test_output_that_cannot_be_written_exits_three(self, tmp_path, stdout, case, argv, exit_code):
+        # The verdict was not delivered; a usage error prints nothing to stdout and still exits 2.
+        if stdout == "full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        kwargs = child_kwargs("-m", "cyclicsieve.cli", *(arg.format(cache=tmp_path / "cache") for arg in argv))
+        if case == "hit":
+            assert subprocess.run(**kwargs, capture_output=True).returncode == 0
+        if stdout == "closed":
+            kwargs["args"] = ["sh", "-c", 'exec "$@" >&-', "sh", *kwargs["args"]]
+            result = subprocess.run(**kwargs, stderr=subprocess.PIPE, text=True)
+        else:
+            with open("/dev/full", "w") as full:
+                result = subprocess.run(**kwargs, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == exit_code
+        assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+        reason = json.loads(result.stderr.splitlines()[-1])
+        if exit_code == 2:
+            assert reason == {"error": "argument --n: invalid int value: 'x'", "exit": 2}
+        elif stdout == "closed":
+            assert reason == {"error": "cannot write stdout: stdout is closed", "exit": 3}
+        else:
+            error = f"cannot write stdout: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"
+            assert reason == {"error": error, "exit": 3}
 
 
 # The CLI with a kernel that raises ValueError, an internal fault (exit 3).
