@@ -33,14 +33,9 @@ _EXPORTS = {
     ),
     "paths": (
         "AreaSequence",
-        "DyckPath",
         "LatticeWord",
         "MobiusWord",
         "area_to_path",
-        "dyck_pair",
-        "dyck_pair_inverse",
-        "dyck_tuple",
-        "dyck_tuple_inverse",
         "cdp_necklaces",
         "cdp_values",
         "enumerate_avl",
@@ -50,7 +45,6 @@ _EXPORTS = {
         "inv_zero_one",
         "maj",
         "path_to_area",
-        "valley_count",
         "validate_area_sequence",
     ),
     "genfunc": (

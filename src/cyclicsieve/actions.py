@@ -214,9 +214,6 @@ class OrbitDecomposition:
             orbits.append(tuple(orbit))
         return tuple(orbits)
 
-    def carrier_size(self) -> int:
-        return sum(self.sizes)
-
     def census(self) -> dict[int, int]:
         """Number of elements in orbits of each size."""
         return {s: s * count for s, count in Counter(self.sizes).items()}

@@ -501,4 +501,4 @@ def dyck_q_bruteforce(n: int) -> IntPolynomial:
     """Exhaustive maj q-count over Dyck paths of size n."""
     if n > 9:
         raise ValueError("brute-force guard: need n <= 9")
-    return _histogram(Counter(maj(p.bits) for p in enumerate_dyck(n)))
+    return _histogram(Counter(map(maj, enumerate_dyck(n))))

@@ -22,7 +22,7 @@ Conventions used throughout:
   first halves of its words to their second halves, so it costs about
   what it yields.  enumerate_words builds the words of any content, and
   is the walk's independent route.
-* AreaSequence, LatticeWord, DyckPath and MobiusWord are ordered frozen
+* AreaSequence, LatticeWord and MobiusWord are ordered frozen
   records (record.record): compared, hashed and sorted by their field
   tuple, and only against their own class.
 """
@@ -117,9 +117,9 @@ class AreaSequence:
     """A circular Dyck path of height len(values) and width `width`.
 
     The constructor validates its input with validate_area_sequence and
-    raises ValueError on an invalid sequence.  Only enumerate_cdp and
-    actions.area_shift skip that check, through _trusted, because their
-    output is valid by construction.
+    raises ValueError on an invalid sequence.  Only enumerate_cdp,
+    actions.area_shift and genfunc.cdp_q_bruteforce_widths skip that check,
+    through _trusted, because their output is valid by construction.
     """
 
     values: tuple[int, ...]
@@ -216,12 +216,6 @@ def enumerate_cdp(n: int, w: int) -> Iterator[AreaSequence]:
         yield trusted(values, w)
 
 
-def valley_count(a: AreaSequence) -> int:
-    """Number of cyclic positions i with a_{i+1} <= a_i."""
-    n = a.height
-    return sum(1 for i in range(n) if a.values[(i + 1) % n] <= a.values[i])
-
-
 # ---------------------------------------------------------------------------
 # Lattice word encoding
 # ---------------------------------------------------------------------------
@@ -294,145 +288,6 @@ def path_to_area(p: LatticeWord) -> AreaSequence:
 
 
 # ---------------------------------------------------------------------------
-# Classical Dyck paths
-# ---------------------------------------------------------------------------
-
-@record(order=True)
-class DyckPath:
-    """Balanced word whose every prefix has at least as many '0's as '1's."""
-
-    bits: str
-
-    def __post_init__(self):
-        easts, norths = _count(self.bits)
-        if easts != norths:
-            raise ValueError("word must be balanced")
-        depth = 0
-        for b in self.bits:
-            depth += 1 if b == "0" else -1
-            if depth < 0:
-                raise ValueError("prefix with more north than east steps")
-
-    @property
-    def size(self) -> int:
-        return len(self.bits) // 2
-
-
-def first_peak_height(p: DyckPath) -> int:
-    """Number of east steps before the first north step."""
-    return len(p.bits) - len(p.bits.lstrip("0"))
-
-
-def last_peak_height(p: DyckPath) -> int:
-    """Number of north steps at the end of the path."""
-    return len(p.bits) - len(p.bits.rstrip("1"))
-
-
-def enumerate_dyck(n: int) -> Iterator[DyckPath]:
-    """All Dyck paths of size n, lexicographically by word.
-
-    They are the balanced words whose walk never goes below its start: the
-    walks of _bounded_walks(n, 0, n).
-    """
-    yield from map(DyckPath, _bounded_walks(n, 0, n))
-
-
-# ---------------------------------------------------------------------------
-# Bijection with tuples of Dyck paths
-# ---------------------------------------------------------------------------
-#
-# An element of CDP(k*m, m) walks from (x0, 0) to (x0 + k*m, k*m) inside
-# the strip 1 <= x - y <= m + 1.  The strip is tiled by 2k right triangles
-# with legs m, alternately resting on the two bounding diagonals; the
-# cut lines are the verticals x = i*m + 1 (entered by an east step) and
-# the horizontals y = i*m (entered by a north step).  Each arc between
-# consecutive cut lines is completed to a Dyck path of size m by padding
-# along the two legs of its triangle; odd arcs pad with leading east and
-# trailing north runs, even arcs (transposed for storage) with leading
-# north and trailing east runs.  The pads meet the cut lines exactly, so
-# the peak conditions h_l(P_j) + h_f(P_{j+1}) >= m, taken cyclically, are
-# precisely the condition that a tuple can be stripped and reglued.
-
-def dyck_tuple(a: AreaSequence) -> tuple[DyckPath, ...]:
-    """Map CDP(k*m, m) to the 2k-tuple of constrained Dyck paths of size m."""
-    m = a.width
-    n = a.height
-    if n % m != 0:
-        raise ValueError("height must be a multiple of the width")
-    k = n // m
-    word = area_to_path(a)
-
-    # One walk finds the step and position at which it first reaches each
-    # cut line in turn: x = i*m + 1 for odd cuts, y = i*m for even ones.
-    x, y = word.start, 0
-    cuts = [(0, x, y)]
-    for t, b in enumerate(word.bits, start=1):
-        x, y = (x + 1, y) if b == "0" else (x, y + 1)
-        while len(cuts) < 2 * k:
-            i, vertical = (len(cuts) + 1) // 2, len(cuts) % 2
-            if (x if vertical else y) != i * m + vertical:
-                break
-            cuts.append((t, x, y))
-    cuts.append((2 * n, x, y))
-    if len(cuts) != 2 * k + 1:
-        raise AssertionError("walk missed a cut line")
-
-    paths = []
-    for j, ((s, ex, ey), (t, fx, fy)) in enumerate(zip(cuts, cuts[1:]), start=1):
-        arc = word.bits[s:t]
-        i = (j + 1) // 2
-        if j % 2 == 1:
-            lead = ex - ((i - 1) * m + 1)      # east run along the bottom leg
-            trail = i * m - fy                 # north run along the right leg
-            paths.append(DyckPath("0" * lead + arc + "1" * trail))
-        else:
-            lead = ey - (i - 1) * m            # north run along the left leg
-            trail = (i * m + m + 1) - fx       # east run along the top leg
-            paths.append(DyckPath(transpose_word("1" * lead + arc + "0" * trail)))
-    return tuple(paths)
-
-
-def dyck_tuple_inverse(paths: tuple[DyckPath, ...], width: int) -> AreaSequence:
-    """Inverse of dyck_tuple; raises ValueError if a peak inequality fails."""
-    m = width
-    if len(paths) % 2 != 0 or not paths:
-        raise ValueError("need a non-empty tuple of even length")
-    if any(p.size != m for p in paths):
-        raise ValueError(f"all paths must have size {m}")
-    # P_j (transposed back for even j) is its arc padded with m - h_l(P_{j-1})
-    # leading steps and h_l(P_j) trailing ones; the leading pad fits in the
-    # first run, of length h_f(P_j), exactly when the peak inequality holds.
-    heads = [first_peak_height(p) for p in paths]
-    tails = [last_peak_height(p) for p in paths]
-    arcs = []
-    for j, p in enumerate(paths):
-        lead = m - tails[j - 1]  # j - 1 wraps to the last path
-        if lead > heads[j]:
-            raise ValueError(
-                f"peak inequality h_l(P_{(j - 1) % len(paths) + 1}) + h_f(P_{j + 1}) >= {m} fails"
-            )
-        bits = p.bits if j % 2 == 0 else transpose_word(p.bits)
-        arcs.append(bits[lead:len(bits) - tails[j]])
-
-    x0 = m - tails[-1] + 1
-    return path_to_area(LatticeWord(x0, "".join(arcs), m))
-
-
-def dyck_pair(a: AreaSequence) -> tuple[DyckPath, DyckPath]:
-    """Map CDP(n) = CDP(n, n) to its constrained pair of Dyck paths."""
-    if a.height != a.width:
-        raise ValueError("dyck_pair needs height equal to width")
-    p, q = dyck_tuple(a)
-    return p, q
-
-
-def dyck_pair_inverse(p: DyckPath, q: DyckPath) -> AreaSequence:
-    if p.size != q.size:
-        raise ValueError("paths must have equal size")
-    return dyck_tuple_inverse((p, q), p.size)
-
-
-# ---------------------------------------------------------------------------
 # Circular Mobius paths
 # ---------------------------------------------------------------------------
 
@@ -497,6 +352,8 @@ def _bounded_walks(n: int, low: int, high: int) -> Iterator[str]:
     each second half from its h, so the work follows the output and only
     the two lists of at most 2^n halves are held.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     firsts = [("", 0)]
     for _ in range(n):
         firsts = [(p + b, h + s) for p, h in firsts for b, s in (("0", 1), ("1", -1)) if low <= h + s <= high]
@@ -512,6 +369,15 @@ def _bounded_walks(n: int, low: int, high: int) -> Iterator[str]:
 def enumerate_balanced(n: int) -> Iterator[str]:
     """All balanced words of length 2n (n east, n north steps), in lexicographic order."""
     yield from _bounded_walks(n, -n, n)
+
+
+def enumerate_dyck(n: int) -> Iterator[str]:
+    """All Dyck paths of size n as words, in lexicographic order.
+
+    They are the balanced words whose walk never goes below its start: the
+    walks of _bounded_walks(n, 0, n).
+    """
+    yield from _bounded_walks(n, 0, n)
 
 
 def enumerate_words(content: Sequence[int], letters: Sequence) -> Iterator:

@@ -139,7 +139,7 @@ class TestOrbits:
         carrier = list(enumerate_cdp(6, 3))
         dec = orbit_decompose(carrier, CyclicAction(6, area_shift))
         assert all(6 % s == 0 for s in dec.sizes)
-        assert dec.carrier_size() == len(carrier)
+        assert sum(dec.sizes) == len(carrier)
 
     def test_closure_violation_reports_witness(self):
         action = CyclicAction(4, lambda w: word_rotate(w, 1))

@@ -569,7 +569,7 @@ class TestRegistryTables:
 class TestLazyExports:
     def test_every_name_resolves_to_its_submodule_attribute(self):
         names = cyclicsieve.__all__
-        assert len(names) == len(set(names)) == 71
+        assert len(names) == len(set(names)) == 65
         for name in names:
             module = importlib.import_module(f"cyclicsieve.{cyclicsieve._SUBMODULE[name]}")
             assert getattr(cyclicsieve, name) is getattr(module, name), name

@@ -560,7 +560,7 @@ class TestLyndonConstruct:
         monkeypatch.setattr(csp, "CyclicAction", counting)
         t = {1: 2, 2: 1, 3: 2, 4: 3}
         family = [lyndon_construct(t, n) for n in range(1, 5)]
-        size = sum(orbits.carrier_size() for orbits, _ in family)
+        size = sum(sum(orbits.sizes) for orbits, _ in family)
         assert len(calls) == size == 2 + 4 + 8 + 16
         assert all(verify_csp(*member).passed for member in family)
         assert lyndon_check([(orbits.census(), f) for orbits, f in family]).passed

@@ -535,3 +535,7 @@ class TestCarlitz:
     def test_matches_dyck_bruteforce(self):
         for n in range(1, 8):
             assert carlitz_q_catalan(n) == dyck_q_bruteforce(n)
+
+    def test_dyck_bruteforce_rejects_a_negative_size(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            dyck_q_bruteforce(-1)

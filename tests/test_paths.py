@@ -1,6 +1,5 @@
-"""Path objects: area sequences, lattice words, bijections, statistics."""
+"""Path objects: area sequences, lattice words, enumerators, statistics."""
 
-import hashlib
 import inspect
 from itertools import accumulate, product
 
@@ -9,33 +8,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclicsieve.actions import CyclicAction, orbit_decompose, word_rotate
+from cyclicsieve.genfunc import cdp_count
 from cyclicsieve.paths import (
     _bounded_walks,
     AreaSequence,
-    DyckPath,
     LatticeWord,
     MobiusWord,
     area_to_path,
     avoids_diagonals,
     cdp_necklaces,
     cdp_values,
-    dyck_pair,
-    dyck_pair_inverse,
-    dyck_tuple,
-    dyck_tuple_inverse,
     enumerate_avl,
     enumerate_balanced,
     enumerate_cdp,
     enumerate_cmp,
     enumerate_dyck,
     enumerate_words,
-    first_peak_height,
     inv_zero_one,
-    last_peak_height,
     maj,
     path_to_area,
     transpose_word,
-    valley_count,
     validate_area_sequence,
     zeros_run_vector,
 )
@@ -257,123 +249,20 @@ class TestStatistics:
                 both = bits + transpose_word(bits)
                 assert (maj(both) - maj(bits) - maj(transpose_word(bits))) % n == 0
 
-    def test_valley_examples(self):
-        assert valley_count(AreaSequence((3, 4, 2, 3, 2, 3), 6)) == 3
-        for n in range(1, 6):
-            assert valley_count(AreaSequence((0,) * n, n)) == n
-        assert valley_count(AreaSequence((0, 1), 2)) == 1
 
-
-class TestDyckPairs:
-    def test_pair_conditions_and_round_trip_cdp3(self):
-        seen = set()
-        for a in enumerate_cdp(3, 3):
-            p, q = dyck_pair(a)
-            assert first_peak_height(p) + last_peak_height(q) >= 3
-            assert last_peak_height(p) + first_peak_height(q) >= 3
-            assert dyck_pair_inverse(p, q) == a
-            seen.add((p, q))
-        assert len(seen) == 18
-
-    def test_pair_count_matches_constrained_pairs(self):
-        for n in range(1, 6):
-            dycks = list(enumerate_dyck(n))
-            allowed = sum(
-                1
-                for p, q in product(dycks, repeat=2)
-                if first_peak_height(p) + last_peak_height(q) >= n
-                and last_peak_height(p) + first_peak_height(q) >= n
-            )
-            assert allowed == sum(1 for _ in enumerate_cdp(n, n))
-
-    def test_figure_image_satisfies_inequalities(self):
-        p, q = dyck_pair(AreaSequence(FIG_AREA, 8))
-        assert first_peak_height(p) + last_peak_height(q) >= 8
-        assert last_peak_height(p) + first_peak_height(q) >= 8
-
-    def test_peak_inequalities_across_sizes(self):
-        for n in range(1, 8):
-            for a in enumerate_cdp(n, n):
-                p, q = dyck_pair(a)
-                assert first_peak_height(p) + last_peak_height(q) >= n
-                assert last_peak_height(p) + first_peak_height(q) >= n
-
-    def test_inverse_rejects_violating_pairs(self):
-        zigzag = DyckPath("010101")  # first and last peaks of height 1
-        with pytest.raises(ValueError):
-            dyck_pair_inverse(zigzag, zigzag)
-
-
-class TestDyckTuples:
-    def test_k_one_reduces_to_pairs(self):
-        for a in enumerate_cdp(4, 4):
-            assert dyck_tuple(a) == dyck_pair(a)
-
-    def test_round_trip_cdp_4_2(self):
-        for a in enumerate_cdp(4, 2):
-            t = dyck_tuple(a)
-            assert len(t) == 4
-            assert dyck_tuple_inverse(t, 2) == a
-
-    def test_count_matches_constrained_tuples(self):
-        dycks = list(enumerate_dyck(2))
-        allowed = 0
-        for t in product(dycks, repeat=4):
-            ok = all(
-                last_peak_height(t[j]) + first_peak_height(t[(j + 1) % 4]) >= 2
-                for j in range(4)
-            )
-            allowed += ok
-        assert allowed == sum(1 for _ in enumerate_cdp(4, 2))
-
-    def test_round_trip_wider_cells(self):
-        for n, w in [(6, 2), (6, 3), (8, 4)]:
-            for a in enumerate_cdp(n, w):
-                assert dyck_tuple_inverse(dyck_tuple(a), w) == a
-
-    def test_count_matches_constrained_six_tuples(self):
-        dycks = list(enumerate_dyck(2))
-        allowed = 0
-        for t in product(dycks, repeat=6):
-            ok = all(
-                last_peak_height(t[j]) + first_peak_height(t[(j + 1) % 6]) >= 2
-                for j in range(6)
-            )
-            allowed += ok
-        assert allowed == sum(1 for _ in enumerate_cdp(6, 2))
-
-    def test_rejects_wrong_height(self):
-        with pytest.raises(ValueError):
-            dyck_tuple(AreaSequence((0, 0, 0), 2))
-
-    def test_every_tuple_up_to_height_eight_is_pinned(self):
-        # sha256 over repr(dyck_tuple(a)) for every a in CDP(k*m, m) with
-        # k*m <= 8, cells in increasing (k*m, m): it pins every tuple the map
-        # gives, not only the properties the other tests check.
-        digest = hashlib.sha256()
-        count = 0
-        for n in range(1, 9):
-            for m in (m for m in range(1, n + 1) if n % m == 0):
-                for a in enumerate_cdp(n, m):
-                    t = dyck_tuple(a)
-                    assert dyck_tuple_inverse(t, m) == a
-                    digest.update(repr(t).encode())
-                    count += 1
-        assert count == 48184
-        assert digest.hexdigest() == "57432f48e350bd24bf02078e545509c18683667d4a2b920e04f3eca82f94defe"
-
-    @pytest.mark.parametrize(
-        "words, error",
-        [
-            (("010101", "010101"), "peak inequality h_l(P_2) + h_f(P_1) >= 3 fails"),
-            (("000111", "001101", "010011", "000111"), "peak inequality h_l(P_2) + h_f(P_3) >= 3 fails"),
-            (("010011", "000111", "000111", "001101"), "peak inequality h_l(P_4) + h_f(P_1) >= 3 fails"),
-        ],
+@pytest.mark.parametrize("k, m", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (3, 2), (2, 3)])
+def test_cdp_km_m_counts_the_cyclic_tuples_of_dyck_paths_with_peak_inequalities(k, m):
+    # |CDP(k*m, m)| is the number of cyclic 2k-tuples (P_1, ..., P_2k) of Dyck
+    # paths of size m with h_l(P_j) + h_f(P_(j+1)) >= m, indices cyclic: h_f is
+    # the height of the first peak (the leading run of east steps) and h_l that
+    # of the last (the trailing run of north steps).
+    peaks = [(len(p) - len(p.lstrip("0")), len(p) - len(p.rstrip("1"))) for p in enumerate_dyck(m)]
+    tuples = sum(
+        1
+        for t in product(peaks, repeat=2 * k)
+        if all(t[j - 1][1] + t[j][0] >= m for j in range(2 * k))
     )
-    def test_inverse_names_the_first_failing_peak_inequality(self, words, error):
-        with pytest.raises(ValueError) as exc:
-            dyck_tuple_inverse(tuple(DyckPath(b) for b in words), 3)
-        assert str(exc.value) == error
+    assert tuples == cdp_count(k * m, m) == sum(1 for _ in cdp_values(k * m, m))
 
 
 class TestMobius:
@@ -481,7 +370,12 @@ class TestBoundedWalk:
 
     def test_size_zero(self):
         assert list(enumerate_balanced(0)) == [""]
-        assert list(enumerate_dyck(0)) == [DyckPath("")]
+        assert list(enumerate_dyck(0)) == [""]
+
+    @pytest.mark.parametrize("enumerator", [enumerate_balanced, enumerate_dyck])
+    def test_rejects_a_negative_size(self, enumerator):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            list(enumerator(-1))
 
     @pytest.mark.parametrize("enumerator", [enumerate_balanced, enumerate_dyck, enumerate_avl])
     def test_is_a_generator(self, enumerator):
@@ -494,7 +388,7 @@ class TestBoundedWalk:
     def test_dyck_equals_the_balanced_words_never_below_the_start_in_order(self, balanced_words):
         for n, balanced in enumerate(balanced_words):
             never_below = [b for b in balanced if min(accumulate(1 if c == "0" else -1 for c in b), default=0) >= 0]
-            assert [p.bits for p in enumerate_dyck(n)] == never_below, n
+            assert list(enumerate_dyck(n)) == never_below, n
 
 
 class TestAvoidingPaths:
@@ -532,10 +426,3 @@ def area_sequences(draw):
 @settings(max_examples=200)
 def test_word_round_trip_property(a):
     assert path_to_area(area_to_path(a)) == a
-
-
-@given(area_sequences())
-@settings(max_examples=200)
-def test_pair_round_trip_property(a):
-    if a.height % a.width == 0:
-        assert dyck_tuple_inverse(dyck_tuple(a), a.width) == a

@@ -18,7 +18,7 @@ from cyclicsieve.csp import (
     Target,
 )
 from cyclicsieve.genfunc import DiagonalSpec
-from cyclicsieve.paths import AreaSequence, DyckPath, LatticeWord, MobiusWord
+from cyclicsieve.paths import AreaSequence, LatticeWord, MobiusWord
 from cyclicsieve.qpoly import IntPolynomial, NonConstant
 from cyclicsieve.selftest import CriterionResult
 
@@ -34,7 +34,6 @@ ROW = CspRow(1, 1, NonConstant(IntPolynomial([0, 1])), 3, False)
 SAMPLES = {
     AreaSequence: (((0, 1), 2), "AreaSequence(values=(0, 1), width=2)"),
     LatticeWord: ((1, "0011", 2), "LatticeWord(start=1, bits='0011', width=2)"),
-    DyckPath: (("0011",), "DyckPath(bits='0011')"),
     MobiusWord: (("010",), "MobiusWord(half='010')"),
     NonConstant: ((IntPolynomial([0, 1]),), "NonConstant(remainder=IntPolynomial([0, 1]))"),
     CspRow: (
@@ -75,7 +74,7 @@ SAMPLES = {
 
 # Records whose fields hold a dict: like a frozen dataclass, they compare but do not hash.
 UNHASHABLE = {FeasibilityReport, LyndonParameters}
-ORDERED = [AreaSequence, LatticeWord, DyckPath, MobiusWord]
+ORDERED = [AreaSequence, LatticeWord, MobiusWord]
 CLASSES = list(SAMPLES)
 
 
@@ -96,7 +95,7 @@ def test_samples_cover_every_record_class():
         if isinstance(value, type) and value.__setattr__ is record._frozen_setattr
     }
     assert found == set(SAMPLES)
-    assert len(found) == 16
+    assert len(found) == 15
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -156,13 +155,12 @@ def test_order_is_the_field_tuple_order():
     assert a < b and a <= b and b > a and b >= a and a <= a and not a < a
     assert sorted([b, a]) == [a, b]
     assert LatticeWord(1, "0101", 2) < LatticeWord(2, "0101", 2)
-    assert DyckPath("0011") < DyckPath("0101")
     assert max(MobiusWord("010"), MobiusWord("100")) == MobiusWord("100")
 
 
 @pytest.mark.parametrize("name", ["__eq__", "__lt__", "__le__", "__gt__", "__ge__"])
 def test_each_comparison_declines_another_record_class(name):
-    a, b = AreaSequence((0, 1), 2), DyckPath("0011")
+    a, b = AreaSequence((0, 1), 2), MobiusWord("010")
     assert getattr(a, name)(b) is NotImplemented
     assert getattr(b, name)(a) is NotImplemented
     method = getattr(AreaSequence, name)
