@@ -1,7 +1,9 @@
 """Path objects: area sequences, lattice words, enumerators, statistics."""
 
 import inspect
+from collections import Counter
 from itertools import accumulate, product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -250,19 +252,29 @@ class TestStatistics:
                 assert (maj(both) - maj(bits) - maj(transpose_word(bits))) % n == 0
 
 
-@pytest.mark.parametrize("k, m", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (3, 2), (2, 3)])
+# Every cell CDP(k*m, m) with k*m <= 8.
+KM_CELLS = [(n // m, m) for n in range(1, 9) for m in range(1, n + 1) if n % m == 0]
+
+
+@pytest.mark.parametrize("k, m", KM_CELLS)
 def test_cdp_km_m_counts_the_cyclic_tuples_of_dyck_paths_with_peak_inequalities(k, m):
     # |CDP(k*m, m)| is the number of cyclic 2k-tuples (P_1, ..., P_2k) of Dyck
     # paths of size m with h_l(P_j) + h_f(P_(j+1)) >= m, indices cyclic: h_f is
     # the height of the first peak (the leading run of east steps) and h_l that
-    # of the last (the trailing run of north steps).
-    peaks = [(len(p) - len(p.lstrip("0")), len(p) - len(p.rstrip("1"))) for p in enumerate_dyck(m)]
+    # of the last (the trailing run of north steps).  Paths with the same
+    # (h_f, h_l) are counted together, with their multiplicity.
+    peaks = Counter((len(p) - len(p.lstrip("0")), len(p) - len(p.rstrip("1"))) for p in enumerate_dyck(m))
     tuples = sum(
-        1
+        prod(peaks[h] for h in t)
         for t in product(peaks, repeat=2 * k)
         if all(t[j - 1][1] + t[j][0] >= m for j in range(2 * k))
     )
     assert tuples == cdp_count(k * m, m) == sum(1 for _ in cdp_values(k * m, m))
+
+
+def test_km_cells_hold_48184_paths_in_all():
+    assert len(KM_CELLS) == 20
+    assert sum(cdp_count(k * m, m) for k, m in KM_CELLS) == 48184
 
 
 class TestMobius:
