@@ -25,7 +25,6 @@ _EXPORTS = {
         "eval_at_unity",
         "mod_cyclic",
         "q_binomial",
-        "q_binomial_by_division",
         "q_factorial",
         "q_int",
         "q_lucas_eval",
@@ -44,7 +43,6 @@ _EXPORTS = {
         "enumerate_dyck",
         "inv_zero_one",
         "maj",
-        "path_to_area",
         "validate_area_sequence",
     ),
     "genfunc": (
@@ -65,8 +63,6 @@ _EXPORTS = {
     "actions": (
         "CyclicAction",
         "OrbitDecomposition",
-        "area_shift",
-        "fixed_count",
         "mobius_shift",
         "orbit_decompose",
         "orbit_poly",

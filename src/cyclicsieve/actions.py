@@ -2,9 +2,9 @@
 
 The four actions of interest:
 
-* area_shift: rotate the area sequence of a circular Dyck path one step
-  to the right (the generator of the C_n action on CDP(n, w)); on the
-  plain area tuples of paths.cdp_values this is word_rotate(t, 1).
+* word_rotate: rotate a word or a tuple; one step to the right on the
+  area tuples of paths.cdp_values is the C_n action on CDP(n, w), the
+  generator csp._rotate.
 * word_shift_two: rotate a binary word of even length two steps to the
   right (order n on words of length 2n).
 * twisted_shift: move the last two bits of a length-n binary word to the
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from math import gcd
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .paths import AreaSequence, MobiusWord
+from .paths import MobiusWord
 from .qpoly import IntPolynomial, divisors
 from .record import record
 
@@ -42,15 +41,6 @@ from .record import record
 class OrbitError(AssertionError):
     """An action is not a bijection of its carrier with every orbit size
     dividing its order, or an orbit census says otherwise: a kernel bug."""
-
-
-def area_shift(a: AreaSequence) -> AreaSequence:
-    """Rotate the area values one step to the right.
-
-    A rotation of a valid cyclic sequence is valid, so it is not checked again.
-    """
-    v = a.values
-    return AreaSequence._trusted((v[-1],) + v[:-1], a.width)
 
 
 def word_rotate(bits: Sequence, steps: int) -> Sequence:
@@ -169,12 +159,6 @@ class CyclicAction:
         if self.order < 1:
             raise ValueError("order must be positive")
 
-    def apply_power(self, x: Hashable, k: int) -> Hashable:
-        k %= self.order
-        for _ in range(k):
-            x = self.generator(x)
-        return x
-
 
 @record
 class OrbitDecomposition:
@@ -256,16 +240,6 @@ def orbit_decompose(carrier: Sequence[Hashable], action: CyclicAction) -> OrbitD
     dec = OrbitDecomposition(action, tuple(o[0] for o in orbits), tuple(len(o) for o in orbits))
     dec.__dict__["orbits"] = tuple(orbits)  # the walk's own orbits, so `orbits` is not walked again
     return dec
-
-
-def fixed_count(carrier: Sequence[Hashable], action: CyclicAction, k: int) -> int:
-    """Number of carrier elements fixed by the k-th power of the generator.
-
-    Depends only on gcd(k, order): g^k and g^gcd(k, order) generate the
-    same subgroup, hence have the same fixed-point set.
-    """
-    d = gcd(k, action.order)
-    return sum(1 for x in carrier if action.apply_power(x, d) == x)
 
 
 def census_spread(census: dict[int, int], n: int) -> list[int]:

@@ -164,7 +164,7 @@ def verify_csp(orbits: OrbitDecomposition, f: IntPolynomial) -> CspReport:
     """Exact sieving check of a carrier, given by its orbits, against f, with the dual-route guard of _report.
 
     Only the orbit sizes are read, so elements are first walked by orbit_decompose.
-    Its report has no warnings; verify_subset_csp and verify_target pass theirs.
+    Its report has no warnings, and neither has verify_subset_csp's; only verify_target passes them.
     """
     return _report(f, orbits.order, orbits.census())
 
@@ -174,7 +174,6 @@ def verify_subset_csp(
     superset: Sequence[Hashable],
     action: CyclicAction,
     f: IntPolynomial,
-    warnings: Sequence[str] = (),
 ) -> CspReport:
     """Subset sieving: fixed points are counted inside a subset of the carrier.
 
@@ -188,7 +187,7 @@ def verify_subset_csp(
     inside = Counter(len(orbit) for orbit in orbit_decompose(superset, action).orbits for x in orbit if x in sub)
     if sum(inside.values()) != len(sub):
         raise ValueError("subset is not contained in the superset")
-    return _report(f, action.order, inside, warnings)
+    return _report(f, action.order, inside)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +425,6 @@ class Target:
     closed: Callable[..., IntPolynomial]
     necklaces: Union[Callable[..., Iterable[tuple[Hashable, int]]], None] = None
     census: Union[Callable[..., tuple[dict[int, int], tuple[str, ...]]], None] = None
-
-    def instance(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> tuple:
-        """The carrier as a list, the action and the closed polynomial, for the walking oracles."""
-        return list(self.carrier(n, w, content)), CyclicAction(n, self.generator), self.closed(n, w, content)
 
     def decompose(self, n: int, w: Union[int, None] = None, content: Union[tuple, None] = None) -> OrbitDecomposition:
         """The carrier's orbits, the one place that finds them: off `necklaces`, else by orbit_decompose."""

@@ -249,8 +249,14 @@ class ResultCache:
     """
 
     def __init__(self, directory: Optional[Path] = None, enabled: bool = True):
-        self.directory = Path(directory) if directory else default_cache_dir()
+        self.directory = Path(directory) if directory else None
         self.enabled = enabled
+        if enabled and self.directory is None:
+            try:
+                self.directory = default_cache_dir()
+            except RuntimeError as exc:  # Path.home() with HOME unset and no passwd entry for the uid
+                to_stderr(dumps_canonical({"warning": f"cannot find a cache directory: {exc}", "action": "running without cache"}))
+                self.enabled = False
 
     def fetch(
         self, command: str, params: dict, schema: str, compute: Callable[[], tuple[Any, Optional[dict]]]

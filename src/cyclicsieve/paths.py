@@ -117,9 +117,9 @@ class AreaSequence:
     """A circular Dyck path of height len(values) and width `width`.
 
     The constructor validates its input with validate_area_sequence and
-    raises ValueError on an invalid sequence.  Only enumerate_cdp,
-    actions.area_shift and genfunc.cdp_q_bruteforce_widths skip that check,
-    through _trusted, because their output is valid by construction.
+    raises ValueError on an invalid sequence.  Only enumerate_cdp and
+    genfunc.cdp_q_bruteforce_widths skip that check, through _trusted,
+    because their output is valid by construction.
     """
 
     values: tuple[int, ...]
@@ -252,17 +252,6 @@ class LatticeWord:
     def height(self) -> int:
         return len(self.bits) // 2
 
-    def north_positions(self) -> list[int]:
-        """Absolute x-coordinate of each north step, bottom row first."""
-        x = self.start
-        out = []
-        for b in self.bits:
-            if b == "0":
-                x += 1
-            else:
-                out.append(x)
-        return out
-
 
 def area_to_path(a: AreaSequence) -> LatticeWord:
     """Encode an area sequence as (start, word): north step i at x = w + i - a_i."""
@@ -277,14 +266,6 @@ def area_to_path(a: AreaSequence) -> LatticeWord:
         parts.append("1")
         prev = x
     return LatticeWord(x0, "".join(parts), w)
-
-
-def path_to_area(p: LatticeWord) -> AreaSequence:
-    """Inverse of area_to_path; LatticeWord validation has already rejected bad words."""
-    w = p.width
-    xs = p.north_positions()
-    values = tuple(w + i + 1 - x for i, x in enumerate(xs))
-    return AreaSequence(values, w)
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +296,12 @@ class MobiusWord:
     def full_bits(self) -> str:
         return self.half + transpose_word(self.half)
 
-    def start(self) -> int:
-        return self.size + 1 - self.half.count("0")
-
-    def to_lattice_word(self) -> LatticeWord:
-        return LatticeWord(self.start(), self.full_bits(), self.size)
-
 
 def enumerate_cmp(n: int) -> Iterator[MobiusWord]:
     """All circular Mobius paths of size n: 2^(n-1) half-words ending in '0'.
 
     Every half-word with b_n = 0 expands to a valid element of CDP(n), so
-    none is walked here; the tests check each one's to_lattice_word.
+    none is walked here; the tests check each one's LatticeWord.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -407,21 +382,11 @@ def enumerate_words(content: Sequence[int], letters: Sequence) -> Iterator:
     return place(0, word, range(len(word))) if len(used) > 1 else iter([build(word)])
 
 
-def avoids_diagonals(bits: str, w: int) -> bool:
-    """True iff the walk from (0, 0) never touches the diagonals x - y = +-w."""
-    d = 0
-    for b in bits:
-        d += 1 if b == "0" else -1
-        if abs(d) == w:
-            return False
-    return True
-
-
 def enumerate_avl(n: int, w: int) -> Iterator[str]:
     """Balanced 2n-step words from (0,0) to (n,n) avoiding x - y = +-w, in lexicographic order.
 
-    The walks of _bounded_walks(n, 1 - w, w - 1): the balanced words that
-    avoids_diagonals(bits, w) keeps, and no other balanced word is built.
+    The walks of _bounded_walks(n, 1 - w, w - 1): no balanced word that
+    touches a diagonal is built.
     """
     if n < 1 or w < 1:
         raise ValueError("n and w must be positive")

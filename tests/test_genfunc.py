@@ -41,10 +41,7 @@ from cyclicsieve.qpoly import (
     mod_cyclic,
     q_binomial,
 )
-
-
-def poly(*coeffs):
-    return IntPolynomial(coeffs)
+from reference import poly
 
 
 class TestDiagonalSpec:

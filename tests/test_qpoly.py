@@ -20,17 +20,13 @@ from cyclicsieve.qpoly import (
     eval_at_unity,
     mod_cyclic,
     q_binomial,
-    q_binomial_by_division,
     q_factorial,
     q_int,
     q_lucas_eval,
     q_multinomial,
     _exact_div_one_minus_q_power,
 )
-
-
-def poly(*coeffs):
-    return IntPolynomial(coeffs)
+from reference import poly, q_binomial_by_division
 
 
 @functools.cache

@@ -2,7 +2,6 @@
 
 import json
 import os
-import re
 import signal
 import threading
 import time
@@ -13,6 +12,7 @@ import pytest
 from cyclicsieve import selftest
 from cyclicsieve.cli import main
 from cyclicsieve.selftest import run_all
+from reference import masked
 
 
 @pytest.fixture(autouse=True)
@@ -20,10 +20,6 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def masked(line: str) -> str:
-    return re.sub(r"\[\s*\d+\.\d+s\]", "[time]", line)
 
 
 def serial_loop(max_n: int, echo) -> list[tuple]:
